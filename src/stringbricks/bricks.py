@@ -3,20 +3,25 @@
 Two independent routes: the direct substring criterion (a common factor/image
 substring of the string, or of the doubly infinite band word, kills
 brickness) and the automaton criterion (transport the pointed word to the
-binary MIA and test the (weak) brick word property).  The endo module gives a
-third, linear-algebra route; the test suite keeps all three in agreement.
+binary MIA and test the (weak) brick word property).  Both witness searches
+are the pair scan of `scan`: the direct route keys each gap by its
+zero-length string, the automaton route is the one in `mia`.  The endo module
+gives a third, linear-algebra route; the test suite keeps all three in
+agreement.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import endo
 from .construct import build_mia, parity_mia, string_to_word
-from .mia import (BrickWordReport, _Hasher, _lce, is_brick_word,
-                  is_weak_brick_word, shift_basepoint, transport)
+from .mia import (BrickWordReport, is_brick_word, is_weak_brick_word,
+                  shift_basepoint, transport)
+from .scan import Track, pair_scan, unroll
 from .strings import Band, Context, Str, StringError
-from .words import (BiInf, Finite, Letter, LeftInf, RightInf, Window,
+from .words import (BiInf, Finite, LeftInf, RightInf, Window,
                     classify_periodicity, inv_seq)
 from .words import APERIODIC, FINITE
 
@@ -47,190 +52,30 @@ class BrickReport:
     reason: str = ""
 
 
-def _span(start, end, before, after, period=None) -> SpanOcc:
+def _span(start, end, before, after) -> SpanOcc:
     fmt = lambda b: None if b is None else str(b)
     return SpanOcc(start, end, fmt(before), fmt(after))
 
 
-# ---------------------------------------------------------------------------
-# direct route, finite strings
-
-
-def _content_key(ctx: Context, u: tuple[Letter, ...], i: int, j: int):
-    if i == j:
-        return ctx.gap_zero(u, i)
-    return u[i:j]
-
-
-def _invert_content(c):
-    if isinstance(c, Str):
-        return c.inverse()
-    return inv_seq(c)
-
-
-def _content_str(ctx: Context, c) -> str:
-    if isinstance(c, Str):
-        return Context.format_literal(c)
-    return " ".join(str(l) for l in c)
-
-
-def _finite_string_witness(ctx: Context, x: Str) -> Optional[BrickWitness]:
-    """Common factor/image substring search on a finite string; only the
-    identity pair (x as factor of x, x as image of x, both by equality) is
-    excluded."""
-    u = x.letters
-    n = len(u)
-    if n == 0:
-        return None  # the only factor and image substring is x itself
-    factors: dict = {}
-    images: dict = {}
-    for i in range(n + 1):
-        before = u[i - 1] if i > 0 else None
-        for j in range(i, n + 1):
-            after = u[j] if j < n else None
-            f_ok = (before is None or before.inv) and (after is None or not after.inv)
-            i_ok = (before is None or not before.inv) and (after is None or after.inv)
-            if not (f_ok or i_ok):
-                continue
-            c = _content_key(ctx, u, i, j)
-            if f_ok:
-                factors.setdefault(c, []).append(i)
-            if i_ok:
-                images.setdefault(c, []).append(i)
-
-    def mk(c, of, L, oi, host):
-        if host == "x":
-            ispan = _span(oi, oi + L, u[oi - 1] if oi > 0 else None,
-                          u[oi + L] if oi + L < n else None)
-        else:
-            # an image occurrence of c^{-1} in x at (oi, oi+L) is an image
-            # occurrence of c in x^{-1} at the mirrored span
-            s2, e2 = n - oi - L, n - oi
-            v = inv_seq(u)
-            ispan = _span(s2, e2, v[s2 - 1] if s2 > 0 else None,
-                          v[e2] if e2 < n else None)
-        return BrickWitness(_content_str(ctx, c),
-                            _span(of, of + L, u[of - 1] if of > 0 else None,
-                                  u[of + L] if of + L < n else None),
-                            ispan, host)
-
-    for c, fstarts in factors.items():
-        L = 0 if isinstance(c, Str) else len(c)
-        for oi in images.get(c, ()):
-            for of in fstarts:
-                if L == n and of == 0 and oi == 0:
-                    continue  # identity endomorphism pair
-                return mk(c, of, L, oi, "x")
-        inv_c = _invert_content(c)
-        for oi in images.get(inv_c, ()):
-            for of in fstarts:
-                return mk(c, of, L, oi, "x-inverse")
-    return None
-
-
-# ---------------------------------------------------------------------------
-# direct route, periodic band words
-
-
-def _band_gap_states(ctx: Context, q: tuple[Letter, ...]) -> list[Str]:
-    P = len(q)
-    return [ctx.zero(ctx.letter_dst(q[(r - 1) % P]), ctx.eps(q[(r - 1) % P]))
-            for r in range(P)]
-
-
-def _periodic_string_witness(ctx: Context, q: tuple[Letter, ...],
-                             length_bound_factor: int = 1) -> Optional[BrickWitness]:
-    """Witness scan on ^infinity(q)^infinity; witness lengths 0..|q| suffice
-    (3x bound asserted by the soundness tests)."""
-    P = len(q)
-    z = _band_gap_states(ctx, q)
-    qinv = tuple(q[(P - 1 - r) % P].inverse() for r in range(P))
-    zinv = [z[(-r) % P].inverse() for r in range(P)]
-    hosts = (("x", q, z), ("x-inverse", qinv, zinv))
-    for L in range(P * length_bound_factor + 1):
-        for of in range(P):
-            if not q[(of - 1) % P].inv or q[(of + L) % P].inv:
-                continue
-            for tag, hq, hz in hosts:
-                for oi in range(P):
-                    if hq[(oi - 1) % P].inv or not hq[(oi + L) % P].inv:
-                        continue
-                    if any(q[(of + i) % P] != hq[(oi + i) % P] for i in range(L)):
-                        continue
-                    if z[of % P] != hz[oi % P]:
-                        continue
-                    content = tuple(q[(of + i) % P] for i in range(L))
-                    key = (content if L
-                           else z[of % P])
-                    return BrickWitness(
-                        _content_str(ctx, key),
-                        _span(of, of + L, q[(of - 1) % P], q[(of + L) % P]),
-                        _span(oi, oi + L, hq[(oi - 1) % P], hq[(oi + L) % P]),
-                        tag)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# direct route, windows
-
-
-def _window_string_witness(ctx: Context, win: Window) -> Optional[BrickWitness]:
-    """Witness scan inside a syllable window; occurrences needing context
-    beyond an open edge are ignored."""
-    u = win.letters
-    n = len(u)
-    z = [ctx.gap_zero(u, g) for g in range(n + 1)]
-    u2 = inv_seq(u)
-    z2 = [z[n - g].inverse() for g in range(n + 1)]
-
-    alpha: dict[Letter, int] = {}
-    for l in set(u) | set(u2):
-        alpha.setdefault(l, len(alpha) + 1)
-    h1 = _Hasher([alpha[l] for l in u])
-    h2 = _Hasher([alpha[l] for l in u2])
-
-    def boundary(seq, idx, nn, closed_left, closed_right):
-        if idx < 0:
-            return None if closed_left else False
-        if idx >= nn:
-            return None if closed_right else False
-        return seq[idx]
-
-    def starts(seq, nn, closed_left, image):
-        out = []
-        for o in range(nn + 1):
-            b = boundary(seq, o - 1, nn, closed_left, True)
-            if b is False:
-                continue
-            if b is None or (b.inv != image):
-                out.append((o, b))
-        return out
-
-    lc, rc = win.left_closed, win.right_closed
-    fstarts = starts(u, n, lc, image=False)
-    hosts = (("x", u, z, h1, lc, rc), ("x-inverse", u2, z2, h2, rc, lc))
-    for tag, hu, hz, hh, lc2, rc2 in hosts:
-        istarts = starts(hu, n, lc2, image=True)
-        for of, fb in fstarts:
-            for oi, ib in istarts:
-                if z[of] != hz[oi]:
-                    continue
-                L = _lce(h1, of, hh, oi)
-                fa = boundary(u, of + L, n, True, rc)
-                ia = boundary(hu, oi + L, n, True, rc2)
-                if fa is False or ia is False:
-                    continue
-                if not (fa is None or not fa.inv):
-                    continue
-                if not (ia is None or ia.inv):
-                    continue
-                if tag == "x" and of == 0 and oi == 0 and L == n and lc and rc:
-                    continue
-                content = _content_key(ctx, u, of, of + L)
-                return BrickWitness(_content_str(ctx, content),
-                                    _span(of, of + L, fb, fa),
-                                    _span(oi, oi + L, ib, ia), tag)
-    return None
+def _direct_witness(ctx: Context, x: Track, xinv: Track,
+                    shift: int = 0) -> Optional[BrickWitness]:
+    """The direct route on the pair scan: the start key is the zero-length
+    string at the gap, which decides the zero-length contents and is implied
+    by the first letter of the others.  `shift` maps track indices back to
+    word gaps."""
+    x = x._replace(key=partial(ctx.gap_zero, x.letters))
+    xinv = xinv._replace(key=partial(ctx.gap_zero, xinv.letters))
+    hit = pair_scan(x, (x, xinv))
+    if hit is None:
+        return None
+    host, of, oi, L = hit
+    h = (x, xinv)[host]
+    content = (" ".join(str(l) for l in x.letters[of:of + L]) if L
+               else Context.format_literal(ctx.gap_zero(x.letters, of)))
+    return BrickWitness(content,
+                        _span(of - shift, of + L - shift, x.boundary(of - 1), x.boundary(of + L)),
+                        _span(oi - shift, oi + L - shift, h.boundary(oi - 1), h.boundary(oi + L)),
+                        ("x", "x-inverse")[host])
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +86,13 @@ def string_brick_direct(ctx: Context, x) -> BrickReport:
     """Thm criterion: brick iff aperiodic and no common factor/image
     substring of x and of x or x^{-1}."""
     if isinstance(x, Str):
-        w = _finite_string_witness(ctx, x)
+        t = Track(x.letters)
+        w = _direct_witness(ctx, t, t.inverse()) if x.letters else None
         return BrickReport(w is None, "direct", w, FINITE, "exact")
     if isinstance(x, Window):
         ctx.validate_inf_str(x)
-        w = _window_string_witness(ctx, x)
+        t = Track(x.letters, x.left_closed, x.right_closed)
+        w = _direct_witness(ctx, t, t.inverse())
         cls = classify_periodicity(x)
         verdict = w is None and cls == APERIODIC
         return BrickReport(verdict, "direct", w, cls, f"window {len(x.letters)}")
@@ -268,7 +115,9 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1,
     if l > 1:
         return BrickReport(False, "direct", None, "periodic", "exact",
                            reason="l must be 1")
-    w = _periodic_string_witness(ctx, b.string.letters, length_bound_factor)
+    q = b.string.letters
+    span = len(q) * length_bound_factor
+    w = _direct_witness(ctx, unroll(q, len(q), span), unroll(inv_seq(q), len(q), span), 1)
     return BrickReport(w is None, "direct", w, "periodic", "exact")
 
 

@@ -379,7 +379,7 @@ def main(argv=None) -> int:
         out.say(f"cap exceeded: {err}")
         return out.emit(CAP_OR_DISAGREE)
     except (PresentationError, StringError, MiaError, SturmianError,
-            SignError, FileNotFoundError, ValueError) as err:
+            SignError, OSError, ValueError) as err:
         out.field("error", str(err))
         out.say(f"error: {err}")
         return out.emit(INPUT_ERROR)

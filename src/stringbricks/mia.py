@@ -12,13 +12,16 @@ Key facts the implementation leans on (checked by the test suite):
     same underlying word are ~-equivalent iff their forward chains merge;
   * for finite words the chains merge iff they agree at the final gap, and
     for periodic words iff they agree at any gap past a burn-in bound.
+
+The (weak) brick-word witness search is the pair scan of `scan`, run on
+each host with its gap states.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from .scan import FACTOR, IMAGE, OPEN, Track, pair_scan, unroll
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
                     classify_periodicity, inv_seq, invert)
 from .words import APERIODIC, FINITE
@@ -443,12 +446,10 @@ class Occurrence:
     shifted_host: Optional[PointedWord] = None
 
     def is_factor(self) -> bool:
-        return ((self.before is None or self.before.inv)
-                and (self.after is None or not self.after.inv))
+        return FACTOR.before(self.before) and FACTOR.after(self.after)
 
     def is_image(self) -> bool:
-        return ((self.before is None or not self.before.inv)
-                and (self.after is None or self.after.inv))
+        return IMAGE.before(self.before) and IMAGE.after(self.after)
 
 
 def classify_occurrence(occ: Occurrence) -> str:
@@ -492,16 +493,15 @@ def subword_occurrences(m: Mia, needle: PointedWord, hay: PointedWord) -> list[O
     if isinstance(hay.right, Window):
         host = _WindowHost(m, hay)
         u, n = host.u, len(host.u)
-        win = hay.right
+        t = Track(u, hay.right.left_closed, hay.right.right_closed)
         out = []
         for o in range(n - k + 1):
             if u[o:o + k] != nu:
                 continue
             if host.chain[o + napos] != nbase:
                 continue
-            before = u[o - 1] if o > 0 else (None if win.left_closed else False)
-            after = u[o + k] if o + k < n else (None if win.right_closed else False)
-            if before is False or after is False:
+            before, after = t.boundary(o - 1), t.boundary(o + k)
+            if before is OPEN or after is OPEN:
                 continue  # context beyond an open window edge
             out.append(Occurrence(needle, "host", o, o + k, o + napos, before, after))
         return out
@@ -592,213 +592,61 @@ class BrickWordReport:
     scope: str
 
 
-def _boundary(u, i, n, left_closed=True, right_closed=True):
-    if i < 0:
-        return None if left_closed else False
-    if i >= n:
-        return None if right_closed else False
-    return u[i]
+def _word_witness(x: Track, xinv: Track, states=None,
+                  shift: int = 0) -> Optional[WordWitness]:
+    """The brick-word witness on the pair scan.
+
+    With single-valued gap states the tracks carry them as start keys.
+    Otherwise states(host, g) is the gap class at gap g of x (host 0) or
+    x^{-1} (host 1): forward basepoint shifts are deterministic, so a state
+    common to both classes at some gap of the span carries over to its right
+    end, and only the right end is tested.  `shift` maps track indices back
+    to word gaps.
+    """
+    def common(hit):
+        return (states(0, hit.of + hit.L - shift)
+                & states(hit.host, hit.oi + hit.L - shift))
+
+    hit = pair_scan(x, (x, xinv), None if states is None else common)
+    if hit is None:
+        return None
+    host, of, oi, L = hit
+    h = (x, xinv)[host]
+    content = x.letters[of:of + L]
+    needle = (finite_word((), x.key(of), content) if states is None
+              else finite_word(content, min(common(hit)), ()))
+    return WordWitness(
+        needle,
+        WitnessOcc(of - shift, of + L - shift, x.boundary(of - 1), x.boundary(of + L)),
+        WitnessOcc(oi - shift, oi + L - shift, h.boundary(oi - 1), h.boundary(oi + L)),
+        ("w", "w-inverse")[host])
 
 
-def _factor_ok(before, after) -> bool:
-    if before is False or after is False:
-        return False
-    return (before is None or before.inv) and (after is None or not after.inv)
-
-
-def _image_ok(before, after) -> bool:
-    if before is False or after is False:
-        return False
-    return (before is None or not before.inv) and (after is None or after.inv)
-
-
-def _scan_finite_witness(m: Mia, host: _FiniteHost) -> Optional[WordWitness]:
-    """Search for a nontrivial common factor/image pointed subword of a finite
-    word; the single identity pair (full span as factor, full span as image in
-    the word itself) is excluded."""
-    u, n = host.u, len(host.u)
+def _finite_witness(m: Mia, host: _FiniteHost) -> Optional[WordWitness]:
+    u = host.u
     winv = finite_word(inv_seq(u[host.bpos:]), m.inv[host.base], inv_seq(u[:host.bpos]))
-    host_inv = _finite_host(m, winv)
-
-    factors: dict[tuple, list[int]] = defaultdict(list)
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            if _factor_ok(_boundary(u, i - 1, n), _boundary(u, j, n)):
-                factors[u[i:j]].append(i)
-
-    def images_of(h: _FiniteHost) -> dict[tuple, list[int]]:
-        out: dict[tuple, list[int]] = defaultdict(list)
-        v, nn = h.u, len(h.u)
-        for i in range(nn + 1):
-            for j in range(i, nn + 1):
-                if _image_ok(_boundary(v, i - 1, nn), _boundary(v, j, nn)):
-                    out[v[i:j]].append(i)
-        return out
-
-    hosts = (("w", host, images_of(host)), ("w-inverse", host_inv, images_of(host_inv)))
-    for content, fstarts in factors.items():
-        L = len(content)
-        for tag, h2, imap in hosts:
-            for oi in imap.get(content, ()):
-                for of in fstarts:
-                    if tag == "w" and of == 0 and oi == 0 and L == n:
-                        continue  # the identity endomorphism pair
-                    for j in range(L + 1):
-                        common = host.G[of + j] & h2.G[oi + j]
-                        if common:
-                            v = sorted(common)[0]
-                            needle = finite_word(content[:j], v, content[j:])
-                            return WordWitness(
-                                needle,
-                                WitnessOcc(of, of + L, _boundary(u, of - 1, n),
-                                           _boundary(u, of + L, n)),
-                                WitnessOcc(oi, oi + L, _boundary(h2.u, oi - 1, n),
-                                           _boundary(h2.u, oi + L, n)),
-                                tag)
-    return None
+    hosts = (host, _finite_host(m, winv))
+    x = Track(u)
+    return _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
 
 
-def _scan_periodic_witness(m: Mia, host: _PeriodicHost,
-                           length_bound: int) -> Optional[WordWitness]:
-    """Search for a finite common factor/image pointed subword of a purely
-    periodic two-sided word.
-
-    Witness lengths 0..length_bound suffice (dropping the first letter-period
-    of a longer witness preserves both occurrences: boundary letters repeat
-    with the letter period and anchor-state matches propagate to the right
-    end of the span).  Anchors range over the gap period of each host, which
-    may be a proper multiple of the letter period.
-    """
-    host_inv = _periodic_inverse(m, host)
-    P = host.P
-
-    def at(q, i):
-        return q[i % P]
-
-    for L in range(length_bound + 1):
-        for of in range(host.T):
-            if not _factor_ok(at(host.q, of - 1), at(host.q, of + L)):
-                continue
-            for tag, h2 in (("w", host), ("w-inverse", host_inv)):
-                for oi in range(h2.T):
-                    if not _image_ok(at(h2.q, oi - 1), at(h2.q, oi + L)):
-                        continue
-                    if any(at(host.q, of + i) != at(h2.q, oi + i) for i in range(L)):
-                        continue
-                    for j in range(L + 1):
-                        common = host.state_at(of + j) & h2.state_at(oi + j)
-                        if common:
-                            v = sorted(common)[0]
-                            content = tuple(at(host.q, of + i) for i in range(L))
-                            needle = finite_word(content[:j], v, content[j:])
-                            return WordWitness(
-                                needle,
-                                WitnessOcc(of, of + L, at(host.q, of - 1), at(host.q, of + L)),
-                                WitnessOcc(oi, oi + L, at(h2.q, oi - 1), at(h2.q, oi + L)),
-                                tag)
-    return None
+def _periodic_witness(m: Mia, host: _PeriodicHost,
+                      length_bound: int) -> Optional[WordWitness]:
+    """Anchors range over the gap period of each host, which may be a proper
+    multiple of the letter period."""
+    hosts = (host, _periodic_inverse(m, host))
+    x, xinv = (unroll(h.q, h.T, length_bound) for h in hosts)
+    return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 
 
-class _Hasher:
-    """Double rolling hash for O(log n) longest-common-extension queries."""
-
-    MOD = (1 << 61) - 1
-    B1, B2 = 1000003, 2000003
-
-    def __init__(self, seq: Sequence[int]):
-        n = len(seq)
-        self.n = n
-        self.h1 = [0] * (n + 1)
-        self.h2 = [0] * (n + 1)
-        self.p1 = [1] * (n + 1)
-        self.p2 = [1] * (n + 1)
-        for i, c in enumerate(seq):
-            self.h1[i + 1] = (self.h1[i] * self.B1 + c) % self.MOD
-            self.h2[i + 1] = (self.h2[i] * self.B2 + c) % self.MOD
-            self.p1[i + 1] = (self.p1[i] * self.B1) % self.MOD
-            self.p2[i + 1] = (self.p2[i] * self.B2) % self.MOD
-
-    def piece(self, i: int, j: int) -> tuple[int, int]:
-        return ((self.h1[j] - self.h1[i] * self.p1[j - i]) % self.MOD,
-                (self.h2[j] - self.h2[i] * self.p2[j - i]) % self.MOD)
-
-
-def _lce(a: _Hasher, i: int, b: _Hasher, j: int) -> int:
-    lo, hi = 0, min(a.n - i, b.n - j)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.piece(i, i + mid) == b.piece(j, j + mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _scan_window_witness(m: Mia, host: _WindowHost) -> Optional[WordWitness]:
-    """Witness scan inside a window; occurrences needing context beyond an
-    open edge are ignored (necessary-condition semantics).
-
-    For each (factor start, image start) pair with matching gap states, the
-    only possible witness length is the longest common extension: shorter
-    lengths see equal after-letters, which cannot be direct on one side and
-    inverse on the other, and cannot be flush with a window end either.
-    """
+def _window_witness(m: Mia, host: _WindowHost) -> Optional[WordWitness]:
     win = host.window
-    u, n = host.u, len(host.u)
-    chain = host.chain
-
     inv_word = PointedWord(Finite(()), m.inv[host.base],
-                           Window(inv_seq(u), win.certified_aperiodic, win.origin,
+                           Window(inv_seq(host.u), win.certified_aperiodic, win.origin,
                                   left_closed=win.right_closed,
                                   right_closed=win.left_closed))
-    host_inv = _WindowHost(m, inv_word)
-
-    alpha: dict[Letter, int] = {}
-    for l in set(u) | set(host_inv.u):
-        alpha.setdefault(l, len(alpha) + 1)
-    h1 = _Hasher([alpha[l] for l in u])
-
-    def start_list(hu, hn, left_closed, image):
-        out = []
-        for o in range(hn + 1):
-            before = _boundary(hu, o - 1, hn, left_closed, True)
-            if before is False:
-                continue
-            if before is None or (before.inv != image):
-                out.append((o, before))
-        return out
-
-    fstarts = start_list(u, n, win.left_closed, image=False)
-    hosts = (("w", u, n, chain, h1, win.left_closed, win.right_closed),
-             ("w-inverse", host_inv.u, len(host_inv.u), host_inv.chain,
-              _Hasher([alpha[l] for l in host_inv.u]),
-              win.right_closed, win.left_closed))
-
-    for tag, hu, hn, hchain, hh, lc2, rc2 in hosts:
-        istarts = start_list(hu, hn, lc2, image=True)
-        for of, fb in fstarts:
-            for oi, ib in istarts:
-                if chain[of] != hchain[oi]:
-                    continue
-                L = _lce(h1, of, hh, oi)
-                fa = _boundary(u, of + L, n, True, win.right_closed)
-                ia = _boundary(hu, oi + L, hn, True, rc2)
-                if fa is False or ia is False:
-                    continue
-                if not (fa is None or not fa.inv):
-                    continue
-                if not (ia is None or ia.inv):
-                    continue
-                if (tag == "w" and of == 0 and oi == 0 and L == n
-                        and win.left_closed and win.right_closed):
-                    continue  # identity pair on a fully closed window
-                needle = finite_word((), chain[of], u[of:of + L])
-                return WordWitness(
-                    needle,
-                    WitnessOcc(of, of + L, fb, fa),
-                    WitnessOcc(oi, oi + L, ib, ia),
-                    tag)
-    return None
+    x = Track(host.u, win.left_closed, win.right_closed, key=host.chain.__getitem__)
+    return _word_witness(x, x.inverse(_WindowHost(m, inv_word).chain.__getitem__))
 
 
 def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
@@ -807,7 +655,7 @@ def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
     (the identity pair excluded)."""
     if isinstance(w.right, Window):
         host = _WindowHost(m, w)
-        witness = _scan_window_witness(m, host)
+        witness = _window_witness(m, host)
         cls = classify_periodicity(w.right)
         verdict = witness is None and cls == APERIODIC
         return BrickWordReport(verdict, witness, cls, f"window {len(host.u)}")
@@ -815,7 +663,7 @@ def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
     cls = classify_periodicity(rep)
     if cls == FINITE:
         host = _finite_host(m, w)
-        witness = _scan_finite_witness(m, host)
+        witness = _finite_witness(m, host)
         return BrickWordReport(witness is None, witness, cls, "exact")
     # every eventually periodic rep is almost periodic, hence not aperiodic
     return BrickWordReport(False, None, cls, "exact")
@@ -826,18 +674,18 @@ def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> 
     aperiodicity requirement."""
     if isinstance(w.right, Window):
         host = _WindowHost(m, w)
-        witness = _scan_window_witness(m, host)
+        witness = _window_witness(m, host)
         return BrickWordReport(witness is None, witness,
                                classify_periodicity(w.right), f"window {len(host.u)}")
     rep = underlying(w)
     cls = classify_periodicity(rep)
     if cls == FINITE:
         host = _finite_host(m, w)
-        witness = _scan_finite_witness(m, host)
+        witness = _finite_witness(m, host)
         return BrickWordReport(witness is None, witness, cls, "exact")
     host = _periodic_host(m, w)
     bound = host.P * length_bound_factor
-    witness = _scan_periodic_witness(m, host, bound)
+    witness = _periodic_witness(m, host, bound)
     return BrickWordReport(witness is None, witness, cls, "exact")
 
 

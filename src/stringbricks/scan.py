@@ -1,0 +1,188 @@
+"""The factor/image pair scan behind every witness search.
+
+Every brick criterion asks one question: is some (pointed) word both a factor
+occurrence in a host x and an image occurrence in x or x^{-1}?  A factor
+occurrence has an inverse letter (or the closed word end) before it and a
+direct letter (or the closed end) after it; an image occurrence has the
+mirror boundary.  An occurrence touching an open edge (the word goes on
+beyond the scanned letters) cannot be classified and does not count.
+
+For a pair of starts (factor start of, image start oi) the only possible
+witness length is L = LCE(of, oi): at any shorter length both after-letters
+are the same letter, which cannot be direct on one side and inverse on the
+other, nor flush with a word end.  So the scan takes one LCE per pair of
+starts, and only for pairs whose start keys agree: each route supplies its
+own notion of gap state (the zero-length string at a gap, an automaton
+state) as the key, and a predicate for whatever the key does not decide.
+"""
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
+
+from .words import Letter, inv_seq
+
+OPEN = object()  # the boundary past an open edge
+
+
+class Rule(NamedTuple):
+    """Which boundary letters an occurrence admits; None is a closed end."""
+
+    before: Callable[[Optional[Letter]], bool]
+    after: Callable[[Optional[Letter]], bool]
+
+
+FACTOR = Rule(lambda b: b is None or b.inv, lambda a: a is None or not a.inv)
+IMAGE = Rule(lambda b: b is None or not b.inv, lambda a: a is None or a.inv)
+
+
+class Track(NamedTuple):
+    """A scanned letter sequence.
+
+    starts limits the gaps an occurrence may start at (default: all of
+    0..n); key(g) is the start key of gap g (default: one key for all).
+    """
+
+    letters: tuple
+    left_closed: bool = True
+    right_closed: bool = True
+    starts: Optional[range] = None
+    key: Optional[Callable[[int], Hashable]] = None
+
+    def boundary(self, i: int):
+        """The letter at index i; None past a closed edge, OPEN past an open one."""
+        if i < 0:
+            return None if self.left_closed else OPEN
+        if i >= len(self.letters):
+            return None if self.right_closed else OPEN
+        return self.letters[i]
+
+    def inverse(self, key: Optional[Callable[[int], Hashable]] = None) -> "Track":
+        """The inverse word with all of its gaps as starts."""
+        return Track(inv_seq(self.letters), self.right_closed, self.left_closed,
+                     key=key)
+
+
+def unroll(q: Sequence[Letter], starts: int, span: int) -> Track:
+    """The purely periodic word ^infinity(q)^infinity as a track with open
+    edges.  Gap g (0 <= g < starts) sits at index g + 1, after its
+    before-letter and followed by at least `span` letters and an
+    after-letter, so the scan sees every witness of length up to `span`.
+    With span >= |q| that is enough: dropping the first |q| letters of a
+    longer witness leaves a witness."""
+    P = len(q)
+    letters = tuple(q[(k - 1) % P] for k in range(starts + span + 1))
+    return Track(letters, False, False, range(1, starts + 1))
+
+
+class Hit(NamedTuple):
+    host: int  # index of the image track
+    of: int    # factor start
+    oi: int    # image start
+    L: int
+
+
+class _Hasher:
+    """Double rolling hash for O(log n) longest-common-extension queries."""
+
+    MOD = (1 << 61) - 1
+    B1, B2 = 1000003, 2000003
+
+    def __init__(self, seq: Sequence[int]):
+        n = len(seq)
+        self.n = n
+        self.h1 = [0] * (n + 1)
+        self.h2 = [0] * (n + 1)
+        self.p1 = [1] * (n + 1)
+        self.p2 = [1] * (n + 1)
+        for i, c in enumerate(seq):
+            self.h1[i + 1] = (self.h1[i] * self.B1 + c) % self.MOD
+            self.h2[i + 1] = (self.h2[i] * self.B2 + c) % self.MOD
+            self.p1[i + 1] = (self.p1[i] * self.B1) % self.MOD
+            self.p2[i + 1] = (self.p2[i] * self.B2) % self.MOD
+
+    def piece(self, i: int, j: int) -> tuple[int, int]:
+        return ((self.h1[j] - self.h1[i] * self.p1[j - i]) % self.MOD,
+                (self.h2[j] - self.h2[i] * self.p2[j - i]) % self.MOD)
+
+
+def _lce(a: _Hasher, i: int, b: _Hasher, j: int, lo: int = 0) -> int:
+    hi = min(a.n - i, b.n - j)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.piece(i, i + mid) == b.piece(j, j + mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+_SHORT = 8  # extensions up to this length are compared letter by letter
+
+
+class _LceIndex:
+    """LCE queries between the tracks of one scan: short extensions letter by
+    letter, longer ones by hashing, which is only set up when first needed."""
+
+    def __init__(self):
+        self.codes: dict = {}
+        self.hashers: dict = {}
+
+    def _hasher(self, t: Track) -> _Hasher:
+        if id(t) not in self.hashers:
+            self.hashers[id(t)] = _Hasher([self.codes.setdefault(l, len(self.codes))
+                                           for l in t.letters])
+        return self.hashers[id(t)]
+
+    def lce(self, a: Track, i: int, b: Track, j: int) -> int:
+        u, v = a.letters, b.letters
+        short = min(len(u) - i, len(v) - j, _SHORT)
+        k = 0
+        while k < short and u[i + k] == v[j + k]:
+            k += 1
+        if k < _SHORT:
+            return k
+        return _lce(self._hasher(a), i, self._hasher(b), j, k)
+
+
+def _starts(t: Track, admits) -> list[tuple[int, Hashable]]:
+    out = []
+    for o in t.starts if t.starts is not None else range(len(t.letters) + 1):
+        b = t.boundary(o - 1)
+        if b is not OPEN and admits(b):
+            out.append((o, t.key(o) if t.key else None))
+    return out
+
+
+def pair_scan(track: Track, images: Sequence[Track],
+              accept: Optional[Callable[[Hit], bool]] = None,
+              rules: tuple[Rule, Rule] = (FACTOR, IMAGE)) -> Optional[Hit]:
+    """The first pair of a factor occurrence in `track` and an image
+    occurrence in one of `images` with the same content.
+
+    Pairs are tried image track by image track in the given order (x before
+    x^{-1}), then by factor start ascending, then by image start ascending;
+    only starts with equal keys are paired, and a pair is returned when both
+    ends obey the rules and `accept` (if any) agrees.  The identity pair (the
+    same start in `track` itself, which the rules admit only as the whole
+    closed word) is excluded.
+    """
+    frule, irule = rules
+    index = _LceIndex()
+    fstarts = _starts(track, frule.before)
+    for h, t in enumerate(images):
+        buckets = defaultdict(list)
+        for o, key in _starts(t, irule.before):
+            buckets[key].append(o)
+        for of, key in fstarts:
+            for oi in buckets.get(key, ()):
+                if t is track and of == oi:
+                    continue
+                L = index.lce(track, of, t, oi)
+                fa, ia = track.boundary(of + L), t.boundary(oi + L)
+                if fa is OPEN or ia is OPEN or not (frule.after(fa) and irule.after(ia)):
+                    continue
+                hit = Hit(h, of, oi, L)
+                if accept is None or accept(hit):
+                    return hit
+    return None

@@ -1,4 +1,4 @@
-"""Strings, bands and factor/image substrings over a validated presentation.
+"""Strings and bands over a validated presentation.
 
 A string is a composable, non-backtracking syllable sequence avoiding the
 relations and their inverses; zero-length strings carry a vertex and a side
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Presentation, SignMaps, solve_sign_maps
-from .words import (BiInf, Finite, LeftInf, Letter, RightInf, WordRep, Window,
-                    inv_seq, unfold_left, unfold_right)
+from .words import (BiInf, LeftInf, Letter, RightInf, WordRep, Window, inv_seq,
+                    primitive_root, unfold_left, unfold_right)
 
 
 class StringError(ValueError):
@@ -64,17 +64,6 @@ class Band:
     """A cyclic primitive string, first syllable inverse, last direct."""
 
     string: Str
-
-
-@dataclass(frozen=True)
-class SubstringOcc:
-    """A factor/image substring occurrence: span in gap coordinates plus the
-    clause that fired ('equal', 'left', 'right', 'interior')."""
-
-    substring: Str
-    start: int
-    end: int
-    clause: str
 
 
 class Context:
@@ -219,88 +208,6 @@ class Context:
         first = letters[0]
         return self.zero(self.letter_src(first), -self.sig(first))
 
-    # factor / image substrings --------------------------------------------------
-    def factor_substrings(self, x) -> list[SubstringOcc]:
-        return self._substrings(x, image=False)
-
-    def image_substrings(self, x) -> list[SubstringOcc]:
-        return self._substrings(x, image=True)
-
-    def _boundary_ok(self, before: Letter | None, after: Letter | None, image: bool) -> bool:
-        if image:
-            return (before is None or not before.inv) and (after is None or after.inv)
-        return (before is None or before.inv) and (after is None or not after.inv)
-
-    @staticmethod
-    def _clause(before: Letter | None, after: Letter | None) -> str:
-        if before is None and after is None:
-            return "equal"
-        if before is None:
-            return "left"
-        if after is None:
-            return "right"
-        return "interior"
-
-    def _substrings(self, x, image: bool) -> list[SubstringOcc]:
-        if isinstance(x, Str):
-            if x.is_zero():
-                return [SubstringOcc(x, 0, 0, "equal")]
-            return self._substrings_window(x.letters, True, True, image)
-        return self._substrings_inf(x, image)
-
-    def _substrings_window(self, letters: tuple[Letter, ...], left_closed: bool,
-                           right_closed: bool, image: bool,
-                           offset: int = 0) -> list[SubstringOcc]:
-        n = len(letters)
-        out = []
-        for i in range(n + 1):
-            if i == 0 and not left_closed:
-                continue
-            for j in range(i, n + 1):
-                if j == n and not right_closed:
-                    continue
-                before = letters[i - 1] if i > 0 else None
-                after = letters[j] if j < n else None
-                if not self._boundary_ok(before, after, image):
-                    continue
-                if i == j:
-                    sub = self.gap_zero(letters, i)
-                else:
-                    sub = self.make_string(letters[i:j])
-                out.append(SubstringOcc(sub, i + offset, j + offset,
-                                        self._clause(before, after)))
-        return out
-
-    def _substrings_inf(self, rep: WordRep, image: bool) -> list[SubstringOcc]:
-        """Finite factor/image substrings of an eventually periodic rep within
-        the canonical domain (spans repeat with the period beyond it)."""
-        if isinstance(rep, RightInf):
-            p = len(rep.period)
-            dom = len(rep.prefix) + 2 * p
-            text = unfold_right(rep, dom + p + 1)
-            occs = self._substrings_window(text, True, False, image)
-            return [o for o in occs if o.start < dom]
-        if isinstance(rep, LeftInf):
-            p = len(rep.period)
-            dom = len(rep.suffix) + 2 * p
-            text = unfold_left(rep, dom + p + 1)
-            occs = self._substrings_window(text, False, True, image,
-                                           offset=-len(text))
-            return [o for o in occs if o.end > -dom]
-        if isinstance(rep, BiInf):
-            lp, rp = len(rep.left_period), len(rep.right_period)
-            lext, rext = 2 * lp + 1, len(rep.core) + 2 * rp + 1
-            left = unfold_left(LeftInf(rep.left_period, ()), lext)
-            right = unfold_right(RightInf((), rep.right_period), rext - len(rep.core))
-            text = left + rep.core + right
-            occs = self._substrings_window(text, False, False, image, offset=-lext)
-            return [o for o in occs
-                    if -lp <= o.start and o.end < len(rep.core) + rp]
-        if isinstance(rep, Window):
-            return self._substrings_window(rep.letters, rep.left_closed,
-                                           rep.right_closed, image)
-        raise StringError(f"unsupported representation {type(rep).__name__}")
-
     # bands ----------------------------------------------------------------------
     def is_band(self, x: Str):
         """Return (Band, []) or (None, reasons)."""
@@ -309,7 +216,7 @@ class Context:
             return None, ["zero-length"]
         if x.src != x.dst:
             reasons.append(f"not cyclic: s={x.src}, t={x.dst}")
-        root = _primitive_root_letters(x.letters)
+        root = primitive_root(x.letters)
         if len(root) != len(x.letters):
             reasons.append(f"not primitive: power of length {len(root)}")
         if not x.letters[0].inv:
@@ -408,10 +315,3 @@ class Context:
         else:
             raise StringError(f"unsupported representation {type(rep).__name__}")
 
-
-def _primitive_root_letters(seq: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and seq == seq[:d] * (n // d):
-            return seq[:d]
-    return seq

@@ -6,7 +6,9 @@ s_k = s_{k-1}^{d_k} s_{k-2} driven by a directive sequence (the continued
 fraction of the slope).  Prefixes of an infinite directive sequence are
 certified aperiodic.  The bridge realizes an {a,b}-window as a string over
 Lambda_3 (a = b1 a1', b = a2' b2), transports it to the binary MIA, and runs
-the windowed brick check next to the Sturmian subword criterion.
+the windowed brick check next to the Sturmian subword criterion.  Both
+window searches are the pair scan of `scan`; the Sturmian one pairs the
+starts after an a with the starts after a b.
 """
 from __future__ import annotations
 
@@ -16,10 +18,11 @@ from typing import Optional
 from .algebra import solve_sign_maps
 from .bricks import BrickReport, string_brick_automaton
 from .construct import binary_word
-from .mia import PointedWord, _Hasher, _lce
+from .mia import PointedWord
 from .presets import lambda3
+from .scan import Rule, Track, pair_scan
 from .strings import Context
-from .words import Letter, Window
+from .words import Letter, Window, primitive_root
 
 A = Letter("a", False)
 B = Letter("b", False)
@@ -49,7 +52,7 @@ class DirectiveSequence:
             raise SturmianError("directive terms after the first must be >= 1")
         if self.period and any(d < 1 for d in self.period):
             raise SturmianError("period terms must be >= 1")
-        object.__setattr__(self, "period", _primitive(self.period))
+        object.__setattr__(self, "period", primitive_root(self.period))
 
     def is_infinite(self) -> bool:
         return bool(self.period)
@@ -84,14 +87,6 @@ class DirectiveSequence:
         if self.period:
             parts.append("(" + ",".join(str(d) for d in self.period) + ")")
         return ",".join(parts)
-
-
-def _primitive(seq: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and seq == seq[:d] * (n // d):
-            return seq[:d]
-    return seq
 
 
 def characteristic_prefix(d: DirectiveSequence, n: int) -> Window:
@@ -129,23 +124,20 @@ class SturmianViolation:
     b_position: int
 
 
+# factor starts follow an a and end before an a, image starts the same with b
+_AFTER_A = Rule(lambda b: b == A, lambda a: a == A)
+_AFTER_B = Rule(lambda b: b == B, lambda a: a == B)
+
+
 def sturmian_window_check(w: Window) -> Optional[SturmianViolation]:
     """Search the window for an infix w' with both a w' a and b w' b present
     (the Sturmian balance criterion fails iff one exists); None means no
     violation within the window."""
-    u = w.letters
-    n = len(u)
-    codes = [1 if l == A else 2 for l in u]
-    h = _Hasher(codes)
-    a_pos = [i for i, l in enumerate(u) if l == A]
-    b_pos = [i for i, l in enumerate(u) if l == B]
-    for i in a_pos:
-        for j in b_pos:
-            m = _lce(h, i + 1, h, j + 1)
-            ia, jb = i + 1 + m, j + 1 + m
-            if ia < n and jb < n and u[ia] == A and u[jb] == B:
-                return SturmianViolation(u[i + 1:ia], i, j)
-    return None
+    t = Track(w.letters, left_closed=False, right_closed=False)
+    hit = pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
+    if hit is None:
+        return None
+    return SturmianViolation(w.letters[hit.of:hit.of + hit.L], hit.of - 1, hit.oi - 1)
 
 
 @dataclass(frozen=True)

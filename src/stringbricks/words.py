@@ -198,13 +198,6 @@ def unfold_left(w: WordRep, n: int) -> Letters:
     raise WordError(f"cannot unfold {type(w).__name__} leftward")
 
 
-def rep_length(w: WordRep) -> int | None:
-    """Letter count for finite reps, None for infinite ones."""
-    if isinstance(w, (Finite, Window)):
-        return len(w.letters)
-    return None
-
-
 @dataclass(frozen=True)
 class SubwordHits:
     """Occurrence offsets inside the canonical search domain.

@@ -153,6 +153,14 @@ def test_unknown_file(capsys):
     assert code == 2
 
 
+def test_directory_as_file_is_input_error(tmp_path, capsys):
+    argv = ["check-string-brick", str(tmp_path), "b1 a1'"]
+    code, doc = run_json(capsys, argv)
+    assert code == 2 and doc["error"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith("error:")
+
+
 def test_human_output(lambda3_file, capsys):
     code = main(["check-string-brick", lambda3_file, "b1 a1'", "--method", "direct"])
     out = capsys.readouterr().out
