@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / property holds, 1 = checked false (not a brick, a
 violation or witness was found, not isomorphic), 2 = input error, 3 = cap
-exceeded or cross-method disagreement.  ``--json`` switches every command to
-a single machine-readable document with a stable schema.
+exceeded or cross-method disagreement, 4 = internal error (an unexpected
+exception, never a verdict; ``--json`` sets ``error_kind`` to "internal").
+``--json`` switches every command to a single machine-readable document with
+a stable schema.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .sturmian import (BI_INFINITE, RIGHT_INFINITE, DirectiveSequence,
 
 SCHEMA = "stringbricks/1"
 
-OK, CHECKED_FALSE, INPUT_ERROR, CAP_OR_DISAGREE = 0, 1, 2, 3
+OK, CHECKED_FALSE, INPUT_ERROR, CAP_OR_DISAGREE, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 class _Output:
@@ -383,6 +385,11 @@ def main(argv=None) -> int:
         out.field("error", str(err))
         out.say(f"error: {err}")
         return out.emit(INPUT_ERROR)
+    except Exception as err:  # a fault of the program, not a verdict
+        out.field("error", f"{type(err).__name__}: {err}")
+        out.field("error_kind", "internal")
+        out.say(f"internal error: {out.doc['error']}")
+        return out.emit(INTERNAL_ERROR)
 
 
 if __name__ == "__main__":

