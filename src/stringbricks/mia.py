@@ -10,16 +10,24 @@ matches the needle's.
 Key facts the implementation leans on (checked by the test suite):
   * rightward basepoint shifts are deterministic, so two placements of the
     same underlying word are ~-equivalent iff their forward chains merge;
-  * for finite words the chains merge iff they agree at the final gap, and
-    for periodic words iff they agree at any gap past a burn-in bound.
+  * for finite words the chains merge iff they agree at the final gap;
+  * for purely periodic words the shift is a function on (gap mod T,
+    initial state), where T is the period of the base chain's cycle, so a
+    valid placement is in the class iff its forward path reaches that
+    cycle: one reverse-reachability pass from the cycle finds the class.
+
+Every host reads the MIA through its per-letter table, so its cost follows
+the transitions on the letters the word reads, not |states| x length.
 
 The (weak) brick-word witness search is the pair scan of `scan`, run on
 each host with its gap states.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .scan import FACTOR, IMAGE, OPEN, Track, pair_scan, unroll
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
@@ -47,6 +55,14 @@ class Mia:
     def step(self, state: str, letter: Letter) -> Optional[str]:
         return self.trans.get((state, letter))
 
+    @cached_property
+    def by_letter(self) -> dict[Letter, dict[str, str]]:
+        """The transitions as {letter: {state: next state}}, built on first use."""
+        table: dict[Letter, dict[str, str]] = {}
+        for (x, l), y in self.trans.items():
+            table.setdefault(l, {})[x] = y
+        return table
+
     def run(self, state: str, word: Sequence[Letter]) -> Optional[str]:
         """Extended transition; undefined propagates as None."""
         for l in word:
@@ -72,6 +88,10 @@ def validate_mia(m: Mia) -> list[tuple[str, str]]:
     bad: list[tuple[str, str]] = []
     sset = set(m.states)
     iset = set(m.initial)
+    for name, listed in (("state", m.states), ("initial state", m.initial)):
+        for x, k in Counter(listed).items():
+            if k > 1:
+                bad.append(("0", f"duplicate {name} {x}"))
     if not iset <= sset:
         bad.append(("0", "initial states not a subset of states"))
     for v in m.initial:
@@ -157,55 +177,34 @@ class _FiniteHost:
         n = len(u)
         if base not in set(m.initial):
             raise MiaError(f"basepoint {base!r} is not an initial state")
+        table = m.by_letter
+        fwd = [table.get(l, {}) for l in u]  # gap g to g + 1 reads u[g]
+        back = [table.get(l.inverse(), {}) for l in u]
 
-        rdef = [dict() for _ in range(n + 1)]
-        rfin = [dict() for _ in range(n + 1)]
-        for x in m.states:
-            rdef[n][x] = True
-            rfin[n][x] = x
+        # rfin[g]: the states whose run over u[g:] is defined, with its end
+        rfin = [None] * n + [dict(zip(m.states, m.states))]
         for g in range(n - 1, -1, -1):
-            for x in m.states:
-                y = m.step(x, u[g])
-                if y is not None and rdef[g + 1].get(y, False):
-                    rdef[g][x] = True
-                    rfin[g][x] = rfin[g + 1][y]
-        ldef = [dict() for _ in range(n + 1)]
-        for x in m.states:
-            ldef[0][x] = True
-        for g in range(1, n + 1):
-            back = u[g - 1].inverse()
-            for x in m.states:
-                y = m.step(x, back)
-                if y is not None and ldef[g - 1].get(y, False):
-                    ldef[g][x] = True
+            nxt = rfin[g + 1]
+            rfin[g] = {x: nxt[y] for x, y in fwd[g].items() if y in nxt}
+        # ldef[g]: the states whose run over u[:g]^{-1} is defined
+        ldef = [set(m.states)]
+        for g in range(n):
+            prev = ldef[g]
+            ldef.append({x for x, y in back[g].items() if y in prev})
 
-        # triple condition chained along rightward shifts
-        tchain = [dict() for _ in range(n + 1)]
-        for s in m.initial:
-            tchain[n][s] = ldef[n].get(m.inv[s], False)
+        # triple condition chained along rightward shifts, on initial states
+        inv, e = m.inv, m.e
+        tchain = [None] * n + [{s for s in m.initial if inv[s] in ldef[n]}]
         for g in range(n - 1, -1, -1):
-            for s in m.initial:
-                ok = ldef[g].get(m.inv[s], False)
-                if ok:
-                    y = m.step(s, u[g])
-                    if y is not None:
-                        ok = tchain[g + 1].get(m.e[y], False)
-                tchain[g][s] = ok
+            step, nxt, left = fwd[g], tchain[g + 1], ldef[g]
+            tchain[g] = {s for s in m.initial if inv[s] in left
+                         and (s not in step or e[step[s]] in nxt)}
 
-        self._rdef, self._rfin, self._ldef, self._tchain = rdef, rfin, ldef, tchain
-
-        if not self.valid(bpos, base):
+        if base not in rfin[bpos] or base not in tchain[bpos]:
             raise MiaError("not a valid pointed word")
-        self._base_end = self.endstate(bpos, base)
-        self.G = [frozenset(s for s in m.initial
-                            if self.valid(g, s) and self.endstate(g, s) == self._base_end)
+        end = e[rfin[bpos][base]]
+        self.G = [frozenset(s for s in tchain[g] if s in rfin[g] and e[rfin[g][s]] == end)
                   for g in range(n + 1)]
-
-    def valid(self, g: int, s: str) -> bool:
-        return self._rdef[g].get(s, False) and self._tchain[g].get(s, False)
-
-    def endstate(self, g: int, s: str) -> str:
-        return self.m.e[self._rfin[g][s]]
 
 
 def _as_finite_parts(w: PointedWord) -> Optional[tuple[tuple[Letter, ...], int, str]]:
@@ -237,6 +236,27 @@ def check_word(m: Mia, w: PointedWord) -> None:
 # periodic hosts (purely periodic two-sided words, basepoint at a seam)
 
 
+def _forever(nodes: Iterable[Hashable],
+             step: Callable[[Hashable], Optional[Hashable]]) -> set:
+    """The nodes among (and reachable from) `nodes` whose walks under `step`
+    never reach None.
+
+    The walk graph is functional, so each walk either reaches an undefined
+    step (everything on the path fails) or closes a cycle of defined steps
+    (everything on the path succeeds).  Each node is walked once."""
+    verdict: dict = {}
+    for cur in nodes:
+        path = []
+        while cur is not None and cur not in verdict:
+            verdict[cur] = None  # on the current path
+            path.append(cur)
+            cur = step(cur)
+        ok = cur is not None and verdict[cur] is not False
+        for node in path:
+            verdict[node] = ok
+    return {node for node, ok in verdict.items() if ok}
+
+
 class _PeriodicHost:
     """Host for ^infinity(q)^infinity with the basepoint at a period seam.
 
@@ -245,6 +265,14 @@ class _PeriodicHost:
     multiple of the letter period |q|; translation by T fixes the ~-class, so
     the class really is T-periodic even when the letters are more symmetric
     than the gap states).  Gap 0 is the seam the basepoint sits at.
+
+    The rightward shift is a function on placements (gap mod T, initial
+    state), and the base chain ends in a cycle of T placements.  Two chains
+    merge iff they meet on that cycle at the same gap, so a valid placement
+    is in the class iff its forward path reaches the cycle.  Validity is
+    closed under the shift, hence one reverse-reachability pass from the
+    cycle over valid placements finds every class: O(T |I|) work after the
+    validity pass, which walks each (gap mod |q|, state) at most once.
     """
 
     def __init__(self, m: Mia, q: tuple[Letter, ...], base: str):
@@ -253,109 +281,66 @@ class _PeriodicHost:
         self.base = base
         P = len(q)
         self.P = P
-        states = m.states
-
-        def letter_at(i: int) -> Letter:
-            return q[i % P]
-
-        # rightward-forever definedness over (residue, state)
-        self._rforever = self._forever(lambda r, x: ((r + 1) % P, m.step(x, letter_at(r))))
-        self._lforever = self._forever(lambda r, x: ((r - 1) % P, m.step(x, letter_at(r - 1).inverse())))
-
         if base not in set(m.initial):
             raise MiaError(f"basepoint {base!r} is not an initial state")
-        if not self._valid(0, base):
+        table = m.by_letter
+        fwd = [table.get(l, {}) for l in q]  # gap r to r + 1 reads q[r]
+        back = [table.get(q[r - 1].inverse(), {}) for r in range(P)]
+        inv, e = m.inv, m.e
+
+        def walk(steps, d):
+            def step(node):
+                r, x = node
+                y = steps[r].get(x)
+                return None if y is None else ((r + d) % P, y)
+            return step
+
+        starts = [(r, s) for r in range(P) for s in m.initial]
+        # runs defined forever to the right, and from the involuted
+        # basepoint to the left
+        rforever = _forever(starts, walk(fwd, 1))
+        lforever = _forever(((r, inv[s]) for r, s in starts), walk(back, -1))
+
+        def shift(node):
+            r, s = node
+            y = fwd[r].get(s)
+            if y is None or (r, inv[s]) not in lforever:
+                return None
+            return ((r + 1) % P, e[y])
+
+        # triple condition: every forward placement must be left-valid
+        valid = rforever & _forever(starts, shift)
+        if (0, base) not in valid:
             raise MiaError("not a valid pointed word")
 
         # walk the base chain until (gap mod P, state) repeats; the distance
         # between repeats is the gap period T of the whole class
         seen: dict[tuple[int, str], int] = {}
-        cur = base
-        g = 0
-        while (g % P, cur) not in seen:
-            seen[(g % P, cur)] = g
-            cur = m.e[m.step(cur, q[g % P])]
-            g += 1
-        entry = seen[(g % P, cur)]
-        self.T = g - entry
-        # far enough that any two mergeable chains started inside [0, T)
-        # have already met (the product walk cycles within P * |I|^2 steps)
-        self._burn = self.T + P * (len(m.initial) ** 2 + 2)
-        base_chain = self._chain(0, base, self._burn + 1)
-        self._base_at_burn = base_chain[self._burn]
+        chain = []
+        node = (0, base)
+        while node not in seen:
+            seen[node] = len(chain)
+            chain.append(node[1])
+            node = shift(node)
+        entry = seen[node]
+        T = self.T = len(chain) - entry
 
-        self.G = [frozenset(s for s in m.initial
-                            if self._valid(r, s) and self._merges(r, s))
-                  for r in range(self.T)]
-
-    def _forever(self, step):
-        """Greatest set of (residue, state) whose walks never hit None.
-
-        The walk graph is functional, so each walk either reaches an
-        undefined step (everything on the path fails) or closes a cycle of
-        defined steps (everything on the path succeeds)."""
-        P = self.P
-        ok: dict = {}
-        for start in [(r, x) for r in range(P) for x in self.m.states]:
-            if start in ok:
-                continue
-            path = []
-            onpath = {}
-            cur = start
-            verdict = None
-            while True:
-                if cur in ok:
-                    verdict = ok[cur]
-                    break
-                if cur in onpath:
-                    verdict = True
-                    break
-                onpath[cur] = len(path)
-                path.append(cur)
-                r, x = cur
-                nr, nx = step(r, x)
-                if nx is None:
-                    verdict = False
-                    break
-                cur = (nr % P, nx)
-            for node in path:
-                ok[node] = verdict
-        return ok
-
-    def _valid(self, r: int, s: str) -> bool:
-        m = self.m
-        r %= self.P
-        if not self._rforever.get((r, s), False):
-            return False
-        # triple condition: every forward placement must be left-valid
-        seen = set()
-        cur = (r, s)
-        while cur not in seen:
-            seen.add(cur)
-            cr, cs = cur
-            if not self._lforever.get((cr, m.inv[cs]), False):
-                return False
-            nxt = m.step(cs, self.q[cr % self.P])
-            if nxt is None:
-                return False
-            cur = ((cr + 1) % self.P, m.e[nxt])
-        return True
-
-    def _chain(self, g: int, s: str, steps: int) -> dict[int, str]:
-        """Placement states at absolute gaps g..g+steps-1."""
-        m = self.m
-        out = {g: s}
-        cur = s
-        for h in range(g, g + steps - 1):
-            cur = m.e[m.step(cur, self.q[h % self.P])]
-            out[h + 1] = cur
-        return out
-
-    def _merges(self, g: int, s: str) -> bool:
-        if g > self._burn:
-            raise MiaError("burn-in bound too small")
-        chain = self._chain(g, s, self._burn - g + 1)
-        return chain[self._burn] == self._base_at_burn
+        # pred[r][t]: the valid placements at gaps r - 1 (mod P) that shift to t
+        pred = [defaultdict(list) for _ in range(P)]
+        for r, s in valid:
+            pred[(r + 1) % P][e[fwd[r][s]]].append(s)
+        G = [set() for _ in range(T)]
+        todo = [((entry + k) % T, chain[entry + k]) for k in range(T)]
+        for r, s in todo:
+            G[r].add(s)
+        while todo:
+            r, t = todo.pop()
+            r0 = (r - 1) % T
+            for s in pred[r % P].get(t, ()):
+                if s not in G[r0]:
+                    G[r0].add(s)
+                    todo.append((r0, s))
+        self.G = [frozenset(c) for c in G]
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g % self.T]
@@ -401,19 +386,22 @@ class _WindowHost:
         self.window = w.right
         self.u = w.right.letters
         self.base = w.base
+        table, e = m.by_letter, m.e
         run = w.base
         self.chain = [w.base]
         for g, l in enumerate(self.u):
-            run = m.step(run, l)
+            run = table.get(l, {}).get(run)
             if run is None:
                 raise MiaError(f"window run undefined at position {g}")
-            self.chain.append(m.e[run])
+            self.chain.append(e[run])
         # gap states must be single-valued for the windowed pair scan: each
         # gap state has a unique initial-state predecessor across its letter
+        preds: dict[Letter, Counter] = {}
         for g, l in enumerate(self.u):
-            preds = [s for s in m.initial
-                     if m.step(s, l) is not None and m.e[m.step(s, l)] == self.chain[g + 1]]
-            if len(preds) != 1:
+            if l not in preds:
+                step = table.get(l, {})
+                preds[l] = Counter(e[step[s]] for s in m.initial if s in step)
+            if preds[l][self.chain[g + 1]] != 1:
                 raise UnsupportedRepresentation(
                     "window gap states are not single-valued; "
                     "use the finite machinery instead")
@@ -550,15 +538,19 @@ def shift_basepoint(m: Mia, w: PointedWord, steps: int) -> PointedWord:
     parts = _as_finite_parts(w)
     if parts is None:
         raise UnsupportedRepresentation("shift_basepoint expects a finite word")
-    u, b, v = parts
-    host = _FiniteHost(m, u, b, v)
-    g = b + steps
+    host = _FiniteHost(m, *parts)
+    return _placement(host, host.bpos + steps)
+
+
+def _placement(host: _FiniteHost, g: int) -> PointedWord:
+    """The representative of the host's class with the basepoint at gap g
+    (the least state of G[g])."""
+    u = host.u
     if not 0 <= g <= len(u):
         raise MiaError("shift leaves the word")
-    states = sorted(host.G[g])
-    if not states:
+    if not host.G[g]:
         raise MiaError("no equivalent placement at that gap")
-    return finite_word(u[:g], states[0], u[g:])
+    return finite_word(u[:g], min(host.G[g]), u[g:])
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +614,19 @@ def _word_witness(x: Track, xinv: Track, states=None,
         ("w", "w-inverse")[host])
 
 
-def _finite_witness(m: Mia, host: _FiniteHost) -> Optional[WordWitness]:
-    u = host.u
-    winv = finite_word(inv_seq(u[host.bpos:]), m.inv[host.base], inv_seq(u[:host.bpos]))
-    hosts = (host, _finite_host(m, winv))
-    x = Track(u)
-    return _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
+def _finite_hosts(m: Mia, w: PointedWord) -> tuple[_FiniteHost, _FiniteHost]:
+    """The hosts of a finite pointed word and of its inverse."""
+    host = _finite_host(m, w)
+    u, b = host.u, host.bpos
+    return host, _FiniteHost(m, inv_seq(u), len(u) - b, m.inv[host.base])
+
+
+def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickWordReport:
+    """Finite words are aperiodic, so a word is a (weak) brick word iff the
+    scan finds no witness."""
+    x = Track(hosts[0].u)
+    witness = _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
+    return BrickWordReport(witness is None, witness, FINITE, "exact")
 
 
 def _periodic_witness(m: Mia, host: _PeriodicHost,
@@ -659,12 +658,9 @@ def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
         cls = classify_periodicity(w.right)
         verdict = witness is None and cls == APERIODIC
         return BrickWordReport(verdict, witness, cls, f"window {len(host.u)}")
-    rep = underlying(w)
-    cls = classify_periodicity(rep)
+    cls = classify_periodicity(underlying(w))
     if cls == FINITE:
-        host = _finite_host(m, w)
-        witness = _finite_witness(m, host)
-        return BrickWordReport(witness is None, witness, cls, "exact")
+        return _finite_report(_finite_hosts(m, w))
     # every eventually periodic rep is almost periodic, hence not aperiodic
     return BrickWordReport(False, None, cls, "exact")
 
@@ -677,16 +673,29 @@ def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> 
         witness = _window_witness(m, host)
         return BrickWordReport(witness is None, witness,
                                classify_periodicity(w.right), f"window {len(host.u)}")
-    rep = underlying(w)
-    cls = classify_periodicity(rep)
+    cls = classify_periodicity(underlying(w))
     if cls == FINITE:
-        host = _finite_host(m, w)
-        witness = _finite_witness(m, host)
-        return BrickWordReport(witness is None, witness, cls, "exact")
+        return _finite_report(_finite_hosts(m, w))
     host = _periodic_host(m, w)
     bound = host.P * length_bound_factor
     witness = _periodic_witness(m, host, bound)
     return BrickWordReport(witness is None, witness, cls, "exact")
+
+
+def is_brick_word_shift_checked(m: Mia, w: PointedWord, steps: int) -> BrickWordReport:
+    """is_brick_word for a finite w, spot-checking basepoint-shift
+    invariance on the representative shift_basepoint(m, w, steps): it must
+    have the gap classes of w, and its inverse those of w^{-1}, else
+    RuntimeError.  The verdict is a function of the letters and these
+    classes, so the check covers it too; four host builds and one scan.
+
+    The MIA of a string algebra passes this check; a generic MIA need not,
+    since the inverses of two ~-equivalent placements may be inequivalent."""
+    hosts = _finite_hosts(m, w)
+    shifted = _finite_hosts(m, _placement(hosts[0], hosts[0].bpos + steps))
+    if [h.G for h in shifted] != [h.G for h in hosts]:
+        raise RuntimeError("gap classes not invariant under basepoint shift")
+    return _finite_report(hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +822,7 @@ def parse_mia(text: str) -> Mia:
     """Parse the MIA text format: ``state <id> [initial inv=<id>] e=<id>`` and
     ``trans <src> <letter> <dst>``; binary files may write 1 for 0'."""
     states: list[str] = []
+    seen: set[str] = set()
     initial: list[str] = []
     inv: dict[str, str] = {}
     e: dict[str, str] = {}
@@ -826,6 +836,9 @@ def parse_mia(text: str) -> Mia:
             if len(parts) < 2:
                 raise MiaError(f"line {lineno}: state needs an id")
             name = parts[1]
+            if name in seen:
+                raise MiaError(f"line {lineno}: duplicate state {name}")
+            seen.add(name)
             states.append(name)
             for tok in parts[2:]:
                 if tok == "initial":

@@ -73,3 +73,20 @@ def corpus_algebras(count=CORPUS_SIZE, seed=CORPUS_SEED,
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_algebras()
+
+
+@pytest.fixture()
+def tampered_gap_zero_classes(monkeypatch):
+    """Every finite host with its basepoint at gap 0 (the automaton's shift
+    representative, and the inverse of a word pointed at its right end)
+    reports an empty class at its last gap, so the automaton route's
+    basepoint-shift spot-check must fail."""
+    import stringbricks.mia as miamod
+
+    class Tampered(miamod._FiniteHost):
+        def __init__(self, m, u, bpos, base):
+            super().__init__(m, u, bpos, base)
+            if bpos == 0:
+                self.G = self.G[:-1] + [frozenset()]
+
+    monkeypatch.setattr(miamod, "_FiniteHost", Tampered)

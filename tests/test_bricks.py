@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  band_brick_endo, string_brick_automaton,
                                  string_brick_direct, string_brick_endo)
@@ -187,3 +189,13 @@ def test_window_direct_matches_automaton(l3):
         d = string_brick_direct(l3, win)
         a = string_brick_automaton(l3, win)
         assert (d.witness is None) == (a.witness is None)
+
+
+def test_shift_spot_check_fires(l3, request):
+    x = l3.parse_literal("b1 a1'")
+    for use_binary in (True, False):
+        assert string_brick_automaton(l3, x, use_binary).verdict
+    request.getfixturevalue("tampered_gap_zero_classes")
+    for use_binary in (True, False):
+        with pytest.raises(RuntimeError, match="basepoint shift"):
+            string_brick_automaton(l3, x, use_binary)

@@ -148,6 +148,16 @@ def test_recover_roundtrip_cli(lambda3_file, gamma_file, tmp_path, capsys):
     assert doc["vertex_map"]
 
 
+def test_recover_rejects_duplicate_state(lambda3_file, tmp_path, capsys):
+    code, doc = run_json(capsys, ["build-mia", lambda3_file, "--parity"])
+    line = next(x for x in doc["mia"].splitlines() if " initial " in x)
+    miafile = tmp_path / "dup.mia"
+    miafile.write_text(doc["mia"] + line + "\n")
+    code, doc = run_json(capsys, ["recover", str(miafile)])
+    assert code == 2 and "duplicate state" in doc["error"]
+    assert main(["recover", str(miafile)]) == 2
+
+
 def test_unknown_file(capsys):
     code, doc = run_json(capsys, ["validate", "/nonexistent.alg"])
     assert code == 2
@@ -221,3 +231,15 @@ def test_signs_declared(gamma_file, capsys):
     assert code == 0
     assert doc["signs"]["a3"] == [-1, 1]
     assert doc["signs"]["c3"] == [-1, -1]
+
+
+def test_shift_spot_check_exits_internal(lambda3_file, capsys, request):
+    argv = ["check-string-brick", lambda3_file, "b1 a1'", "--method", "automaton"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    request.getfixturevalue("tampered_gap_zero_classes")
+    assert main(argv) == 4
+    assert capsys.readouterr().out.startswith("internal error: RuntimeError")
+    code, doc = run_json(capsys, argv)
+    assert code == 4 and doc["error_kind"] == "internal"
+    assert "basepoint shift" in doc["error"] and "verdict" not in doc

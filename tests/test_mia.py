@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -371,6 +372,23 @@ trans s 1 s
     m = parse_mia(text)
     assert m.alphabet == ("0",)
     assert m.step("s", Letter("0", True)) == "s"
+
+
+def test_parse_mia_rejects_duplicate_state(l3):
+    text = format_mia(parity_mia(l3)[1])
+    line = next(x for x in text.splitlines() if " initial " in x)
+    lineno = len(text.splitlines()) + 1
+    message = f"line {lineno}: duplicate state {line.split()[1]}"
+    with pytest.raises(MiaError, match=re.escape(message)):
+        parse_mia(text + line + "\n")
+    with pytest.raises(MiaError, match="duplicate state"):
+        parse_mia(text.replace(line, line.replace("initial", "")) + line + "\n")
+
+
+def test_validate_duplicate_states():
+    m = synthetic(dict(states=("u", "u'", "s", "u"), initial=("u", "u'", "u")))
+    assert ("0", "duplicate state u") in validate_mia(m)
+    assert ("0", "duplicate initial state u") in validate_mia(m)
 
 
 def test_pointed_word_inverse(l3):

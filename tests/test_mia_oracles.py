@@ -8,6 +8,7 @@ import pytest
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, _FiniteHost, _PeriodicHost,
                               check_word, finite_word, is_brick_word,
+                              is_brick_word_shift_checked, shift_basepoint,
                               subword_occurrences, transport)
 from stringbricks.words import BiInf, Letter, inv_seq
 
@@ -90,16 +91,17 @@ def test_multivalued_gap_class():
     assert host.G[1] == frozenset({"p"})
 
 
-def test_finite_class_matches_brute_force(l3, gam):
-    for ctx in (l3, gam):
+def test_finite_class_matches_brute_force(l3, gam, corpus):
+    for ctx in (l3, gam, *corpus[:5]):
         m = build_mia(ctx)
         phi, md = parity_mia(ctx)
         for x in ctx.enumerate_strings(4):
             w = string_to_word(ctx, x)
             u = w.left.letters + w.right.letters
             bpos = len(w.left.letters)
-            host = _FiniteHost(m, u, bpos, w.base)
-            assert host.G == brute_class(m, u, bpos, w.base)
+            if ctx in (l3, gam):
+                host = _FiniteHost(m, u, bpos, w.base)
+                assert host.G == brute_class(m, u, bpos, w.base)
             wd = transport(m, phi, w)
             ud = wd.left.letters + wd.right.letters
             host_d = _FiniteHost(md, ud, bpos, wd.base)
@@ -160,6 +162,96 @@ def test_finite_witness_scan_matches_brute_force_synthetic():
     assert fast.verdict == (not slow)
 
 
+def burnin_classes(m, q, base):
+    """The periodic gap classes (T, G) by the burn-in walk: T is the cycle
+    length of the base chain on (gap mod |q|, state), and a valid placement
+    at gap r < T is in the class iff its chain agrees with the base chain at
+    a gap past the burn-in bound, where any two mergeable chains started
+    inside [0, T) have met (the product walk cycles within |q| |I|^2 steps).
+    The shift-graph reachability of _PeriodicHost must give the same."""
+    P = len(q)
+
+    def forever(start, step):
+        # a walk on a finite functional graph that revisits a node never fails
+        seen = set()
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cur = step(*cur)
+            if cur[1] is None:
+                return False
+        return True
+
+    def right(g, x):
+        return (g + 1) % P, m.step(x, q[g % P])
+
+    def left(g, x):
+        return (g - 1) % P, m.step(x, q[(g - 1) % P].inverse())
+
+    def shift(g, s):
+        y = m.step(s, q[g % P])
+        return g + 1, None if y is None else m.e[y]
+
+    def valid(g, s):
+        if not forever((g % P, s), right):
+            return False
+        seen = set()
+        while (g % P, s) not in seen:
+            seen.add((g % P, s))
+            if not forever((g % P, m.inv[s]), left):
+                return False
+            g, s = shift(g, s)
+            if s is None:
+                return False
+        return True
+
+    def chain_at(g, s, h):
+        while g < h:
+            g, s = shift(g, s)
+        return s
+
+    seen = {}
+    g, s = 0, base
+    while (g % P, s) not in seen:
+        seen[(g % P, s)] = g
+        g, s = shift(g, s)
+    T = g - seen[(g % P, s)]
+    burn = T + P * (len(m.initial) ** 2 + 2)
+    target = chain_at(0, base, burn)
+    return T, [frozenset(s for s in m.initial
+                         if valid(r, s) and chain_at(r, s, burn) == target)
+               for r in range(T)]
+
+
+def band_words(ctx, max_len):
+    """The pointed band words of ctx under its arrow MIA and its binary MIA."""
+    m = build_mia(ctx)
+    phi, md = parity_mia(ctx)
+    for band in ctx.enumerate_bands(max_len):
+        q = band.string.letters
+        w = string_to_word(ctx, BiInf(q, (), q))
+        yield m, w
+        yield md, transport(m, phi, w)
+
+
+def test_periodic_class_matches_burnin_walk(l3, gam, corpus):
+    checked = 0
+    for ctx in (l3, gam, *corpus[:5]):
+        for m, w in band_words(ctx, 6):
+            q = w.right.period
+            for qq, base in ((q, w.base), (inv_seq(q), m.inv[w.base])):
+                host = _PeriodicHost(m, qq, base)
+                assert (host.T, host.G) == burnin_classes(m, qq, base), ctx.presentation
+                checked += 1
+    assert checked > 50
+
+
+def burnin_margin(m, host):
+    """Gaps this far from either edge of an unfolding see the periodic
+    classes (the burn-in bound of burnin_classes)."""
+    return host.T + host.P * (len(m.initial) ** 2 + 2)
+
+
 def test_periodic_class_matches_unfolded_window(l3, corpus):
     """The T-periodic gap classes of an infinite band word agree with the
     finite-word classes computed on a long unfolding, away from the edges."""
@@ -174,12 +266,13 @@ def test_periodic_class_matches_unfolded_window(l3, corpus):
             w = string_to_word(ctx, BiInf(q, (), q))
             wd = transport(m, phi, w)
             host = _PeriodicHost(md, wd.right.period, wd.base)
-            reps = max(6, (2 * host._burn) // len(wd.right.period) + 2)
+            burn = burnin_margin(md, host)
+            reps = max(6, (2 * burn) // len(wd.right.period) + 2)
             letters = wd.right.period * reps
             mid = (reps // 2) * len(wd.right.period)
             fin = _FiniteHost(md, letters, mid, wd.base)
             # compare on gaps far enough from both window edges
-            lo, hi = host._burn, len(letters) - host._burn
+            lo, hi = burn, len(letters) - burn
             assert lo < hi, "window too small for the comparison"
             for g in range(lo, hi):
                 assert fin.G[g] == host.state_at(g - mid), (g, ctx.presentation)
@@ -210,9 +303,51 @@ relation x1 x0 x1
     host = _PeriodicHost(md, wd.right.period, wd.base)
     assert host.T == 6
     assert host.state_at(0) != host.state_at(3)  # classes do not have period 3
-    reps = (2 * host._burn) // 3 + 2
+    assert (host.T, host.G) == burnin_classes(md, wd.right.period, wd.base)
+    burn = burnin_margin(md, host)
+    reps = (2 * burn) // 3 + 2
     letters = wd.right.period * reps
     mid = (reps // 2) * 3
     fin = _FiniteHost(md, letters, mid, wd.base)
-    for g in range(host._burn, len(letters) - host._burn):
+    for g in range(burn, len(letters) - burn):
         assert fin.G[g] == host.state_at(g - mid)
+
+
+def test_periodic_multivalued_class():
+    """Two seam states that shift into the base cycle: the periodic class at
+    gap 0 holds both, as it does under the burn-in walk, while a third state
+    shifts there too but cannot read the left side and stays out."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    m = Mia(
+        states=("p", "p'", "q", "q'", "r", "r'"),
+        initial=("p", "p'", "q", "q'", "r", "r'"),
+        inv={"p": "p'", "p'": "p", "q": "q'", "q'": "q", "r": "r'", "r'": "r"},
+        e={x: x for x in ("p", "p'", "q", "q'", "r", "r'")},
+        alphabet=("b",),
+        trans={("p", b): "p", ("q", b): "p", ("r", b): "p",
+               ("p'", bi): "p'", ("q'", bi): "p'"},
+    )
+    from stringbricks.mia import validate_mia
+    assert validate_mia(m) == []
+    host = _PeriodicHost(m, (b,), "q")
+    assert (host.T, host.G) == (1, [frozenset({"p", "q"})])
+    assert (host.T, host.G) == burnin_classes(m, (b,), "q")
+    host = _PeriodicHost(m, (bi,), "p'")
+    assert (host.T, host.G) == (1, [frozenset({"p'", "q'"})])
+    assert (host.T, host.G) == burnin_classes(m, (bi,), "p'")
+
+
+def test_shift_check_compares_classes_not_verdicts():
+    """The spot-check compares gap classes, which is stronger than comparing
+    verdicts: in the synthetic MIA the gap-0 representative of b.p has the
+    same verdict, but its inverse p'.b' lies in another class than the
+    inverse of b.p (p' reads b' into r, whose e is q', not p')."""
+    m = multivalued_mia()
+    b = Letter("b", False)
+    w = finite_word((b,), "p", ())
+    shifted = shift_basepoint(m, w, -1)
+    assert shifted == finite_word((), "p", (b,))
+    assert is_brick_word(m, shifted).verdict == is_brick_word(m, w).verdict
+    with pytest.raises(RuntimeError, match="basepoint shift"):
+        is_brick_word_shift_checked(m, w, -1)

@@ -102,38 +102,54 @@ def test_windows_match_brute_pairs(l3):
     assert checked == 160 and 0 < witnesses < checked
 
 
+def band_matches_brute_pairs(ctx, b):
+    """Both band routes against the brute scanner; returns whether a
+    witness exists."""
+    m = build_mia(ctx)
+    phi, md = parity_mia(ctx)
+    q = b.string.letters
+    P = len(q)
+    qinv = inv_seq(q)
+
+    def gap_keys(qq):
+        return lambda g: {ctx.gap_zero(qq, (g - 1) % P + 1)}
+
+    direct = brute_pairs(periodic_host(q, P, gap_keys(q)),
+                         periodic_host(qinv, P, gap_keys(qinv)), 3 * P)
+    assert (band_brick_direct(ctx, b, 1).witness is not None) == direct
+
+    w = transport(m, phi, string_to_word(ctx, BiInf(q, (), q)))
+    hosts = [_PeriodicHost(md, w.right.period, w.base),
+             _PeriodicHost(md, inv_seq(w.right.period), md.inv[w.base])]
+    auto = brute_pairs(*(periodic_host(h.q, h.T, h.state_at) for h in hosts),
+                       3 * max(h.T for h in hosts))
+    assert (band_brick_automaton(ctx, b, 1).witness is not None) == auto
+    assert auto == direct
+    return direct
+
+
 def test_bands_match_brute_pairs(l3, gam, corpus):
     checked = witnesses = 0
     for ctx in (l3, gam, *corpus):
-        m = build_mia(ctx)
-        phi, md = parity_mia(ctx)
         for b in ctx.enumerate_bands(8):
-            q = b.string.letters
-            P = len(q)
-            qinv = inv_seq(q)
-
-            def gap_keys(qq):
-                return lambda g: {ctx.gap_zero(qq, (g - 1) % P + 1)}
-
-            direct = brute_pairs(periodic_host(q, P, gap_keys(q)),
-                                 periodic_host(qinv, P, gap_keys(qinv)), 3 * P)
-            assert (band_brick_direct(ctx, b, 1).witness is not None) == direct
-
-            w = transport(m, phi, string_to_word(ctx, BiInf(q, (), q)))
-            hosts = [_PeriodicHost(md, w.right.period, w.base),
-                     _PeriodicHost(md, inv_seq(w.right.period), md.inv[w.base])]
-            auto = brute_pairs(*(periodic_host(h.q, h.T, h.state_at) for h in hosts),
-                               3 * max(h.T for h in hosts))
-            assert (band_brick_automaton(ctx, b, 1).witness is not None) == auto
-            assert auto == direct
+            witnesses += band_matches_brute_pairs(ctx, b)
             checked += 1
-            witnesses += direct
     assert checked == 26 and 0 < witnesses < checked
 
 
+def test_long_witness_band_matches_brute_pairs(l3):
+    """The Lambda_3 image of the band aaaaaaaabaaaaaab, whose minimal common
+    factor/image infix has 6 letters: a 12-letter witness, where the bands
+    above have witnesses of at most 2 letters."""
+    q = tuple(s for c in "aaaaaaaabaaaaaab" for s in BLOCKS[c])
+    b, reasons = l3.is_band(l3.make_string(q[1:] + q[:1]))  # a band starts inverse
+    assert b is not None, reasons
+    assert band_matches_brute_pairs(l3, b) is True
+
+
 def test_unroll_reaches_span_past_every_start(l3):
-    # the bands checked above have short witnesses and still pass with an
-    # unrolling that ends at the last start, so its length is checked here
+    # the bands checked above, the long-witness one included, still pass with
+    # an unrolling that ends at the last start, so its length is checked here
     q = l3.parse_literal("a1' b1 a1' a2' b2 a2' b2 b1").letters
     for starts, span in ((8, 8), (16, 24), (3, 0)):
         t = unroll(q, starts, span)
