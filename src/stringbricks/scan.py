@@ -14,6 +14,8 @@ other, nor flush with a word end.  So the scan takes one LCE per pair of
 starts, and only for pairs whose start keys agree: each route supplies its
 own notion of gap state (the zero-length string at a gap, an automaton
 state) as the key, and a predicate for whatever the key does not decide.
+The LCE is exact: letters are tuples, so it compares tuple slices in C, with
+no hashing and no index to build.
 """
 from __future__ import annotations
 
@@ -82,67 +84,19 @@ class Hit(NamedTuple):
     L: int
 
 
-class _Hasher:
-    """Double rolling hash for O(log n) longest-common-extension queries."""
-
-    MOD = (1 << 61) - 1
-    B1, B2 = 1000003, 2000003
-
-    def __init__(self, seq: Sequence[int]):
-        n = len(seq)
-        self.n = n
-        self.h1 = [0] * (n + 1)
-        self.h2 = [0] * (n + 1)
-        self.p1 = [1] * (n + 1)
-        self.p2 = [1] * (n + 1)
-        for i, c in enumerate(seq):
-            self.h1[i + 1] = (self.h1[i] * self.B1 + c) % self.MOD
-            self.h2[i + 1] = (self.h2[i] * self.B2 + c) % self.MOD
-            self.p1[i + 1] = (self.p1[i] * self.B1) % self.MOD
-            self.p2[i + 1] = (self.p2[i] * self.B2) % self.MOD
-
-    def piece(self, i: int, j: int) -> tuple[int, int]:
-        return ((self.h1[j] - self.h1[i] * self.p1[j - i]) % self.MOD,
-                (self.h2[j] - self.h2[i] * self.p2[j - i]) % self.MOD)
-
-
-def _lce(a: _Hasher, i: int, b: _Hasher, j: int, lo: int = 0) -> int:
-    hi = min(a.n - i, b.n - j)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.piece(i, i + mid) == b.piece(j, j + mid):
-            lo = mid
+def lce(u: tuple, i: int, v: tuple, j: int) -> int:
+    """The longest common extension of u[i:] and v[j:], exactly: tuple
+    slices are compared in C, their length doubling after a match and
+    halving after a mismatch, so the cost is O(log L) slice comparisons."""
+    n = min(len(u) - i, len(v) - j)
+    k, step = 0, 1
+    while step:
+        if k + step <= n and u[i + k:i + k + step] == v[j + k:j + k + step]:
+            k += step
+            step *= 2
         else:
-            hi = mid - 1
-    return lo
-
-
-_SHORT = 8  # extensions up to this length are compared letter by letter
-
-
-class _LceIndex:
-    """LCE queries between the tracks of one scan: short extensions letter by
-    letter, longer ones by hashing, which is only set up when first needed."""
-
-    def __init__(self):
-        self.codes: dict = {}
-        self.hashers: dict = {}
-
-    def _hasher(self, t: Track) -> _Hasher:
-        if id(t) not in self.hashers:
-            self.hashers[id(t)] = _Hasher([self.codes.setdefault(l, len(self.codes))
-                                           for l in t.letters])
-        return self.hashers[id(t)]
-
-    def lce(self, a: Track, i: int, b: Track, j: int) -> int:
-        u, v = a.letters, b.letters
-        short = min(len(u) - i, len(v) - j, _SHORT)
-        k = 0
-        while k < short and u[i + k] == v[j + k]:
-            k += 1
-        if k < _SHORT:
-            return k
-        return _lce(self._hasher(a), i, self._hasher(b), j, k)
+            step //= 2
+    return k
 
 
 def _starts(t: Track, admits) -> list[tuple[int, Hashable]]:
@@ -167,8 +121,10 @@ def pair_scan(track: Track, images: Sequence[Track],
     same start in `track` itself, which the rules admit only as the whole
     closed word) is excluded.
     """
+    if not all(isinstance(t.letters, tuple) for t in (track, *images)):
+        # a list slice never equals a tuple slice, so a list would get LCE 0
+        raise TypeError("track letters must be a tuple")
     frule, irule = rules
-    index = _LceIndex()
     fstarts = _starts(track, frule.before)
     for h, t in enumerate(images):
         buckets = defaultdict(list)
@@ -178,7 +134,7 @@ def pair_scan(track: Track, images: Sequence[Track],
             for oi in buckets.get(key, ()):
                 if t is track and of == oi:
                     continue
-                L = index.lce(track, of, t, oi)
+                L = lce(track.letters, of, t.letters, oi)
                 fa, ia = track.boundary(of + L), t.boundary(oi + L)
                 if fa is OPEN or ia is OPEN or not (frule.after(fa) and irule.after(ia)):
                     continue

@@ -56,7 +56,7 @@ class Str:
         """Deterministic sort key."""
         if self.is_zero():
             return (0, self.vertex, self.side)
-        return (1, tuple((l.sym, l.inv) for l in self.letters))
+        return (1, self.letters)
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,7 @@ class Context:
                 rot = base[r:] + base[:r]
                 if rot[0].inv and not rot[-1].inv:
                     seqs.append(rot)
-        best = min(seqs, key=lambda s: tuple((l.sym, l.inv) for l in s))
-        return self.make_string(best)
+        return self.make_string(min(seqs))
 
     # enumeration ------------------------------------------------------------------
     def continuations(self, seq: Sequence[Letter]) -> list[Letter]:
@@ -264,6 +263,8 @@ class Context:
 
     def enumerate_strings(self, max_len: int, cap: int = 200000) -> list[Str]:
         """All strings of length <= max_len, zero-length ones included."""
+        if max_len < 0:
+            raise StringError(f"max_len must be >= 0, got {max_len}")
         out = [self.zero(v, i) for v in self.presentation.vertices for i in (1, -1)]
         if max_len == 0:
             return out

@@ -188,7 +188,6 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
     string_window = Window(letters, w.certified_aperiodic, w.origin,
                            left_closed=(side == RIGHT_INFINITE),
                            right_closed=False)
-    ctx.make_string(letters)  # substitution always yields a valid string
     word = binary_word(ctx, string_window)
     report = string_brick_automaton(ctx, string_window)
     violation = sturmian_window_check(w)

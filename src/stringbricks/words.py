@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A base symbol or its formal inverse; (b')' == b."""
+class Letter(NamedTuple):
+    """A base symbol or its formal inverse; (b')' == b.
+
+    A tuple, so equality, hashing, order and slice comparison of letter
+    tuples all run in C."""
 
     sym: str
     inv: bool = False

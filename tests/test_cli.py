@@ -118,6 +118,34 @@ def test_enumerate_bricks(lambda3_file, capsys):
     assert "a2' b2" in doc["band_bricks"]
 
 
+@pytest.mark.parametrize("command", ["strings", "bands", "enumerate-bricks"])
+def test_negative_max_len_is_input_error(command, lambda3_file, capsys):
+    code, doc = run_json(capsys, [command, lambda3_file, "--max-len", "-1"])
+    assert code == 2 and "max_len" in doc["error"]
+    assert "strings" not in doc and "string_bricks" not in doc
+
+
+@pytest.mark.parametrize("command, literal", [
+    ("check-string-brick", "b1 a1' a2' b2"),
+    ("check-band-brick", "a1' a2' b2 a2' b2 b1 a1' b1"),
+])
+def test_json_witness_fields_are_strings(command, literal, lambda3_file, capsys):
+    argv = [command, lambda3_file, literal, "--method", "all"]
+    if command == "check-band-brick":
+        argv += ["--l", "1"]
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    witnesses = [r["witness"] for r in doc["reports"] if r["witness"] is not None]
+    assert len(witnesses) == 2  # direct and automaton
+    for w in witnesses:
+        assert isinstance(w["content"], str)
+        assert w["image_host"] in ("x", "x-inverse")
+        for side in ("factor", "image"):
+            assert isinstance(w[side]["start"], int) and isinstance(w[side]["end"], int)
+            for edge in ("before", "after"):
+                assert w[side][edge] is None or isinstance(w[side][edge], str)
+
+
 def test_sturmian_check(capsys):
     code, doc = run_json(capsys, ["sturmian", "--directive", "1,(1)",
                                   "--prefix", "200", "--check"])

@@ -4,12 +4,15 @@ with the boundary rule and the gap keys checked straight from the
 definitions."""
 import random
 
+import pytest
+
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
-from stringbricks.scan import unroll
-from stringbricks.sturmian import sturmian_window_check
+from stringbricks.scan import Track, lce, pair_scan, unroll
+from stringbricks.sturmian import (DirectiveSequence, characteristic_prefix,
+                                   sturmian_window_check)
 from stringbricks.words import BiInf, Letter, Window, inv_seq
 
 OPEN = "open"
@@ -25,9 +28,11 @@ def image_ok(before, after):
     return (before is None or not before.inv) and (after is None or after.inv)
 
 
-def brute_pairs(x, xinv, max_len):
-    """True iff some factor occurrence in x and image occurrence in x or x^-1
-    share their letters and a gap key at some gap of the span.
+def brute_first_pair(x, xinv, max_len):
+    """The first (image host, factor start, image start, length) at which a
+    factor occurrence in x and an image occurrence in x or x^-1 share their
+    letters and a gap key at some gap of the span, in the order hosts, then
+    factor starts, then image starts; None if there is none.
 
     A host is (letter_at, starts, keys_at): letter_at(i) is the letter at
     index i, None past a closed end or OPEN past an open one; keys_at(g) is
@@ -47,8 +52,13 @@ def brute_pairs(x, xinv, max_len):
                     if tag == "x" and of == oi and bounds == (None,) * 4:
                         continue  # the identity pair
                     if any(keys(of + j) & keys2(oi + j) for j in range(L + 1)):
-                        return True
-    return False
+                        return tag, of, oi, L
+    return None
+
+
+def brute_pairs(x, xinv, max_len):
+    """True iff brute_first_pair finds a pair."""
+    return brute_first_pair(x, xinv, max_len) is not None
 
 
 def window_host(u, left_closed, right_closed, keys):
@@ -160,8 +170,10 @@ def test_unroll_reaches_span_past_every_start(l3):
             assert len(t.letters) >= g + 1 + span + 1  # span letters and an after-letter
 
 
-def brute_sturmian(u):
-    """Some infix w with both a w a and b w b inside the window."""
+def brute_sturmian_first(u):
+    """The first (a position, b position, infix length) of an infix w with
+    both a w a and b w b inside the window, by a position, then b position;
+    None if there is none."""
     n = len(u)
     for i in range(n):
         for j in range(n):
@@ -170,8 +182,13 @@ def brute_sturmian(u):
                     break
                 if u[i] == A and u[j] == B and u[i + L + 1] == A and u[j + L + 1] == B \
                         and u[i + 1:i + L + 1] == u[j + 1:j + L + 1]:
-                    return True
-    return False
+                    return i, j, L
+    return None
+
+
+def brute_sturmian(u):
+    """Some infix w with both a w a and b w b inside the window."""
+    return brute_sturmian_first(u) is not None
 
 
 def test_sturmian_window_check_matches_brute():
@@ -188,3 +205,127 @@ def test_sturmian_window_check_matches_brute():
             assert u[v.b_position:v.b_position + k + 2] == (B,) + v.infix + (B,)
             found += 1
     assert 0 < found < 300
+
+
+# ---------------------------------------------------------------------------
+# the exact LCE, and the routes on windows whose extensions pass 8 letters
+
+
+def reference_lce(u, i, v, j):
+    k = 0
+    while i + k < len(u) and j + k < len(v) and u[i + k] == v[j + k]:
+        k += 1
+    return k
+
+
+def test_lce_matches_letter_by_letter():
+    rng = random.Random(3)
+    alphabet = (A, B, A.inverse(), B.inverse())
+    long_ones = 0
+    for trial in range(400):
+        n = rng.randint(0, 300)
+        if trial % 2:
+            q = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+            u = (q * (n // len(q) + 1))[:n]
+        else:
+            u = tuple(rng.choice(alphabet[:rng.randint(1, 4)]) for _ in range(n))
+        # v: u from s on, maybe with one letter changed, and a tail of its own,
+        # so extensions from aligned starts run long and end at a mismatch
+        # or at either end
+        s = rng.randint(0, n)
+        v = list(u[s:]) + [rng.choice(alphabet) for _ in range(rng.randint(0, 40))]
+        if v and rng.random() < 0.7:
+            v[rng.randrange(len(v))] = rng.choice(alphabet)
+        v = tuple(v)
+        d = rng.randint(0, len(v))
+        pairs = [(i, j) for i in (0, n, rng.randint(0, n))
+                 for j in (0, len(v), rng.randint(0, len(v)))]
+        pairs += [(s, 0), (min(s + d, n), d)]
+        for i, j in pairs:
+            want = reference_lce(u, i, v, j)
+            assert lce(u, i, v, j) == want == lce(v, j, u, i), (u, i, v, j)
+            long_ones += want > 8
+        assert lce(u, s, u, s) == n - s
+    assert long_ones > 200
+
+
+def test_pair_scan_rejects_list_letters():
+    # a list slice never equals a tuple slice, so a list track would get LCE 0
+    u = (A, B, B, A)
+    with pytest.raises(TypeError):
+        pair_scan(Track(list(u)), (Track(u),))
+    with pytest.raises(TypeError):
+        pair_scan(Track(u), (Track(u), Track(list(u))))
+
+
+def fibonacci_words(rng, count, lo, hi):
+    """{a,b} words of lo..hi letters from the Fibonacci word: prefixes, prefixes
+    without their first letter, and prefixes with one letter flipped in their
+    second half (the long balanced stretch before a late flip makes the
+    first witness long)."""
+    fib = DirectiveSequence.parse("1,(1)")
+    out = []
+    for k in range(count):
+        n = rng.randint(lo, hi)
+        word = [l.sym for l in characteristic_prefix(fib, n + 1).letters]
+        word = word[1:] if k % 3 == 1 else word[:n]
+        if k % 3 == 2:
+            f = rng.randrange(n // 2, n)
+            word[f] = "b" if word[f] == "a" else "a"
+        out.append("".join(word))
+    return out
+
+
+def test_long_sturmian_windows_match_brute():
+    rng = random.Random(13)
+    words = fibonacci_words(rng, 30, 40, 90)
+    words += ["".join(rng.choice("ab") for _ in range(rng.randint(40, 90)))
+              for _ in range(10)]
+    infixes = []
+    for word in words:
+        u = tuple(A if c == "a" else B for c in word)
+        v = sturmian_window_check(Window(u, False, "random"))
+        first = brute_sturmian_first(u)
+        assert (None if v is None else (v.a_position, v.b_position, len(v.infix))) == first, word
+        if v is not None:
+            k = len(v.infix)
+            assert u[v.a_position:v.a_position + k + 2] == (A,) + v.infix + (A,)
+            assert u[v.b_position:v.b_position + k + 2] == (B,) + v.infix + (B,)
+            infixes.append(k)
+    assert 0 < len(infixes) < len(words) and max(infixes) > 8
+
+
+def _witness_pair(rep):
+    w = rep.witness
+    return None if w is None else (w.image_host, w.factor.start, w.image.start,
+                                   w.factor.end - w.factor.start)
+
+
+def test_long_windows_match_brute_first_pair(l3):
+    """Lambda_3 windows of 40-90 letters: both window routes return the brute
+    scanner's first pair, witness lengths past 8 letters included."""
+    rng = random.Random(17)
+    m = build_mia(l3)
+    phi, md = parity_mia(l3)
+    firsts = []
+    for word in fibonacci_words(rng, 12, 20, 45):
+        u = tuple(s for c in word for s in BLOCKS[c])
+        v = inv_seq(u)
+        for lc in (False, True):
+            for rc in (False, True):
+                win = Window(u, False, "fibonacci", left_closed=lc, right_closed=rc)
+                z = [l3.gap_zero(u, g) for g in range(len(u) + 1)]
+                zinv = [l3.gap_zero(v, g) for g in range(len(v) + 1)]
+                first = brute_first_pair(window_host(u, lc, rc, z),
+                                         window_host(v, rc, lc, zinv), len(u))
+                assert _witness_pair(string_brick_direct(l3, win)) == first, (word, lc, rc)
+
+                w = transport(m, phi, string_to_word(l3, win))
+                ud, vd = w.right.letters, inv_seq(w.right.letters)
+                auto = brute_first_pair(window_host(ud, lc, rc, chain(md, w.base, ud)),
+                                        window_host(vd, rc, lc, chain(md, md.inv[w.base], vd)),
+                                        len(ud))
+                assert _witness_pair(string_brick_automaton(l3, win)) == auto, (word, lc, rc)
+                firsts.append(first)
+    lengths = [f[3] for f in firsts if f is not None]
+    assert 0 < len(lengths) < len(firsts) and max(lengths) > 8

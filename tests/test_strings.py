@@ -230,6 +230,14 @@ def test_enumerate_counts(l3):
     assert len(l3.enumerate_strings(1)) == 14
 
 
+def test_negative_max_len_rejected(l3):
+    for n in (-1, -5):
+        with pytest.raises(StringError, match="max_len"):
+            l3.enumerate_strings(n)
+        with pytest.raises(StringError, match="max_len"):
+            l3.enumerate_bands(n)
+
+
 def test_enumerate_strings_independent_count(l3, gam):
     # slow oracle: grow by full revalidation instead of incremental windows
     for ctx in (l3, gam):
