@@ -6,13 +6,11 @@ from .algebra import (Presentation, PresentationError, SignError, SignMaps,
                       verify_sign_conditions)
 from .strings import Band, CapExceeded, Context, Str, StringError
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window,
-                    classify_periodicity, complexity_profile, find_subword,
-                    invert)
+                    classify_periodicity, complexity_profile, invert)
 from .mia import (Mia, MiaError, PointedWord, UnsupportedRepresentation,
-                  check_local_bijection, check_word, classify_occurrence,
-                  equivalent, format_mia, is_brick_word, is_weak_brick_word,
-                  parse_mia, relabel, subword_occurrences, transport,
-                  transport_back, validate_mia)
+                  check_local_bijection, check_word, equivalent, format_mia,
+                  is_brick_word, is_weak_brick_word, parse_mia, relabel,
+                  transport, transport_back, validate_mia)
 from .construct import (binary_word, build_mia, parity_mia, string_to_word,
                         to_dot, word_to_string)
 from .bricks import (BrickReport, band_brick_automaton, band_brick_direct,

@@ -136,25 +136,22 @@ def _wrap_word_report(rep: BrickWordReport, method: str, reason: str = "") -> Br
     return BrickReport(rep.verdict, method, witness, rep.periodicity, rep.scope, reason)
 
 
-def string_brick_automaton(ctx: Context, x, use_binary: bool = True) -> BrickReport:
+def string_brick_automaton(ctx: Context, x) -> BrickReport:
     """Automaton criterion: transport the pointed word to the binary MIA and
-    test the brick word property (a flag switches to the arrow-alphabet MIA
-    for debugging)."""
+    test the brick word property."""
     m = build_mia(ctx)
     w = string_to_word(ctx, x)
-    if use_binary:
-        phi, mdelta = parity_mia(ctx)
-        w = transport(m, phi, w)
-        m = mdelta
+    phi, mdelta = parity_mia(ctx)
+    w = transport(m, phi, w)
     if isinstance(x, Str) and len(x) > 0:
         # spot-check basepoint-shift invariance on the gap-0 representative
-        rep = is_brick_word_shift_checked(m, w, -len(x))
+        rep = is_brick_word_shift_checked(mdelta, w, -len(x))
     else:
-        rep = is_brick_word(m, w)
+        rep = is_brick_word(mdelta, w)
     return _wrap_word_report(rep, "automaton")
 
 
-def band_brick_automaton(ctx: Context, b: Band, l: int, use_binary: bool = True,
+def band_brick_automaton(ctx: Context, b: Band, l: int,
                          length_bound_factor: int = 1) -> BrickReport:
     """l = 1 plus the weak brick word property of the transported doubly
     infinite band word."""
@@ -166,11 +163,8 @@ def band_brick_automaton(ctx: Context, b: Band, l: int, use_binary: bool = True,
     m = build_mia(ctx)
     q = b.string.letters
     w = string_to_word(ctx, BiInf(q, (), q))
-    if use_binary:
-        phi, mdelta = parity_mia(ctx)
-        w = transport(m, phi, w)
-        m = mdelta
-    rep = is_weak_brick_word(m, w, length_bound_factor)
+    phi, mdelta = parity_mia(ctx)
+    rep = is_weak_brick_word(mdelta, transport(m, phi, w), length_bound_factor)
     return _wrap_word_report(rep, "automaton")
 
 

@@ -4,6 +4,8 @@ Exit codes: 0 = success / property holds, 1 = checked false (not a brick, a
 violation or witness was found, not isomorphic), 2 = input error, 3 = cap
 exceeded or cross-method disagreement, 4 = internal error (an unexpected
 exception, never a verdict; ``--json`` sets ``error_kind`` to "internal").
+A stdout closed by its reader (``... | head -1``) exits 2 without a
+traceback, and nothing more is written.
 ``--json`` switches every command to a single machine-readable document with
 a stable schema.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -48,11 +51,19 @@ class _Output:
 
     def emit(self, code: int) -> int:
         self.doc["exit_code"] = code
-        if self.as_json:
-            print(json.dumps(self.doc, indent=2, default=str))
-        else:
-            for line in self.lines:
-                print(line)
+        try:
+            if self.as_json:
+                print(json.dumps(self.doc, indent=2, default=str))
+            else:
+                for line in self.lines:
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: nothing more can be shown, and the
+            # interpreter's exit flush goes to the null device
+            if sys.stdout is sys.__stdout__:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return INPUT_ERROR
         return code
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .mia import Mia, PointedWord, transport
+from .mia import Mia, PointedWord, transport, underlying
 from .strings import Context, Str, StringError
-from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
-                    inv_seq)
+from .words import BiInf, Finite, LeftInf, Letter, RightInf, Window, inv_seq
 
 
 def zero_label(vertex: str, side: int) -> str:
@@ -163,27 +162,18 @@ def string_to_word(ctx: Context, x) -> PointedWord:
 def word_to_string(ctx: Context, w: PointedWord):
     """Concatenate the two sides back into a string (the inverse of
     string_to_word up to basepoint equivalence)."""
-    l, r = w.left, w.right
-    if isinstance(l, Finite) and isinstance(r, Finite):
-        letters = l.letters + r.letters
-        if not letters:
-            parsed = parse_zero_label(w.base)
-            if parsed is None:
-                raise StringError(f"basepoint {w.base!r} is not a zero-length state")
-            return ctx.zero(*parsed)
-        return ctx.make_string(letters)
-    if isinstance(l, Finite) and isinstance(r, RightInf):
-        rep: WordRep = RightInf(l.letters + r.prefix, r.period)
-    elif isinstance(l, LeftInf) and isinstance(r, Finite):
-        rep = LeftInf(l.period, l.suffix + r.letters)
-    elif isinstance(l, LeftInf) and isinstance(r, RightInf):
-        rep = BiInf(l.period, l.suffix + r.prefix, r.period)
-    elif isinstance(r, Window) and isinstance(l, Finite) and not l.letters:
-        rep = r
-    else:
-        raise StringError(f"unsupported word shape {type(l).__name__}+{type(r).__name__}")
-    ctx.validate_inf_str(rep)
-    return rep
+    if isinstance(w.right, Window) and w.left != Finite(()):
+        raise StringError("a window word must have an empty left part")
+    rep = underlying(w)
+    if not isinstance(rep, Finite):
+        ctx.validate_inf_str(rep)
+        return rep
+    if rep.letters:
+        return ctx.make_string(rep.letters)
+    parsed = parse_zero_label(w.base)
+    if parsed is None:
+        raise StringError(f"basepoint {w.base!r} is not a zero-length state")
+    return ctx.zero(*parsed)
 
 
 def binary_word(ctx: Context, x) -> PointedWord:
@@ -195,19 +185,12 @@ def binary_word(ctx: Context, x) -> PointedWord:
 def to_dot(m: Mia) -> str:
     """DOT rendering: initial states doubly circled, inverse letters primed
     (binary MIAs label edges 0/1)."""
-    binary = m.is_binary()
-
-    def letter_label(l: Letter) -> str:
-        if binary:
-            return "1" if l.inv else "0"
-        return str(l)
-
     lines = ["digraph mia {", "  rankdir=LR;"]
     iset = set(m.initial)
     for x in m.states:
         shape = "doublecircle" if x in iset else "circle"
         lines.append(f'  "{x}" [shape={shape}];')
-    for (x, l), y in sorted(m.trans.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[1])):
-        lines.append(f'  "{x}" -> "{y}" [label="{letter_label(l)}"];')
+    for x, l, y in m.edges():
+        lines.append(f'  "{x}" -> "{y}" [label="{l}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .scan import FACTOR, IMAGE, OPEN, Track, pair_scan, unroll
+from .scan import Track, pair_scan, unroll
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
                     classify_periodicity, inv_seq, invert)
 from .words import APERIODIC, FINITE
@@ -80,6 +80,13 @@ class Mia:
 
     def is_binary(self) -> bool:
         return self.alphabet == ("0",)
+
+    def edges(self) -> list[tuple[str, str, str]]:
+        """The transitions as sorted (source, letter, target) text; a binary
+        MIA writes its letters 0 and 1, which sort as 0 and 0' do."""
+        binary = self.is_binary()
+        return sorted((x, ("1" if l.inv else "0") if binary else str(l), y)
+                      for (x, l), y in self.trans.items())
 
 
 def validate_mia(m: Mia) -> list[tuple[str, str]]:
@@ -407,104 +414,6 @@ class _WindowHost:
                     "use the finite machinery instead")
 
 
-# ---------------------------------------------------------------------------
-# occurrences and subwords
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """An anchored occurrence of a finite pointed needle inside a host.
-
-    start/end are letter offsets in the host (modular when period is set);
-    boundary letters are None when the needle is flush with a genuine word
-    end.  host_tag distinguishes occurrences found in the inverse host, and
-    shifted_host is the ~-shifted representative of the host whose basepoint
-    sits at the anchor (None when the host is infinite and the representative
-    is implied by the anchor and period).
-    """
-
-    needle: PointedWord
-    host_tag: str
-    start: int
-    end: int
-    anchor: int
-    before: Optional[Letter]
-    after: Optional[Letter]
-    period: Optional[int] = None
-    shifted_host: Optional[PointedWord] = None
-
-    def is_factor(self) -> bool:
-        return FACTOR.before(self.before) and FACTOR.after(self.after)
-
-    def is_image(self) -> bool:
-        return IMAGE.before(self.before) and IMAGE.after(self.after)
-
-
-def classify_occurrence(occ: Occurrence) -> str:
-    f, i = occ.is_factor(), occ.is_image()
-    if f and i:
-        return "both"
-    if f:
-        return "factor"
-    if i:
-        return "image"
-    return "neither"
-
-
-def subword_occurrences(m: Mia, needle: PointedWord, hay: PointedWord) -> list[Occurrence]:
-    """All anchored occurrences of a finite needle in hay (finite, purely
-    periodic two-sided, or window); periodic hosts report one fundamental
-    domain of offsets with the period flag set."""
-    nparts = _as_finite_parts(needle)
-    if nparts is None:
-        raise UnsupportedRepresentation("needle must be finite")
-    nu, napos, nbase = nparts
-    k = len(nu)
-
-    hparts = _as_finite_parts(hay)
-    if hparts is not None:
-        host = _FiniteHost(m, *hparts)
-        _FiniteHost(m, nu, napos, nbase)  # validate the needle
-        u, n = host.u, len(host.u)
-        out = []
-        for o in range(n - k + 1):
-            if u[o:o + k] != nu:
-                continue
-            if nbase not in host.G[o + napos]:
-                continue
-            shifted = finite_word(u[:o + napos], nbase, u[o + napos:])
-            out.append(Occurrence(needle, "host", o, o + k, o + napos,
-                                  u[o - 1] if o > 0 else None,
-                                  u[o + k] if o + k < n else None,
-                                  shifted_host=shifted))
-        return out
-    if isinstance(hay.right, Window):
-        host = _WindowHost(m, hay)
-        u, n = host.u, len(host.u)
-        t = Track(u, hay.right.left_closed, hay.right.right_closed)
-        out = []
-        for o in range(n - k + 1):
-            if u[o:o + k] != nu:
-                continue
-            if host.chain[o + napos] != nbase:
-                continue
-            before, after = t.boundary(o - 1), t.boundary(o + k)
-            if before is OPEN or after is OPEN:
-                continue  # context beyond an open window edge
-            out.append(Occurrence(needle, "host", o, o + k, o + napos, before, after))
-        return out
-    host = _periodic_host(m, hay)
-    P = host.P
-    out = []
-    for o in range(host.T):
-        if all(host.q[(o + i) % P] == nu[i] for i in range(k)):
-            if nbase in host.state_at(o + napos):
-                out.append(Occurrence(needle, "host", o, o + k, o + napos,
-                                      host.q[(o - 1) % P], host.q[(o + k) % P],
-                                      period=host.T))
-    return out
-
-
 def equivalent(m: Mia, w1: PointedWord, w2: PointedWord) -> bool:
     """Basepoint-shift equivalence: same underlying word, and the forward
     placement chains merge."""
@@ -648,38 +557,38 @@ def _window_witness(m: Mia, host: _WindowHost) -> Optional[WordWitness]:
     return _word_witness(x, x.inverse(_WindowHost(m, inv_word).chain.__getitem__))
 
 
-def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
-    """Brick word: the underlying word is aperiodic and no pointed word is
-    simultaneously a factor subword of w and an image subword of w or w^{-1}
-    (the identity pair excluded)."""
+def _brick_word(m: Mia, w: PointedWord, weak: bool,
+                length_bound_factor: int = 1) -> BrickWordReport:
+    """Both notions share the witness search; only a brick word must also
+    be aperiodic."""
     if isinstance(w.right, Window):
         host = _WindowHost(m, w)
         witness = _window_witness(m, host)
         cls = classify_periodicity(w.right)
-        verdict = witness is None and cls == APERIODIC
+        verdict = witness is None and (weak or cls == APERIODIC)
         return BrickWordReport(verdict, witness, cls, f"window {len(host.u)}")
     cls = classify_periodicity(underlying(w))
     if cls == FINITE:
         return _finite_report(_finite_hosts(m, w))
-    # every eventually periodic rep is almost periodic, hence not aperiodic
-    return BrickWordReport(False, None, cls, "exact")
+    if not weak:
+        # every eventually periodic rep is almost periodic, hence not aperiodic
+        return BrickWordReport(False, None, cls, "exact")
+    host = _periodic_host(m, w)
+    witness = _periodic_witness(m, host, host.P * length_bound_factor)
+    return BrickWordReport(witness is None, witness, cls, "exact")
+
+
+def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
+    """Brick word: the underlying word is aperiodic and no pointed word is
+    simultaneously a factor subword of w and an image subword of w or w^{-1}
+    (the identity pair excluded)."""
+    return _brick_word(m, w, weak=False)
 
 
 def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> BrickWordReport:
     """Weak brick word: no finite common factor/image pointed subword; no
     aperiodicity requirement."""
-    if isinstance(w.right, Window):
-        host = _WindowHost(m, w)
-        witness = _window_witness(m, host)
-        return BrickWordReport(witness is None, witness,
-                               classify_periodicity(w.right), f"window {len(host.u)}")
-    cls = classify_periodicity(underlying(w))
-    if cls == FINITE:
-        return _finite_report(_finite_hosts(m, w))
-    host = _periodic_host(m, w)
-    bound = host.P * length_bound_factor
-    witness = _periodic_witness(m, host, bound)
-    return BrickWordReport(witness is None, witness, cls, "exact")
+    return _brick_word(m, w, weak=True, length_bound_factor=length_bound_factor)
 
 
 def is_brick_word_shift_checked(m: Mia, w: PointedWord, steps: int) -> BrickWordReport:
@@ -886,13 +795,6 @@ def format_mia(m: Mia) -> str:
             out.append(f"state {x} initial inv={m.inv[x]} e={m.e[x]}")
         else:
             out.append(f"state {x} e={m.e[x]}")
-    binary = m.is_binary()
-
-    def encode(l: Letter) -> str:
-        if binary:
-            return "1" if l.inv else "0"
-        return str(l)
-
-    for (x, l), y in sorted(m.trans.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[1])):
-        out.append(f"trans {x} {encode(l)} {y}")
+    for x, l, y in m.edges():
+        out.append(f"trans {x} {l} {y}")
     return "\n".join(out) + "\n"

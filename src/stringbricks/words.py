@@ -7,7 +7,6 @@ a generated word.  All values are immutable.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -33,10 +32,6 @@ class Letter(NamedTuple):
 
 
 Letters = tuple  # tuple[Letter, ...]
-
-
-def letters(*items: Letter) -> Letters:
-    return tuple(items)
 
 
 def inv_seq(seq: Sequence[Letter]) -> Letters:
@@ -198,67 +193,6 @@ def unfold_left(w: WordRep, n: int) -> Letters:
             out = list(w.period) + out
         return tuple(out[-n:]) if n else ()
     raise WordError(f"cannot unfold {type(w).__name__} leftward")
-
-
-@dataclass(frozen=True)
-class SubwordHits:
-    """Occurrence offsets inside the canonical search domain.
-
-    For infinite reps the domain covers the preperiod plus two periods on each
-    infinite side and `period` flags that occurrences repeat with that period
-    beyond it; offsets for BiInf are relative to the core start (negative =
-    left of the seam), for LeftInf relative to the right end (all negative).
-    """
-
-    offsets: tuple[int, ...]
-    period: int | None
-    domain: tuple[int, int]
-
-
-def _scan(hay: Sequence[Letter], needle: Sequence[Letter], base: int) -> list[int]:
-    k = len(needle)
-    return [i + base for i in range(len(hay) - k + 1) if tuple(hay[i:i + k]) == tuple(needle)]
-
-
-def find_subword(needle: Sequence[Letter], hay: WordRep) -> SubwordHits:
-    """All occurrences of a finite nonempty needle in hay, canonically reported."""
-    needle = tuple(needle)
-    if not needle:
-        raise WordError("empty needle")
-    k = len(needle)
-    if isinstance(hay, (Finite, Window)):
-        offs = _scan(hay.letters, needle, 0)
-        return SubwordHits(tuple(offs), None, (0, len(hay.letters)))
-    if isinstance(hay, RightInf):
-        p = len(hay.period)
-        dom = len(hay.prefix) + 2 * p
-        text = unfold_right(hay, dom + k + p)
-        offs = [o for o in _scan(text, needle, 0) if o < dom]
-        periodic = any(o >= len(hay.prefix) for o in offs)
-        return SubwordHits(tuple(offs), p if periodic else None, (0, dom))
-    if isinstance(hay, LeftInf):
-        p = len(hay.period)
-        dom = len(hay.suffix) + 2 * p
-        text = unfold_left(hay, dom + k + p)
-        # offsets are needle start positions; the last letter sits at -1, so an
-        # occurrence filling the last k letters starts at -k
-        offs = [o - len(text) for o in _scan(text, needle, 0)]
-        offs = [o for o in offs if o + k > -dom]
-        periodic = any(o + k <= -len(hay.suffix) for o in offs)
-        return SubwordHits(tuple(offs), p if periodic else None, (-dom, 0))
-    if isinstance(hay, BiInf):
-        lp, rp = len(hay.left_period), len(hay.right_period)
-        lext, rext = lp + k + lp, len(hay.core) + rp + k + rp
-        left = unfold_left(LeftInf(hay.left_period, ()), lext)
-        right = unfold_right(RightInf((), hay.right_period), rext - len(hay.core))
-        text = left + hay.core + right
-        base = -lext
-        dom = (-lp, len(hay.core) + rp)
-        offs = [o for o in _scan(text, needle, base) if dom[0] <= o < dom[1]]
-        periodic = any(o < 0 or o + k > len(hay.core) for o in offs)
-        per = math.lcm(lp, rp)
-        return SubwordHits(tuple(offs), per if periodic else None, dom)
-    raise WordError(f"not a word rep: {hay!r}")
 
 
 FINITE = "finite"

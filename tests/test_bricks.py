@@ -5,7 +5,9 @@ import pytest
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  band_brick_endo, string_brick_automaton,
                                  string_brick_direct, string_brick_endo)
+from stringbricks.construct import build_mia, string_to_word
 from stringbricks.endo import end_dim_band, end_dim_string
+from stringbricks.mia import is_brick_word_shift_checked
 from stringbricks.strings import Context
 from stringbricks.words import BiInf, Letter, RightInf, Window
 
@@ -171,12 +173,17 @@ def test_endo_reports(l3):
     assert not rep.verdict and "end_dim=2" in rep.reason
 
 
+def arrow_automaton(ctx, x):
+    """The automaton route of a finite string over the arrow-alphabet MIA
+    M_Lambda instead of the binary one, shift spot-check included."""
+    return is_brick_word_shift_checked(build_mia(ctx), string_to_word(ctx, x), -len(x))
+
+
 def test_automaton_on_arrow_alphabet_agrees(l3, gam):
-    # the debugging flag evaluates over M_Lambda instead of the binary MIA
     for ctx in (l3, gam):
         for x in ctx.enumerate_strings(5):
-            assert string_brick_automaton(ctx, x, use_binary=False).verdict == \
-                string_brick_automaton(ctx, x, use_binary=True).verdict
+            assert arrow_automaton(ctx, x).verdict == \
+                string_brick_automaton(ctx, x).verdict
 
 
 def test_window_direct_matches_automaton(l3):
@@ -193,9 +200,10 @@ def test_window_direct_matches_automaton(l3):
 
 def test_shift_spot_check_fires(l3, request):
     x = l3.parse_literal("b1 a1'")
-    for use_binary in (True, False):
-        assert string_brick_automaton(l3, x, use_binary).verdict
+    assert string_brick_automaton(l3, x).verdict
+    assert arrow_automaton(l3, x).verdict
     request.getfixturevalue("tampered_gap_zero_classes")
-    for use_binary in (True, False):
-        with pytest.raises(RuntimeError, match="basepoint shift"):
-            string_brick_automaton(l3, x, use_binary)
+    with pytest.raises(RuntimeError, match="basepoint shift"):
+        string_brick_automaton(l3, x)
+    with pytest.raises(RuntimeError, match="basepoint shift"):
+        arrow_automaton(l3, x)

@@ -199,6 +199,32 @@ def test_directory_as_file_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error:")
 
 
+@pytest.mark.parametrize("raising", ["write", "flush"])
+def test_closed_stdout_is_input_error(lambda3_file, monkeypatch, raising):
+    # an unbuffered stdout fails on write, a buffered one on flush
+    class ClosedPipe:
+        failures = 0
+
+        def write(self, text):
+            if raising == "write":
+                self.fail()
+
+        def flush(self):
+            if raising == "flush":
+                self.fail()
+
+        def fail(self):
+            ClosedPipe.failures += 1
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    for argv in (["strings", lambda3_file, "--max-len", "6", "--json"],
+                 ["check-string-brick", lambda3_file, "b1 a1'"]):
+        ClosedPipe.failures = 0
+        assert main(argv) == 2
+        assert ClosedPipe.failures == 1  # the report is not emitted again
+
+
 def test_human_output(lambda3_file, capsys):
     code = main(["check-string-brick", lambda3_file, "b1 a1'", "--method", "direct"])
     out = capsys.readouterr().out
@@ -220,7 +246,7 @@ def test_cap_exit_code(lambda3_file, capsys, monkeypatch):
 def test_internal_error_is_not_a_verdict(lambda3_file, capsys, monkeypatch):
     import stringbricks.cli as climod
 
-    def boom(ctx, x, use_binary=True):
+    def boom(ctx, x):
         raise RuntimeError("basepoint-shift spot-check failed")
 
     monkeypatch.setattr(climod, "string_brick_automaton", boom)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from stringbricks.algebra import validate_string_algebra
@@ -162,6 +164,40 @@ def test_dot_export(gam):
     _, md = parity_mia(gam)
     dotd = to_dot(md)
     assert '[label="1"];' in dotd and '[label="0"];' in dotd
+
+
+# sha256 prefixes of the format_mia and to_dot texts of the arrow and binary
+# MIAs; both exports must stay byte for byte as they are
+PINNED_EXPORTS = {
+    ("l3", "arrow", "format_mia"): "5f0168d30cc938c7",
+    ("l3", "arrow", "to_dot"): "07ff99222d6abec8",
+    ("l3", "binary", "format_mia"): "41ca5c7c167a1d48",
+    ("l3", "binary", "to_dot"): "38d879ea6e4876d6",
+    ("gam", "arrow", "format_mia"): "c5650341478fbfb5",
+    ("gam", "arrow", "to_dot"): "2f7bc8b44730b9d4",
+    ("gam", "binary", "format_mia"): "ee057bdfae10333b",
+    ("gam", "binary", "to_dot"): "45fc37fe919c8e23",
+}
+
+
+def test_exports_are_pinned(l3, gam):
+    from stringbricks.mia import format_mia
+    for name, ctx in (("l3", l3), ("gam", gam)):
+        for kind, m in (("arrow", build_mia(ctx)), ("binary", parity_mia(ctx)[1])):
+            for export in (format_mia, to_dot):
+                digest = hashlib.sha256(export(m).encode()).hexdigest()[:16]
+                assert digest == PINNED_EXPORTS[name, kind, export.__name__]
+
+
+def test_word_to_string_rejects(l3):
+    from stringbricks.mia import PointedWord, finite_word
+    with pytest.raises(StringError, match="not a zero-length state"):
+        word_to_string(l3, finite_word((), "b1", ()))
+    win = Window(lits("b1 a1' a2' b2"), False, "sample")
+    with pytest.raises(StringError):
+        word_to_string(l3, PointedWord(Finite(lits("a1")), "1(v1,-1)", win))
+    with pytest.raises(StringError):
+        word_to_string(l3, finite_word(lits("b1 b1"), "1(v2,+1)", ()))
 
 
 def test_mia_text_export_parses(gam):

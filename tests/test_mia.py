@@ -5,12 +5,11 @@ import pytest
 
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, check_local_bijection,
-                              check_word, classify_occurrence, equivalent,
-                              finite_word, format_mia, is_brick_word,
-                              is_weak_brick_word, parse_mia, relabel,
-                              shift_basepoint, subword_occurrences, transport,
+                              check_word, equivalent, finite_word, format_mia,
+                              is_brick_word, is_weak_brick_word, parse_mia,
+                              relabel, shift_basepoint, transport,
                               transport_back, validate_mia)
-from stringbricks.words import BiInf, Letter, inv_seq
+from stringbricks.words import BiInf, Letter, Window, inv_seq
 
 
 def L(tok):
@@ -152,52 +151,6 @@ def test_invalid_word_rejected(l3):
         check_word(m, w)
 
 
-# --- subwords and occurrence classification -------------------------------------
-
-def test_subword_occurrences_in_aa(l3):
-    m = build_mia(l3)
-    phi, md = parity_mia(l3)
-    aa = l3.make_string(lits("b1 a1' b1 a1'"))
-    haystack = transport(m, phi, string_to_word(l3, aa))
-    needle = transport(m, phi, finite_word((), "1(v2,+1)", lits("b1 a1'")))
-    occs = subword_occurrences(md, needle, haystack)
-    assert [(o.start, o.end) for o in occs] == [(0, 2), (2, 4)]
-
-
-def test_needle_equals_host(l3):
-    m = build_mia(l3)
-    w = string_to_word(l3, l3.parse_literal("b1 a1'"))
-    occs = subword_occurrences(m, w, w)
-    assert len(occs) == 1
-    assert classify_occurrence(occs[0]) == "both"
-
-
-def test_zero_needle_classification(l3):
-    m = build_mia(l3)
-    aa = string_to_word(l3, l3.make_string(lits("b1 a1' b1 a1'")))
-    z = finite_word((), "1(v2,+1)", ())
-    occs = subword_occurrences(m, z, aa)
-    kinds = {o.anchor: classify_occurrence(o) for o in occs}
-    # gap A1|b1 in the middle is a factor gap (before inverse, after direct)
-    assert kinds[2] == "factor"
-    assert kinds[0] == "factor"   # flush left, next letter direct
-    assert kinds[4] == "factor"   # flush right, previous letter inverse
-    bb = string_to_word(l3, l3.make_string(lits("a2' b2 a2' b2")))
-    z3 = finite_word((), "1(v2,+1)", ())
-    occs = subword_occurrences(m, z3, bb)
-    kinds = {o.anchor: classify_occurrence(o) for o in occs}
-    assert kinds[2] == "image"    # gap b2|A2 (before direct, after inverse)
-
-
-def test_subword_occurrences_periodic_host(l3):
-    m = build_mia(l3)
-    q = lits("a2' b2")
-    host = string_to_word(l3, BiInf(q, (), q))
-    needle = finite_word((), "1(v3,+1)", lits("b2"))
-    occs = subword_occurrences(m, needle, host)
-    assert len(occs) == 1 and occs[0].period == 2
-
-
 # --- brick words -----------------------------------------------------------------
 
 def test_brick_word_a(l3):
@@ -225,6 +178,49 @@ def test_brick_word_periodic(l3):
     assert is_brick_word(m, w).periodicity == "periodic"
     assert is_weak_brick_word(m, w).verdict           # no finite witness
     assert is_weak_brick_word(m, w, 3).verdict        # sound at 3x the bound
+
+
+def test_brick_and_weak_brick_word_by_kind(l3):
+    """The two notions on every kind of word: they differ only in the
+    aperiodicity requirement, on uncertified windows and periodic words."""
+    m = build_mia(l3)
+    phi, md = parity_mia(l3)
+    blocks = {"a": "b1 a1'", "b": "a2' b2"}
+    fib = tuple(l for c in "abaab" for l in lits(blocks[c]))
+
+    def both(w, *factors):
+        reports = [is_brick_word(m, w)] + [is_weak_brick_word(m, w, f) for f in factors]
+        wd = transport(m, phi, w)
+        reports_d = [is_brick_word(md, wd)] + [is_weak_brick_word(md, wd, f) for f in factors]
+        assert [(r.verdict, r.periodicity) for r in reports] == \
+               [(r.verdict, r.periodicity) for r in reports_d]
+        return reports
+
+    def window(certified, closed):
+        return string_to_word(l3, Window(fib, certified, "fib", left_closed=closed,
+                                         right_closed=closed))
+
+    # an uncertified window without a witness: only the aperiodicity fails
+    brick, weak = both(window(False, False), 1)
+    assert not brick.verdict and brick.periodicity == "unknown-window"
+    assert weak.verdict and brick.witness is None and weak.witness is None
+    # a refuted window: both false on the same witness
+    brick, weak = both(window(False, True), 1)
+    assert not brick.verdict and not weak.verdict
+    assert brick.witness is not None and brick.witness == weak.witness
+    # a certified window without a witness: both hold
+    brick, weak = both(window(True, False), 1)
+    assert brick.verdict and weak.verdict
+    assert brick.periodicity == weak.periodicity == "aperiodic-certified"
+    # finite words: the notions coincide, witness included
+    for text in ("b1 a1'", "b1 a1' a2' b2"):
+        brick, weak = both(string_to_word(l3, l3.parse_literal(text)), 1)
+        assert brick == weak and brick.periodicity == "finite"
+    # a periodic band word: never a brick word, a weak one at either bound
+    q = lits("a2' b2")
+    brick, weak1, weak3 = both(string_to_word(l3, BiInf(q, (), q)), 1, 3)
+    assert not brick.verdict and brick.periodicity == "periodic"
+    assert weak1.verdict and weak3.verdict
 
 
 def test_brick_implies_weak_and_finite_coincide(l3, gam):
@@ -329,24 +325,6 @@ def test_transport_periodic_roundtrip(l3):
     assert transport_back(m, phi, transport(m, phi, w)) == w
 
 
-def test_transport_preserves_subwords_and_verdicts(l3):
-    m = build_mia(l3)
-    phi, md = parity_mia(l3)
-    rng = random.Random(9)
-    xs = [x for x in l3.enumerate_strings(6) if len(x) >= 1]
-    for x in rng.sample(xs, 30):
-        w = string_to_word(l3, x)
-        wd = transport(m, phi, w)
-        assert is_brick_word(m, w).verdict == is_brick_word(md, wd).verdict
-        for y in rng.sample(xs, 5):
-            u = string_to_word(l3, y)
-            ud = transport(m, phi, u)
-            occ = subword_occurrences(m, u, w)
-            occ_d = subword_occurrences(md, ud, wd)
-            assert [(o.start, o.end, classify_occurrence(o)) for o in occ] == \
-                   [(o.start, o.end, classify_occurrence(o)) for o in occ_d]
-
-
 # --- text format ---------------------------------------------------------------
 
 def test_mia_format_roundtrip(l3, gam):
@@ -419,16 +397,6 @@ def test_equivalent_periodic_different_words(l3):
     w1 = string_to_word(l3, BiInf(q, (), q))
     w2 = string_to_word(l3, BiInf(other, (), other))
     assert not equivalent(m, w1, w2)
-
-
-def test_occurrence_shifted_host_is_equivalent(l3):
-    m = build_mia(l3)
-    aa = string_to_word(l3, l3.make_string(lits("b1 a1' b1 a1'")))
-    needle = finite_word((), "1(v2,+1)", lits("b1 a1'"))
-    for occ in subword_occurrences(m, needle, aa):
-        assert occ.shifted_host is not None
-        assert occ.shifted_host.base == needle.base
-        assert equivalent(m, occ.shifted_host, aa)
 
 
 def test_equivalent_mixed_shapes(l3):

@@ -1,15 +1,21 @@
 """Cross-validation of the pointed-word machinery against brute-force
-definitional oracles: the basepoint equivalence classes, the witness scans,
-and the periodic gap classes."""
+definitional oracles: the basepoint equivalence classes, anchored
+occurrences in finite hosts, the witness scans, and the periodic gap
+classes."""
+import random
 from collections import deque
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
 from stringbricks.construct import build_mia, parity_mia, string_to_word
-from stringbricks.mia import (Mia, MiaError, _FiniteHost, _PeriodicHost,
-                              check_word, finite_word, is_brick_word,
+from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
+                              _PeriodicHost, _finite_host, check_word,
+                              equivalent, finite_word, is_brick_word,
                               is_brick_word_shift_checked, shift_basepoint,
-                              subword_occurrences, transport)
+                              transport)
+from stringbricks.scan import FACTOR, IMAGE
 from stringbricks.words import BiInf, Letter, inv_seq
 
 
@@ -106,6 +112,128 @@ def test_finite_class_matches_brute_force(l3, gam, corpus):
             ud = wd.left.letters + wd.right.letters
             host_d = _FiniteHost(md, ud, bpos, wd.base)
             assert host_d.G == brute_class(md, ud, bpos, wd.base)
+
+
+# --- anchored occurrences in a finite host ---------------------------------------
+
+
+@dataclass(frozen=True)
+class Occurrence:
+    """An anchored occurrence of a finite pointed needle inside a finite host.
+
+    start/end are letter offsets in the host; boundary letters are None when
+    the needle is flush with a word end; shifted_host is the representative
+    of the host's class whose basepoint sits at the anchor.
+    """
+
+    needle: PointedWord
+    start: int
+    end: int
+    anchor: int
+    before: Optional[Letter]
+    after: Optional[Letter]
+    shifted_host: PointedWord
+
+    def is_factor(self) -> bool:
+        return FACTOR.before(self.before) and FACTOR.after(self.after)
+
+    def is_image(self) -> bool:
+        return IMAGE.before(self.before) and IMAGE.after(self.after)
+
+
+def classify_occurrence(occ: Occurrence) -> str:
+    f, i = occ.is_factor(), occ.is_image()
+    if f and i:
+        return "both"
+    if f:
+        return "factor"
+    if i:
+        return "image"
+    return "neither"
+
+
+def subword_occurrences(m, needle, hay):
+    """All anchored occurrences of a finite needle in a finite host: the
+    needle's letters at some offset, with the needle's basepoint achievable
+    at the anchor gap."""
+    host = _finite_host(m, hay)
+    _finite_host(m, needle)  # validate the needle
+    nu = needle.left.letters + needle.right.letters
+    napos, k = len(needle.left.letters), len(nu)
+    u, n = host.u, len(host.u)
+    out = []
+    for o in range(n - k + 1):
+        if u[o:o + k] != nu or needle.base not in host.G[o + napos]:
+            continue
+        shifted = finite_word(u[:o + napos], needle.base, u[o + napos:])
+        out.append(Occurrence(needle, o, o + k, o + napos,
+                              u[o - 1] if o > 0 else None,
+                              u[o + k] if o + k < n else None, shifted))
+    return out
+
+
+def test_subword_occurrences_in_aa(l3):
+    m = build_mia(l3)
+    phi, md = parity_mia(l3)
+    aa = l3.make_string(lits("b1 a1' b1 a1'"))
+    haystack = transport(m, phi, string_to_word(l3, aa))
+    needle = transport(m, phi, finite_word((), "1(v2,+1)", lits("b1 a1'")))
+    occs = subword_occurrences(md, needle, haystack)
+    assert [(o.start, o.end) for o in occs] == [(0, 2), (2, 4)]
+
+
+def test_needle_equals_host(l3):
+    m = build_mia(l3)
+    w = string_to_word(l3, l3.parse_literal("b1 a1'"))
+    occs = subword_occurrences(m, w, w)
+    assert len(occs) == 1
+    assert classify_occurrence(occs[0]) == "both"
+
+
+def test_zero_needle_classification(l3):
+    m = build_mia(l3)
+    aa = string_to_word(l3, l3.make_string(lits("b1 a1' b1 a1'")))
+    z = finite_word((), "1(v2,+1)", ())
+    occs = subword_occurrences(m, z, aa)
+    kinds = {o.anchor: classify_occurrence(o) for o in occs}
+    # gap A1|b1 in the middle is a factor gap (before inverse, after direct)
+    assert kinds[2] == "factor"
+    assert kinds[0] == "factor"   # flush left, next letter direct
+    assert kinds[4] == "factor"   # flush right, previous letter inverse
+    bb = string_to_word(l3, l3.make_string(lits("a2' b2 a2' b2")))
+    z3 = finite_word((), "1(v2,+1)", ())
+    occs = subword_occurrences(m, z3, bb)
+    kinds = {o.anchor: classify_occurrence(o) for o in occs}
+    assert kinds[2] == "image"    # gap b2|A2 (before direct, after inverse)
+
+
+def test_transport_preserves_subwords_and_verdicts(l3):
+    m = build_mia(l3)
+    phi, md = parity_mia(l3)
+    rng = random.Random(9)
+    xs = [x for x in l3.enumerate_strings(6) if len(x) >= 1]
+    for x in rng.sample(xs, 30):
+        w = string_to_word(l3, x)
+        wd = transport(m, phi, w)
+        assert is_brick_word(m, w).verdict == is_brick_word(md, wd).verdict
+        for y in rng.sample(xs, 5):
+            u = string_to_word(l3, y)
+            ud = transport(m, phi, u)
+            occ = subword_occurrences(m, u, w)
+            occ_d = subword_occurrences(md, ud, wd)
+            assert [(o.start, o.end, classify_occurrence(o)) for o in occ] == \
+                   [(o.start, o.end, classify_occurrence(o)) for o in occ_d]
+
+
+def test_occurrence_shifted_host_is_equivalent(l3):
+    m = build_mia(l3)
+    aa = string_to_word(l3, l3.make_string(lits("b1 a1' b1 a1'")))
+    needle = finite_word((), "1(v2,+1)", lits("b1 a1'"))
+    for occ in subword_occurrences(m, needle, aa):
+        assert occ.shifted_host is not None
+        assert occ.shifted_host.base == needle.base
+        assert equivalent(m, occ.shifted_host, aa)
+
 
 
 def brute_witness_exists(m, w):

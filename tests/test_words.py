@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from stringbricks.words import (BiInf, Finite, LeftInf, Letter, RightInf,
                                 Window, WordError, classify_periodicity,
-                                complexity_profile, find_subword, invert,
+                                complexity_profile, invert,
                                 inv_seq, primitive_root, unfold_left,
                                 unfold_right)
 
@@ -60,36 +60,6 @@ def test_period_normalization():
     assert classify_periodicity(RightInf((O,), (Z, O))) == "periodic"
 
 
-def test_find_subword_finite():
-    hits = find_subword((Z, O), Finite((Z, O, Z, O)))
-    assert hits.offsets == (0, 2)
-    assert hits.period is None
-
-
-def test_find_subword_alternating():
-    assert find_subword((O, O), RightInf((), (Z, O))).offsets == ()
-
-
-def test_find_subword_biinf_periodic():
-    hits = find_subword((O, Z), BiInf((Z, O), (), (Z, O)))
-    assert hits.period == 2
-    # one occurrence per period zone, repeating with the period
-    assert hits.offsets == (-1, 1)
-    # cross-check against an unfolding of three periods
-    text = unfold_left(LeftInf((Z, O), ()), 6) + unfold_right(RightInf((), (Z, O)), 6)
-    scan = [i - 6 for i in range(len(text) - 1) if text[i:i + 2] == (O, Z)]
-    assert set(hits.offsets) <= set(scan)
-    inside = [o for o in scan if hits.domain[0] <= o < hits.domain[1]]
-    assert sorted(inside) == sorted(hits.offsets)
-    diffs = {b - a for a, b in zip(scan, scan[1:])}
-    assert diffs == {2}
-
-
-def test_find_subword_empty_needle_rejected():
-    with pytest.raises(WordError):
-        find_subword((), Finite((Z,)))
-
-
 def test_classify():
     assert classify_periodicity(Finite((Z,))) == "finite"
     assert classify_periodicity(BiInf((A, B), (), (A, B))) == "periodic"
@@ -106,15 +76,6 @@ def test_classify_mirrors_under_inversion(prefix, period):
     flip = {"almost-periodic-right": "almost-periodic-left",
             "almost-periodic-left": "almost-periodic-right"}
     assert ci == flip.get(c, c)
-
-
-@given(st.lists(st.sampled_from([Z, O, A]), min_size=1, max_size=6).map(tuple),
-       letters_st)
-def test_subword_inversion_duality(needle, hay_letters):
-    hay = Finite(hay_letters)
-    direct = find_subword(needle, hay).offsets
-    mirrored = find_subword(inv_seq(needle), invert(hay)).offsets
-    assert bool(direct) == bool(mirrored)
 
 
 def test_primitive_root():
@@ -142,15 +103,3 @@ def test_complexity_monotone_until_saturation():
     letters = tuple(rng.choice([A, B]) for _ in range(200))
     prof = complexity_profile(Window(letters, False, ""), 12)
     assert prof == sorted(prof)
-
-
-def test_find_subword_leftinf():
-    hay = LeftInf((Z, O), (O,))  # ...010101 1
-    hits = find_subword((O, O), hay)
-    assert hits.offsets == (-2,)
-    assert hits.period is None  # the only occurrence straddles the suffix
-    hits2 = find_subword((Z, O), hay)
-    assert hits2.period == 2
-    assert all(o + 2 <= 0 for o in hits2.offsets)
-    # occurrences whose end falls inside the canonical suffix+2-period domain
-    assert hits2.offsets == (-5, -3)
