@@ -4,57 +4,25 @@ Two independent routes: the direct substring criterion (a common factor/image
 substring of the string, or of the doubly infinite band word, kills
 brickness) and the automaton criterion (transport the pointed word to the
 binary MIA and test the (weak) brick word property).  Both witness searches
-are the pair scan of `scan`: the direct route keys each gap by its
-zero-length string, the automaton route is the one in `mia`.  The endo module
-gives a third, linear-algebra route; the test suite keeps all three in
-agreement.
+are the pair scan of `scan`, which also builds the one witness and report
+record: the direct route keys each gap by its zero-length string, the
+automaton route is the one in `mia` and returns its report as it is.  The
+endo module gives a third, linear-algebra route; the test suite keeps all
+three in agreement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from . import endo
 from .construct import build_mia, parity_mia, string_to_word
-from .mia import (BrickWordReport, is_brick_word, is_brick_word_shift_checked,
-                  is_weak_brick_word, transport)
-from .scan import Track, pair_scan, unroll
+from .mia import (is_brick_word, is_brick_word_shift_checked, is_weak_brick_word,
+                  transport)
+from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .strings import Band, Context, Str, StringError
-from .words import (BiInf, Finite, LeftInf, RightInf, Window,
-                    classify_periodicity, inv_seq)
+from .words import BiInf, LeftInf, RightInf, Window, classify_periodicity, inv_seq
 from .words import APERIODIC, FINITE
-
-
-@dataclass(frozen=True)
-class SpanOcc:
-    start: int
-    end: int
-    before: Optional[str]
-    after: Optional[str]
-
-
-@dataclass(frozen=True)
-class BrickWitness:
-    content: str
-    factor: SpanOcc
-    image: SpanOcc
-    image_host: str  # "x" | "x-inverse"
-
-
-@dataclass(frozen=True)
-class BrickReport:
-    verdict: bool
-    method: str
-    witness: Optional[BrickWitness]
-    periodicity: str
-    scope: str
-    reason: str = ""
-
-
-def _span(start, end, before, after) -> SpanOcc:
-    fmt = lambda b: None if b is None else str(b)
-    return SpanOcc(start, end, fmt(before), fmt(after))
 
 
 def _direct_witness(ctx: Context, x: Track, xinv: Track,
@@ -66,16 +34,8 @@ def _direct_witness(ctx: Context, x: Track, xinv: Track,
     x = x._replace(key=partial(ctx.gap_zero, x.letters))
     xinv = xinv._replace(key=partial(ctx.gap_zero, xinv.letters))
     hit = pair_scan(x, (x, xinv))
-    if hit is None:
-        return None
-    host, of, oi, L = hit
-    h = (x, xinv)[host]
-    content = (" ".join(str(l) for l in x.letters[of:of + L]) if L
-               else Context.format_literal(ctx.gap_zero(x.letters, of)))
-    return BrickWitness(content,
-                        _span(of - shift, of + L - shift, x.boundary(of - 1), x.boundary(of + L)),
-                        _span(oi - shift, oi + L - shift, h.boundary(oi - 1), h.boundary(oi + L)),
-                        ("x", "x-inverse")[host])
+    return None if hit is None else witness(
+        x, (x, xinv), hit, Context.format_literal(x.key(hit.of)), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +81,6 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1,
     return BrickReport(w is None, "direct", w, "periodic", "exact")
 
 
-def _wrap_word_report(rep: BrickWordReport, method: str, reason: str = "") -> BrickReport:
-    witness = None
-    if rep.witness is not None:
-        ww = rep.witness
-        left = ww.needle.left.letters if isinstance(ww.needle.left, Finite) else ()
-        right = ww.needle.right.letters if isinstance(ww.needle.right, Finite) else ()
-        shown = " ".join(str(l) for l in left + right) or f"<{ww.needle.base}>"
-        witness = BrickWitness(
-            shown,
-            _span(ww.factor.start, ww.factor.end, ww.factor.before, ww.factor.after),
-            _span(ww.image.start, ww.image.end, ww.image.before, ww.image.after),
-            "x" if ww.image_host == "w" else "x-inverse")
-    return BrickReport(rep.verdict, method, witness, rep.periodicity, rep.scope, reason)
-
-
 def string_brick_automaton(ctx: Context, x) -> BrickReport:
     """Automaton criterion: transport the pointed word to the binary MIA and
     test the brick word property."""
@@ -145,10 +90,8 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
     w = transport(m, phi, w)
     if isinstance(x, Str) and len(x) > 0:
         # spot-check basepoint-shift invariance on the gap-0 representative
-        rep = is_brick_word_shift_checked(mdelta, w, -len(x))
-    else:
-        rep = is_brick_word(mdelta, w)
-    return _wrap_word_report(rep, "automaton")
+        return is_brick_word_shift_checked(mdelta, w, -len(x))
+    return is_brick_word(mdelta, w)
 
 
 def band_brick_automaton(ctx: Context, b: Band, l: int,
@@ -164,8 +107,7 @@ def band_brick_automaton(ctx: Context, b: Band, l: int,
     q = b.string.letters
     w = string_to_word(ctx, BiInf(q, (), q))
     phi, mdelta = parity_mia(ctx)
-    rep = is_weak_brick_word(mdelta, transport(m, phi, w), length_bound_factor)
-    return _wrap_word_report(rep, "automaton")
+    return is_weak_brick_word(mdelta, transport(m, phi, w), length_bound_factor)
 
 
 def string_brick_endo(ctx: Context, x: Str, prime: int = endo.DEFAULT_PRIME) -> BrickReport:

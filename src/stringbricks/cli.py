@@ -4,8 +4,8 @@ Exit codes: 0 = success / property holds, 1 = checked false (not a brick, a
 violation or witness was found, not isomorphic), 2 = input error, 3 = cap
 exceeded or cross-method disagreement, 4 = internal error (an unexpected
 exception, never a verdict; ``--json`` sets ``error_kind`` to "internal").
-A stdout closed by its reader (``... | head -1``) exits 2 without a
-traceback, and nothing more is written.
+A stdout closed by its reader (``... | head -1``, ``--help | true``) exits 2
+without a traceback, and nothing more is written.
 ``--json`` switches every command to a single machine-readable document with
 a stable schema.
 """
@@ -59,23 +59,30 @@ class _Output:
                     print(line)
             sys.stdout.flush()
         except BrokenPipeError:
-            # the reader closed stdout: nothing more can be shown, and the
-            # interpreter's exit flush goes to the null device
-            if sys.stdout is sys.__stdout__:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return INPUT_ERROR
+            return _closed_stdout()
         return code
+
+
+def _closed_stdout() -> int:
+    """The reader closed stdout: nothing more can be shown, and the
+    interpreter's exit flush goes to the null device."""
+    if sys.stdout is sys.__stdout__:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return INPUT_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse ignores a failed write; main must see a closed stdout
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 def _load_context(path: str) -> Context:
     with open(path, encoding="utf-8") as fh:
         p = parse_presentation(fh.read())
     return Context(p, solve_sign_maps(p))
-
-
-def _report_dict(rep: BrickReport) -> dict:
-    d = asdict(rep)
-    return d
 
 
 def _brick_line(rep: BrickReport) -> str:
@@ -86,6 +93,19 @@ def _brick_line(rep: BrickReport) -> str:
         extra += (f" witness {w.content!r}: factor at {w.factor.start}..{w.factor.end},"
                   f" image at {w.image.start}..{w.image.end} in {w.image_host}")
     return f"{rep.method}: {verdict} ({rep.scope}){extra}"
+
+
+def _emit_reports(out: _Output, reports: list[BrickReport]) -> int:
+    """Every report, and the verdict they agree on or their disagreement."""
+    out.field("reports", [asdict(r) for r in reports])
+    for r in reports:
+        out.say(_brick_line(r))
+    if len({r.verdict for r in reports}) > 1:
+        out.field("disagreement", True)
+        out.say("methods disagree")
+        return out.emit(CAP_OR_DISAGREE)
+    out.field("verdict", reports[0].verdict)
+    return out.emit(OK if reports[0].verdict else CHECKED_FALSE)
 
 
 def cmd_validate(args, out: _Output) -> int:
@@ -178,16 +198,7 @@ def cmd_check_string_brick(args, out: _Output) -> int:
         else:
             reports.append(string_brick_endo(ctx, x))
     out.field("string", args.string)
-    out.field("reports", [_report_dict(r) for r in reports])
-    for r in reports:
-        out.say(_brick_line(r))
-    verdicts = {r.verdict for r in reports}
-    if len(verdicts) > 1:
-        out.field("disagreement", True)
-        out.say("methods disagree")
-        return out.emit(CAP_OR_DISAGREE)
-    out.field("verdict", reports[0].verdict)
-    return out.emit(OK if reports[0].verdict else CHECKED_FALSE)
+    return _emit_reports(out, reports)
 
 
 def cmd_check_band_brick(args, out: _Output) -> int:
@@ -207,16 +218,7 @@ def cmd_check_band_brick(args, out: _Output) -> int:
     out.field("band", args.string)
     out.field("l", args.l)
     out.field("lambda", args.lam)
-    out.field("reports", [_report_dict(r) for r in reports])
-    for r in reports:
-        out.say(_brick_line(r))
-    verdicts = {r.verdict for r in reports}
-    if len(verdicts) > 1:
-        out.field("disagreement", True)
-        out.say("methods disagree")
-        return out.emit(CAP_OR_DISAGREE)
-    out.field("verdict", reports[0].verdict)
-    return out.emit(OK if reports[0].verdict else CHECKED_FALSE)
+    return _emit_reports(out, reports)
 
 
 def cmd_enumerate_bricks(args, out: _Output) -> int:
@@ -265,7 +267,7 @@ def cmd_sturmian(args, out: _Output) -> int:
             failed = True
     if args.bridge:
         res = bridge(w, args.side)
-        out.field("bridge_report", _report_dict(res.report))
+        out.field("bridge_report", asdict(res.report))
         out.field("bridge_consistent", res.consistent())
         out.say(_brick_line(res.report))
         out.say(f"bridge cross-check consistent: {res.consistent()}")
@@ -309,13 +311,12 @@ def cmd_roundtrip(args, out: _Output) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stringbricks",
-                                 description="bricks over string algebras via inverse automata")
+    ap = _Parser(prog="stringbricks",
+                 description="bricks over string algebras via inverse automata")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
     sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+                            parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     s = sub.add_parser("validate", help="validate a presentation file")
     s.add_argument("file")
@@ -382,8 +383,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except BrokenPipeError:  # from --help, printed outside emit
+        return _closed_stdout()
     out = _Output(args.command, args.json)
     try:
         return args.fn(args, out)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .scan import Track, pair_scan, unroll
+from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
                     classify_periodicity, inv_seq, invert)
 from .words import APERIODIC, FINITE
@@ -153,6 +153,8 @@ def underlying(w: PointedWord) -> WordRep:
     """The two-sided word rep obtained by forgetting the basepoint."""
     l, r = w.left, w.right
     if isinstance(r, Window):
+        if l != Finite(()):
+            raise UnsupportedRepresentation("window words must have an empty left part")
         return r
     if isinstance(l, Finite) and isinstance(r, Finite):
         return Finite(l.letters + r.letters)
@@ -466,36 +468,10 @@ def _placement(host: _FiniteHost, g: int) -> PointedWord:
 # brick words
 
 
-@dataclass(frozen=True)
-class WitnessOcc:
-    start: int
-    end: int
-    before: Optional[Letter]
-    after: Optional[Letter]
-
-
-@dataclass(frozen=True)
-class WordWitness:
-    """A common factor/image pointed subword: the single certificate of
-    non-brickness."""
-
-    needle: PointedWord
-    factor: WitnessOcc
-    image: WitnessOcc
-    image_host: str  # "w" | "w-inverse"
-
-
-@dataclass(frozen=True)
-class BrickWordReport:
-    verdict: bool
-    witness: Optional[WordWitness]
-    periodicity: str
-    scope: str
-
-
 def _word_witness(x: Track, xinv: Track, states=None,
-                  shift: int = 0) -> Optional[WordWitness]:
-    """The brick-word witness on the pair scan.
+                  shift: int = 0) -> Optional[BrickWitness]:
+    """The brick-word witness on the pair scan; a zero-length one shows its
+    basepoint state as `<state>`.
 
     With single-valued gap states the tracks carry them as start keys.
     Otherwise states(host, g) is the gap class at gap g of x (host 0) or
@@ -511,16 +487,8 @@ def _word_witness(x: Track, xinv: Track, states=None,
     hit = pair_scan(x, (x, xinv), None if states is None else common)
     if hit is None:
         return None
-    host, of, oi, L = hit
-    h = (x, xinv)[host]
-    content = x.letters[of:of + L]
-    needle = (finite_word((), x.key(of), content) if states is None
-              else finite_word(content, min(common(hit)), ()))
-    return WordWitness(
-        needle,
-        WitnessOcc(of - shift, of + L - shift, x.boundary(of - 1), x.boundary(of + L)),
-        WitnessOcc(oi - shift, oi + L - shift, h.boundary(oi - 1), h.boundary(oi + L)),
-        ("w", "w-inverse")[host])
+    base = x.key(hit.of) if states is None else min(common(hit))
+    return witness(x, (x, xinv), hit, f"<{base}>", shift)
 
 
 def _finite_hosts(m: Mia, w: PointedWord) -> tuple[_FiniteHost, _FiniteHost]:
@@ -530,16 +498,16 @@ def _finite_hosts(m: Mia, w: PointedWord) -> tuple[_FiniteHost, _FiniteHost]:
     return host, _FiniteHost(m, inv_seq(u), len(u) - b, m.inv[host.base])
 
 
-def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickWordReport:
+def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickReport:
     """Finite words are aperiodic, so a word is a (weak) brick word iff the
     scan finds no witness."""
     x = Track(hosts[0].u)
-    witness = _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
-    return BrickWordReport(witness is None, witness, FINITE, "exact")
+    found = _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
+    return BrickReport(found is None, "automaton", found, FINITE, "exact")
 
 
 def _periodic_witness(m: Mia, host: _PeriodicHost,
-                      length_bound: int) -> Optional[WordWitness]:
+                      length_bound: int) -> Optional[BrickWitness]:
     """Anchors range over the gap period of each host, which may be a proper
     multiple of the letter period."""
     hosts = (host, _periodic_inverse(m, host))
@@ -547,7 +515,7 @@ def _periodic_witness(m: Mia, host: _PeriodicHost,
     return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 
 
-def _window_witness(m: Mia, host: _WindowHost) -> Optional[WordWitness]:
+def _window_witness(m: Mia, host: _WindowHost) -> Optional[BrickWitness]:
     win = host.window
     inv_word = PointedWord(Finite(()), m.inv[host.base],
                            Window(inv_seq(host.u), win.certified_aperiodic, win.origin,
@@ -558,40 +526,40 @@ def _window_witness(m: Mia, host: _WindowHost) -> Optional[WordWitness]:
 
 
 def _brick_word(m: Mia, w: PointedWord, weak: bool,
-                length_bound_factor: int = 1) -> BrickWordReport:
+                length_bound_factor: int = 1) -> BrickReport:
     """Both notions share the witness search; only a brick word must also
     be aperiodic."""
     if isinstance(w.right, Window):
         host = _WindowHost(m, w)
-        witness = _window_witness(m, host)
+        found = _window_witness(m, host)
         cls = classify_periodicity(w.right)
-        verdict = witness is None and (weak or cls == APERIODIC)
-        return BrickWordReport(verdict, witness, cls, f"window {len(host.u)}")
+        verdict = found is None and (weak or cls == APERIODIC)
+        return BrickReport(verdict, "automaton", found, cls, f"window {len(host.u)}")
     cls = classify_periodicity(underlying(w))
     if cls == FINITE:
         return _finite_report(_finite_hosts(m, w))
     if not weak:
         # every eventually periodic rep is almost periodic, hence not aperiodic
-        return BrickWordReport(False, None, cls, "exact")
+        return BrickReport(False, "automaton", None, cls, "exact")
     host = _periodic_host(m, w)
-    witness = _periodic_witness(m, host, host.P * length_bound_factor)
-    return BrickWordReport(witness is None, witness, cls, "exact")
+    found = _periodic_witness(m, host, host.P * length_bound_factor)
+    return BrickReport(found is None, "automaton", found, cls, "exact")
 
 
-def is_brick_word(m: Mia, w: PointedWord) -> BrickWordReport:
+def is_brick_word(m: Mia, w: PointedWord) -> BrickReport:
     """Brick word: the underlying word is aperiodic and no pointed word is
     simultaneously a factor subword of w and an image subword of w or w^{-1}
     (the identity pair excluded)."""
     return _brick_word(m, w, weak=False)
 
 
-def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> BrickWordReport:
+def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> BrickReport:
     """Weak brick word: no finite common factor/image pointed subword; no
     aperiodicity requirement."""
     return _brick_word(m, w, weak=True, length_bound_factor=length_bound_factor)
 
 
-def is_brick_word_shift_checked(m: Mia, w: PointedWord, steps: int) -> BrickWordReport:
+def is_brick_word_shift_checked(m: Mia, w: PointedWord, steps: int) -> BrickReport:
     """is_brick_word for a finite w, spot-checking basepoint-shift
     invariance on the representative shift_basepoint(m, w, steps): it must
     have the gap classes of w, and its inverse those of w^{-1}, else

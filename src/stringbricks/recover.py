@@ -89,7 +89,7 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
             if run is None:
                 # minimality: the suffix run of length k-1 must survive
                 suffix_start = provenance[chain[1]][0] if len(chain) > 1 else None
-                if _run_defined(m, suffix_start, k - 1):
+                if m.run(suffix_start, (ZERO,) * (k - 1)) is not None:
                     relations.append(tuple(chain))
                 break
             cur = provenance[nxt_arrow][1]
@@ -101,17 +101,6 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
         declared_signs=None,
     )
     return RecoveredPresentation(pres, dict(classes), provenance)
-
-
-def _run_defined(m: Mia, state: Optional[str], steps: int) -> bool:
-    if state is None:
-        return False
-    cur = state
-    for _ in range(steps):
-        cur = m.step(cur, ZERO)
-        if cur is None:
-            return False
-    return True
 
 
 def presentations_isomorphic(p1: Presentation, p2: Presentation,

@@ -15,11 +15,13 @@ starts, and only for pairs whose start keys agree: each route supplies its
 own notion of gap state (the zero-length string at a gap, an automaton
 state) as the key, and a predicate for whatever the key does not decide.
 The LCE is exact: letters are tuples, so it compares tuple slices in C, with
-no hashing and no index to build.
+no hashing and no index to build.  `witness` turns a hit into the one
+witness record, which every route's `BrickReport` carries.
 """
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from .words import Letter, inv_seq
@@ -70,8 +72,9 @@ def unroll(q: Sequence[Letter], starts: int, span: int) -> Track:
     edges.  Gap g (0 <= g < starts) sits at index g + 1, after its
     before-letter and followed by at least `span` letters and an
     after-letter, so the scan sees every witness of length up to `span`.
-    With span >= |q| that is enough: dropping the first |q| letters of a
-    longer witness leaves a witness."""
+    With span >= |q| that is every witness: x and x^{-1} are |q|-periodic,
+    so two starts that agree on |q| letters agree forever (the equal-period
+    case of Fine and Wilf, 1965); every witness is shorter than |q|."""
     P = len(q)
     letters = tuple(q[(k - 1) % P] for k in range(starts + span + 1))
     return Track(letters, False, False, range(1, starts + 1))
@@ -82,6 +85,48 @@ class Hit(NamedTuple):
     of: int    # factor start
     oi: int    # image start
     L: int
+
+
+@dataclass(frozen=True)
+class SpanOcc:
+    start: int
+    end: int
+    before: Optional[str]
+    after: Optional[str]
+
+
+@dataclass(frozen=True)
+class BrickWitness:
+    content: str
+    factor: SpanOcc
+    image: SpanOcc
+    image_host: str  # "x" | "x-inverse"
+
+
+@dataclass(frozen=True)
+class BrickReport:
+    verdict: bool
+    method: str
+    witness: Optional[BrickWitness]
+    periodicity: str
+    scope: str
+    reason: str = ""
+
+
+def witness(track: Track, images: Sequence[Track], hit: Hit, zero: str,
+            shift: int = 0) -> BrickWitness:
+    """The witness of a hit of pair_scan(track, images): its letters (or,
+    when L = 0, the route's label `zero` of the zero-length word) and both
+    occurrences with their boundary letters as text.  `shift` maps track
+    indices back to word gaps."""
+    def occ(t: Track, o: int) -> SpanOcc:
+        b, a = t.boundary(o - 1), t.boundary(o + hit.L)
+        return SpanOcc(o - shift, o + hit.L - shift,
+                       None if b is None else str(b), None if a is None else str(a))
+
+    content = " ".join(map(str, track.letters[hit.of:hit.of + hit.L])) if hit.L else zero
+    return BrickWitness(content, occ(track, hit.of), occ(images[hit.host], hit.oi),
+                        ("x", "x-inverse")[hit.host])
 
 
 def lce(u: tuple, i: int, v: tuple, j: int) -> int:

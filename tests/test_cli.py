@@ -225,6 +225,23 @@ def test_closed_stdout_is_input_error(lambda3_file, monkeypatch, raising):
         assert ClosedPipe.failures == 1  # the report is not emitted again
 
 
+@pytest.mark.parametrize("raising", ["write", "flush"])
+def test_closed_stdout_on_help_is_input_error(monkeypatch, raising):
+    # argparse prints --help itself, outside the report's emit
+    class ClosedPipe:
+        def write(self, text):
+            if raising == "write":
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            if raising == "flush":
+                raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    for argv in (["--help"], ["check-string-brick", "--help"]):
+        assert main(argv) == 2
+
+
 def test_human_output(lambda3_file, capsys):
     code = main(["check-string-brick", lambda3_file, "b1 a1'", "--method", "direct"])
     out = capsys.readouterr().out

@@ -4,12 +4,13 @@ import re
 import pytest
 
 from stringbricks.construct import build_mia, parity_mia, string_to_word
-from stringbricks.mia import (Mia, MiaError, check_local_bijection,
+from stringbricks.mia import (Mia, MiaError, PointedWord,
+                              UnsupportedRepresentation, check_local_bijection,
                               check_word, equivalent, finite_word, format_mia,
                               is_brick_word, is_weak_brick_word, parse_mia,
                               relabel, shift_basepoint, transport,
-                              transport_back, validate_mia)
-from stringbricks.words import BiInf, Letter, Window, inv_seq
+                              transport_back, underlying, validate_mia)
+from stringbricks.words import BiInf, Finite, Letter, Window, inv_seq
 
 
 def L(tok):
@@ -151,6 +152,13 @@ def test_invalid_word_rejected(l3):
         check_word(m, w)
 
 
+def test_underlying_keeps_or_rejects_a_window_left_part():
+    win = Window(lits("a1'"), False, "sample")
+    assert underlying(PointedWord(Finite(()), "1(v2,+1)", win)) == win
+    with pytest.raises(UnsupportedRepresentation):
+        underlying(PointedWord(Finite(lits("b1")), "1(v2,+1)", win))
+
+
 # --- brick words -----------------------------------------------------------------
 
 def test_brick_word_a(l3):
@@ -165,7 +173,7 @@ def test_brick_word_ab_witness(l3):
     assert not rep.verdict
     w = rep.witness
     assert w is not None
-    assert w.needle.base == "1(v2,+1)"
+    assert w.content == "<1(v2,+1)>"
     assert (w.factor.start, w.factor.end) == (0, 0)
     assert (w.image.start, w.image.end) == (4, 4)
 

@@ -157,6 +157,26 @@ def test_long_witness_band_matches_brute_pairs(l3):
     assert band_matches_brute_pairs(l3, b) is True
 
 
+def test_band_witnesses_are_shorter_than_the_period(l3, gam, corpus):
+    """x and x^{-1} are |q|-periodic, so two starts that agree on |q|
+    letters agree forever: every band witness is shorter than |q|, which
+    is why the band scans unroll |q| letters past each start."""
+    q = tuple(s for c in "aaaaaaaabaaaaaab" for s in BLOCKS[c])
+    long_band, _ = l3.is_band(l3.make_string(q[1:] + q[:1]))
+    bands = [(l3, long_band)] + [(ctx, b) for ctx in (l3, gam, *corpus)
+                                 for b in ctx.enumerate_bands(8)]
+    ratios = []
+    for ctx, b in bands:
+        P = len(b.string.letters)
+        for f in (1, 3):
+            for rep in (band_brick_direct(ctx, b, 1, length_bound_factor=f),
+                        band_brick_automaton(ctx, b, 1, length_bound_factor=f)):
+                if rep.witness is not None:
+                    ratios.append((rep.witness.factor.end - rep.witness.factor.start) / P)
+    assert len(ratios) > 32 and max(ratios) < 1
+    assert max(ratios) == 12 / 32  # the long-witness band
+
+
 def test_unroll_reaches_span_past_every_start(l3):
     # the bands checked above, the long-witness one included, still pass with
     # an unrolling that ends at the last start, so its length is checked here
