@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
-                    classify_periodicity, inv_seq, invert)
+                    classify_periodicity, inv_seq, inverse_of, invert)
 from .words import APERIODIC, FINITE
 
 
@@ -188,7 +188,7 @@ class _FiniteHost:
             raise MiaError(f"basepoint {base!r} is not an initial state")
         table = m.by_letter
         fwd = [table.get(l, {}) for l in u]  # gap g to g + 1 reads u[g]
-        back = [table.get(l.inverse(), {}) for l in u]
+        back = [table.get(l, {}) for l in map(inverse_of, u)]
 
         # rfin[g]: the states whose run over u[g:] is defined, with its end
         rfin = [None] * n + [dict(zip(m.states, m.states))]
@@ -294,7 +294,7 @@ class _PeriodicHost:
             raise MiaError(f"basepoint {base!r} is not an initial state")
         table = m.by_letter
         fwd = [table.get(l, {}) for l in q]  # gap r to r + 1 reads q[r]
-        back = [table.get(q[r - 1].inverse(), {}) for r in range(P)]
+        back = [table.get(l, {}) for l in map(inverse_of, q[-1:] + q[:-1])]
         inv, e = m.inv, m.e
 
         def walk(steps, d):
@@ -369,10 +369,8 @@ def _periodic_host(m: Mia, w: PointedWord) -> _PeriodicHost:
 
 
 def _periodic_inverse(m: Mia, host: _PeriodicHost) -> _PeriodicHost:
-    P = host.P
-    qinv = tuple(host.q[(P - 1 - i) % P].inverse() for i in range(P))
     # the seam of the inverse word carries the involuted basepoint
-    return _PeriodicHost(m, qinv, m.inv[host.base])
+    return _PeriodicHost(m, inv_seq(host.q), m.inv[host.base])
 
 
 # ---------------------------------------------------------------------------

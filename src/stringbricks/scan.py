@@ -10,13 +10,14 @@ beyond the scanned letters) cannot be classified and does not count.
 For a pair of starts (factor start of, image start oi) the only possible
 witness length is L = LCE(of, oi): at any shorter length both after-letters
 are the same letter, which cannot be direct on one side and inverse on the
-other, nor flush with a word end.  So the scan takes one LCE per pair of
-starts, and only for pairs whose start keys agree: each route supplies its
-own notion of gap state (the zero-length string at a gap, an automaton
-state) as the key, and a predicate for whatever the key does not decide.
-The LCE is exact: letters are tuples, so it compares tuple slices in C, with
-no hashing and no index to build.  `witness` turns a hit into the one
-witness record, which every route's `BrickReport` carries.
+other, nor flush with a word end.  So the scan pairs only starts whose
+start keys agree (each route supplies its own notion of gap state, the
+zero-length string at a gap or an automaton state, as the key, and a
+predicate for whatever the key does not decide), and takes an LCE only for
+pairs whose first letters agree; the others have L = 0.  The LCE is exact:
+letters are tuples, so it compares tuple slices in C, with no hashing and
+no index to build.  `witness` turns a hit into the one witness record,
+which every route's `BrickReport` carries.
 """
 from __future__ import annotations
 
@@ -144,13 +145,19 @@ def lce(u: tuple, i: int, v: tuple, j: int) -> int:
     return k
 
 
-def _starts(t: Track, admits) -> list[tuple[int, Hashable]]:
-    out = []
-    for o in t.starts if t.starts is not None else range(len(t.letters) + 1):
-        b = t.boundary(o - 1)
-        if b is not OPEN and admits(b):
-            out.append((o, t.key(o) if t.key else None))
-    return out
+def _rule_at(t: Track, rule: Callable[[Optional[Letter]], bool]) -> list:
+    """rule at letter index i as entry i + 1, for i = -1..n: the closed ends
+    read None, an open end is False."""
+    return [t.left_closed and rule(None), *map(rule, t.letters),
+            t.right_closed and rule(None)]
+
+
+def _starts(t: Track, before: list) -> list[tuple[int, Optional[Letter], Hashable]]:
+    """The admissible starts with their first letter (None at the word end)
+    and start key."""
+    u, n = t.letters, len(t.letters)
+    return [(o, u[o] if o < n else None, t.key(o) if t.key else None)
+            for o in (t.starts if t.starts is not None else range(n + 1)) if before[o]]
 
 
 def pair_scan(track: Track, images: Sequence[Track],
@@ -170,20 +177,22 @@ def pair_scan(track: Track, images: Sequence[Track],
         # a list slice never equals a tuple slice, so a list would get LCE 0
         raise TypeError("track letters must be a tuple")
     frule, irule = rules
-    fstarts = _starts(track, frule.before)
+    u = track.letters
+    fstarts = _starts(track, _rule_at(track, frule.before))
+    fafter = _rule_at(track, frule.after)
     for h, t in enumerate(images):
+        v = t.letters
+        iafter = _rule_at(t, irule.after)
         buckets = defaultdict(list)
-        for o, key in _starts(t, irule.before):
-            buckets[key].append(o)
-        for of, key in fstarts:
-            for oi in buckets.get(key, ()):
+        for oi, b, key in _starts(t, _rule_at(t, irule.before)):
+            buckets[key].append((oi, b))
+        for of, a, key in fstarts:
+            for oi, b in buckets.get(key, ()):
                 if t is track and of == oi:
                     continue
-                L = lce(track.letters, of, t.letters, oi)
-                fa, ia = track.boundary(of + L), t.boundary(oi + L)
-                if fa is OPEN or ia is OPEN or not (frule.after(fa) and irule.after(ia)):
-                    continue
-                hit = Hit(h, of, oi, L)
-                if accept is None or accept(hit):
-                    return hit
+                L = 1 + lce(u, of + 1, v, oi + 1) if a is not None and a == b else 0
+                if fafter[of + L + 1] and iafter[oi + L + 1]:
+                    hit = Hit(h, of, oi, L)
+                    if accept is None or accept(hit):
+                        return hit
     return None

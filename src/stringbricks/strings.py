@@ -108,20 +108,22 @@ class Context:
             raise StringError("side must be +1 or -1")
         return Str((), vertex, side, vertex, vertex, -side, side)
 
-    def _check_window(self, letters: Sequence[Letter], i: int) -> None:
-        """Check relation clauses for windows ending at index i."""
-        for L in range(2, self.maxrel + 1):
-            if i - L + 1 < 0:
-                break
-            win = letters[i - L + 1:i + 1]
-            if all(not l.inv for l in win):
-                if tuple(l.sym for l in win) in self.rels:
-                    raise StringError(f"relation {' '.join(l.sym for l in win)} violated", i)
-            if all(l.inv for l in win):
-                if tuple(l.sym for l in reversed(win)) in self.rels:
+    def _check_relations(self, seq: Sequence[Letter]) -> None:
+        """Raise at the first relation (or inverse of one) in seq, by end
+        index, then length.  A relation window lies inside one run of
+        same-direction syllables, so only windows within the current run
+        are looked at."""
+        run = 0
+        for i, l in enumerate(seq):
+            run = run + 1 if i and l.inv == seq[i - 1].inv else 1
+            for L in range(2, min(run, self.maxrel) + 1):
+                syms = tuple(x.sym for x in seq[i - L + 1:i + 1])
+                if not l.inv:
+                    if syms in self.rels:
+                        raise StringError(f"relation {' '.join(syms)} violated", i)
+                elif syms[::-1] in self.rels:
                     raise StringError(
-                        "inverse of relation "
-                        + " ".join(l.sym for l in reversed(win)) + " violated", i)
+                        f"inverse of relation {' '.join(syms[::-1])} violated", i)
 
     def make_string(self, syllables: Iterable[Letter]) -> Str:
         """Validate a syllable sequence; raises StringError naming the violated
@@ -133,14 +135,14 @@ class Context:
             if l.sym not in self.amap:
                 raise StringError(f"unknown arrow {l.sym}")
         for i in range(1, len(seq)):
-            if self.letter_dst(seq[i - 1]) != self.letter_src(seq[i]):
+            p, l = seq[i - 1], seq[i]
+            if self.letter_dst(p) != self.letter_src(l):
                 raise StringError(
-                    f"composition mismatch t({seq[i-1]})={self.letter_dst(seq[i-1])}"
-                    f" != s({seq[i]})={self.letter_src(seq[i])}", i)
-            if seq[i - 1] == seq[i].inverse():
-                raise StringError(f"backtrack {seq[i-1]} {seq[i]}", i)
-        for i in range(len(seq)):
-            self._check_window(seq, i)
+                    f"composition mismatch t({p})={self.letter_dst(p)}"
+                    f" != s({l})={self.letter_src(l)}", i)
+            if p.sym == l.sym and p.inv != l.inv:
+                raise StringError(f"backtrack {p} {l}", i)
+        self._check_relations(seq)
         return Str(seq, None, None,
                    self.letter_src(seq[0]), self.letter_dst(seq[-1]),
                    self.sig(seq[0]), self.eps(seq[-1]))
@@ -175,9 +177,10 @@ class Context:
             body = text[2:-1]
             try:
                 vertex, side = body.split(",")
-                return self.zero(vertex.strip(), int(side))
+                side = int(side)
             except ValueError:
                 raise StringError(f"malformed zero-length literal {text!r}")
+            return self.zero(vertex.strip(), side)
         toks = text.split()
         if not toks:
             raise StringError("empty string literal")
@@ -250,12 +253,10 @@ class Context:
         for nxt in self.syllables():
             if self.letter_src(nxt) != self.letter_dst(last):
                 continue
-            if nxt == last.inverse():
+            if nxt.sym == last.sym and nxt.inv != last.inv:
                 continue
-            tail = tuple(seq[-(self.maxrel - 1):]) + (nxt,)
             try:
-                for i in range(len(tail)):
-                    self._check_window(tail, i)
+                self._check_relations(tuple(seq[-(self.maxrel - 1):]) + (nxt,))
             except StringError:
                 continue
             out.append(nxt)

@@ -25,18 +25,31 @@ class Letter(NamedTuple):
     inv: bool = False
 
     def inverse(self) -> "Letter":
-        return Letter(self.sym, not self.inv)
+        return inverse_of(self)
 
     def __str__(self) -> str:
         return self.sym + "'" if self.inv else self.sym
 
+
+class _Inverses(dict):
+    """Each letter's inverse, built once per distinct letter: building a
+    Letter runs the named tuple's Python-level __new__, a lookup runs in C.
+    The table holds only values, so sharing it between callers changes no
+    result; it grows by two entries per arrow symbol."""
+
+    def __missing__(self, l: Letter) -> Letter:
+        inv = self[l] = Letter(l.sym, not l.inv)
+        return inv
+
+
+inverse_of = _Inverses().__getitem__
 
 Letters = tuple  # tuple[Letter, ...]
 
 
 def inv_seq(seq: Sequence[Letter]) -> Letters:
     """Letterwise inverse with order reversal."""
-    return tuple(x.inverse() for x in reversed(seq))
+    return tuple(map(inverse_of, reversed(seq)))
 
 
 def primitive_root(seq: Sequence[Letter]) -> Letters:

@@ -2,17 +2,19 @@
 buckets, every (factor start, image start, length) tried letter by letter,
 with the boundary rule and the gap keys checked straight from the
 definitions."""
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
-from stringbricks.scan import Track, lce, pair_scan, unroll
-from stringbricks.sturmian import (DirectiveSequence, characteristic_prefix,
-                                   sturmian_window_check)
+from stringbricks.scan import FACTOR, IMAGE, Hit, Track, lce, pair_scan, unroll
+from stringbricks.sturmian import (_AFTER_A, _AFTER_B, DirectiveSequence,
+                                   characteristic_prefix, sturmian_window_check)
 from stringbricks.words import BiInf, Letter, Window, inv_seq
 
 OPEN = "open"
@@ -349,3 +351,134 @@ def test_long_windows_match_brute_first_pair(l3):
                 firsts.append(first)
     lengths = [f[3] for f in firsts if f is not None]
     assert 0 < len(lengths) < len(firsts) and max(lengths) > 8
+
+
+# ---------------------------------------------------------------------------
+# pair_scan itself against a scan by definition
+
+
+RULE_PAIRS = ((FACTOR, IMAGE), (_AFTER_A, _AFTER_B))
+ALPHABET = (A, B, A.inverse(), B.inverse())
+
+
+def brute_scan(track, images, accept, rules):
+    """pair_scan by definition: every (host, factor start, image start, L)
+    tried letter by letter, with the boundary letters read straight from
+    the track.  Returns the candidate pairs (equal keys, admissible
+    before-letters), the hits passed to accept in order, and the first hit
+    accept agrees to (None if there is none)."""
+    frule, irule = rules
+
+    def at(t, i):
+        if 0 <= i < len(t.letters):
+            return t.letters[i]
+        closed = t.left_closed if i < 0 else t.right_closed
+        return None if closed else OPEN
+
+    def starts(t, before):
+        gaps = t.starts if t.starts is not None else range(len(t.letters) + 1)
+        return [o for o in gaps if at(t, o - 1) != OPEN and before(at(t, o - 1))]
+
+    def key(t, o):
+        return t.key(o) if t.key else None
+
+    candidates, asked = [], []
+    for h, t in enumerate(images):
+        for of in starts(track, frule.before):
+            for oi in starts(t, irule.before):
+                if key(track, of) != key(t, oi) or (t is track and of == oi):
+                    continue
+                candidates.append((h, of, oi))
+                for L in range(min(len(track.letters) - of, len(t.letters) - oi) + 1):
+                    if L and track.letters[of + L - 1] != t.letters[oi + L - 1]:
+                        break
+                    fa, ia = at(track, of + L), at(t, oi + L)
+                    if OPEN in (fa, ia) or not (frule.after(fa) and irule.after(ia)):
+                        continue
+                    asked.append(Hit(h, of, oi, L))
+                    if accept is None or accept(asked[-1]):
+                        return candidates, asked, asked[-1]
+    return candidates, asked, None
+
+
+def scan_matches_brute(track, images, accept, rules):
+    """pair_scan asks accept about the same hits in the same order as the
+    brute scan and returns the same hit; returns the brute scan's output."""
+    asked = []
+
+    def recorded(hit):
+        asked.append(hit)
+        return accept(hit)
+
+    want = brute_scan(track, images, accept, rules)
+    got = pair_scan(track, images, None if accept is None else recorded, rules)
+    assert got == want[2]
+    if accept is not None:
+        assert asked == want[1]
+    return want
+
+
+@st.composite
+def scan_cases(draw):
+    """A factor track and its image tracks (the track itself, its inverse or
+    other random tracks) over a mixed direct/inverse alphabet, with random
+    edges, start ranges and, for all tracks or none, random start keys."""
+    alphabet = draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=4, unique=True))
+    keyed = draw(st.booleans())
+
+    def keys(n):
+        return tuple(draw(st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)))
+
+    def track():
+        letters = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=10)))
+        n = len(letters)
+        starts = None
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, n + 1))
+            starts = range(lo, draw(st.integers(lo, n + 1)))
+        return Track(letters, draw(st.booleans()), draw(st.booleans()), starts,
+                     keys(n).__getitem__ if keyed else None)
+
+    x = track()
+    images = []
+    for kind in draw(st.lists(st.sampled_from(("self", "inverse", "other")),
+                              min_size=1, max_size=3)):
+        if kind == "self":
+            images.append(x)
+        elif kind == "inverse":
+            images.append(x.inverse(keys(len(x.letters)).__getitem__ if keyed else None))
+        else:
+            images.append(track())
+    return x, tuple(images)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases(), st.sampled_from(RULE_PAIRS),
+       st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 3))))
+def test_pair_scan_matches_brute_scan(case, rules, salt):
+    accept = None if salt is None else (
+        lambda hit: (hit.host + 3 * hit.of + 5 * hit.oi + 7 * hit.L + salt[1]) % salt[0] == 0)
+    scan_matches_brute(*case, accept, rules)
+
+
+def test_pair_scan_matches_brute_scan_on_all_short_words():
+    """Every word of <= 3 letters over a, a', b with every pair of edges,
+    against itself and its inverse: accept refuses every hit, so both scans
+    run through all their pairs.  The pairs include the ones the scan
+    decides without an LCE: L = 0 at a closed end gap and between differing
+    first letters, and starts at an open end gap."""
+    closed_end = differing = open_end = 0
+    for w in (w for k in range(4) for w in itertools.product((A, A.inverse(), B), repeat=k)):
+        for lc, rc in itertools.product((False, True), repeat=2):
+            x = Track(w, lc, rc)
+            images = (x, x.inverse())
+            for rules in RULE_PAIRS:
+                candidates, asked, _ = scan_matches_brute(x, images, lambda hit: False, rules)
+                assert pair_scan(x, images, rules=rules) == (asked[0] if asked else None)
+                n = len(w)
+                for h, of, oi, L in asked:
+                    closed_end += L == 0 and n in (of, oi)
+                    differing += L == 0 and n not in (of, oi) and w[of] != images[h].letters[oi]
+                open_end += sum((of == n and not rc) or (oi == n and not images[h].right_closed)
+                                for h, of, oi in candidates)
+    assert closed_end > 50 and differing > 50 and open_end > 50

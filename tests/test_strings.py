@@ -1,4 +1,6 @@
 import itertools
+import random
+from functools import partial
 
 import pytest
 
@@ -56,6 +58,105 @@ def test_literal_roundtrip(l3):
     for text in ("b1 a1'", "1(v2,+1)", "a2' b2"):
         x = l3.parse_literal(text)
         assert l3.parse_literal(Context.format_literal(x)) == x
+
+
+def test_zero_literal_reports_the_zero_length_error(l3):
+    # only a bad split or side number is a malformed literal; a well-formed
+    # one keeps the reason zero() gives
+    for text, reason in (("1(v9,+1)", "unknown vertex v9"),
+                         ("1(v2,2)", "side must be +1 or -1"),
+                         ("1(v2)", "malformed zero-length literal '1(v2)'"),
+                         ("1(v2,x)", "malformed zero-length literal '1(v2,x)'")):
+        with pytest.raises(StringError) as err:
+            l3.parse_literal(text)
+        assert str(err.value) == reason
+
+
+# --- the relation check against the per-index reference ---------------------
+
+def reference_check_window(ctx, letters, i):
+    """Relation clauses for every window ending at index i."""
+    for L in range(2, ctx.maxrel + 1):
+        if i - L + 1 < 0:
+            break
+        win = letters[i - L + 1:i + 1]
+        if all(not l.inv for l in win):
+            if tuple(l.sym for l in win) in ctx.rels:
+                raise StringError(f"relation {' '.join(l.sym for l in win)} violated", i)
+        if all(l.inv for l in win):
+            if tuple(l.sym for l in reversed(win)) in ctx.rels:
+                raise StringError(
+                    "inverse of relation "
+                    + " ".join(l.sym for l in reversed(win)) + " violated", i)
+
+
+def reference_make_string(ctx, seq):
+    seq = tuple(seq)
+    if not seq:
+        raise StringError("empty syllable sequence (use zero(v, side) for 1_(v,i))")
+    for l in seq:
+        if l.sym not in ctx.amap:
+            raise StringError(f"unknown arrow {l.sym}")
+    for i in range(1, len(seq)):
+        if ctx.letter_dst(seq[i - 1]) != ctx.letter_src(seq[i]):
+            raise StringError(
+                f"composition mismatch t({seq[i-1]})={ctx.letter_dst(seq[i-1])}"
+                f" != s({seq[i]})={ctx.letter_src(seq[i])}", i)
+        if seq[i - 1] == seq[i].inverse():
+            raise StringError(f"backtrack {seq[i-1]} {seq[i]}", i)
+    for i in range(len(seq)):
+        reference_check_window(ctx, seq, i)
+    return Str(seq, None, None, ctx.letter_src(seq[0]), ctx.letter_dst(seq[-1]),
+               ctx.sig(seq[0]), ctx.eps(seq[-1]))
+
+
+def reference_continuations(ctx, seq):
+    out = []
+    for nxt in ctx.syllables():
+        if ctx.letter_src(nxt) != ctx.letter_dst(seq[-1]) or nxt == seq[-1].inverse():
+            continue
+        tail = tuple(seq[-(ctx.maxrel - 1):]) + (nxt,)
+        try:
+            for i in range(len(tail)):
+                reference_check_window(ctx, tail, i)
+        except StringError:
+            continue
+        out.append(nxt)
+    return out
+
+
+def outcome(make, seq):
+    try:
+        return make(seq)
+    except StringError as err:
+        return str(err), err.position
+
+
+def test_make_string_matches_per_index_reference(l3, gam, corpus):
+    rng = random.Random(29)
+    ctxs = (l3, gam, *corpus[:5])
+    kinds = set()
+    for ctx in ctxs:
+        syl = ctx.syllables()
+        seqs = [s for k in range(1, 5) for s in itertools.product(syl, repeat=k)]
+        seqs += [tuple(rng.choice(syl) for _ in range(rng.randint(1, 9)))
+                 for _ in range(20000 // len(ctxs))]
+        for seq in seqs:
+            got = outcome(ctx.make_string, seq)
+            assert got == outcome(partial(reference_make_string, ctx), seq), seq
+            kinds.add("ok" if isinstance(got, Str) else got[0].split()[0])
+    assert kinds == {"ok", "composition", "backtrack", "relation", "inverse"}
+
+
+def test_continuations_match_per_index_reference(l3, gam, corpus):
+    extended = 0
+    for ctx in (l3, gam, *corpus[:5]):
+        for x in ctx.enumerate_strings(5):
+            if x.letters:
+                got = ctx.continuations(x.letters)
+                assert got == reference_continuations(ctx, x.letters), x
+                extended += bool(got)
+    assert extended > 100
 
 
 # --- concatenation ----------------------------------------------------------
