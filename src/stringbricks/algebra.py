@@ -36,12 +36,6 @@ class Presentation:
     def arrow_map(self) -> dict[str, tuple[str, str]]:
         return {a: (s, t) for a, s, t in self.arrows}
 
-    def src(self, arrow: str) -> str:
-        return self.arrow_map()[arrow][0]
-
-    def dst(self, arrow: str) -> str:
-        return self.arrow_map()[arrow][1]
-
 
 @dataclass(frozen=True)
 class SignMaps:

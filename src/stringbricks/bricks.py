@@ -16,9 +16,8 @@ from functools import partial
 from typing import Optional
 
 from . import endo
-from .construct import build_mia, parity_mia, string_to_word
-from .mia import (is_brick_word, is_brick_word_shift_checked, is_weak_brick_word,
-                  transport)
+from .construct import binary_word, parity_mia
+from .mia import is_brick_word, is_brick_word_shift_checked, is_weak_brick_word
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .strings import Band, Context, Str, StringError
 from .words import BiInf, LeftInf, RightInf, Window, classify_periodicity, inv_seq
@@ -84,10 +83,8 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1,
 def string_brick_automaton(ctx: Context, x) -> BrickReport:
     """Automaton criterion: transport the pointed word to the binary MIA and
     test the brick word property."""
-    m = build_mia(ctx)
-    w = string_to_word(ctx, x)
-    phi, mdelta = parity_mia(ctx)
-    w = transport(m, phi, w)
+    w = binary_word(ctx, x)
+    mdelta = parity_mia(ctx)[1]
     if isinstance(x, Str) and len(x) > 0:
         # spot-check basepoint-shift invariance on the gap-0 representative
         return is_brick_word_shift_checked(mdelta, w, -len(x))
@@ -103,11 +100,9 @@ def band_brick_automaton(ctx: Context, b: Band, l: int,
     if l > 1:
         return BrickReport(False, "automaton", None, "periodic", "exact",
                            reason="l must be 1")
-    m = build_mia(ctx)
     q = b.string.letters
-    w = string_to_word(ctx, BiInf(q, (), q))
-    phi, mdelta = parity_mia(ctx)
-    return is_weak_brick_word(mdelta, transport(m, phi, w), length_bound_factor)
+    return is_weak_brick_word(parity_mia(ctx)[1], binary_word(ctx, BiInf(q, (), q)),
+                              length_bound_factor)
 
 
 def string_brick_endo(ctx: Context, x: Str, prime: int = endo.DEFAULT_PRIME) -> BrickReport:

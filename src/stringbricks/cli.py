@@ -207,6 +207,8 @@ def cmd_check_band_brick(args, out: _Output) -> int:
     band, reasons = ctx.is_band(x)
     if band is None:
         raise StringError("not a band: " + "; ".join(reasons))
+    if args.lam == 0:
+        raise ValueError("lambda must be nonzero")
     reports = []
     for method in _methods(args.method):
         if method == "direct":

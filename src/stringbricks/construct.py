@@ -12,7 +12,7 @@ from typing import Optional
 
 from .mia import Mia, PointedWord, transport, underlying
 from .strings import Context, Str, StringError
-from .words import BiInf, Finite, LeftInf, Letter, RightInf, Window, inv_seq
+from .words import Finite, LeftInf, Letter, RightInf, Window, inv_seq
 
 
 def zero_label(vertex: str, side: int) -> str:
@@ -67,16 +67,13 @@ def build_mia(ctx: Context) -> Mia:
     trans: dict[tuple[str, Letter], str] = {}
     for s in state_strs:
         lab = labels[s.key()]
-        for b in ctx.syllables():
-            if s.is_zero():
-                if ctx.letter_src(b) != s.vertex or ctx.sig(b) != -s.side:
-                    continue
-                joined = (b,)
-            else:
-                joined = s.letters + (b,)
-                if ctx.try_string(joined) is None:
-                    continue
-            trans[(lab, b)] = max_right_state(joined)
+        if s.is_zero():
+            for b in ctx.syllables():
+                if ctx.letter_src(b) == s.vertex and ctx.sig(b) == -s.side:
+                    trans[(lab, b)] = max_right_state((b,))
+        else:
+            for b in ctx.continuations(s.letters):
+                trans[(lab, b)] = max_right_state(s.letters + (b,))
 
     e = {}
     inv = {}
@@ -99,18 +96,7 @@ def build_mia(ctx: Context) -> Mia:
         trans=trans,
     )
     ctx.cache["mia"] = mia
-    ctx.cache["mia_states"] = {labels[s.key()]: s for s in state_strs}
     return mia
-
-
-def state_strings(ctx: Context) -> dict[str, Str]:
-    """Label -> the string each automaton state stands for."""
-    build_mia(ctx)
-    return ctx.cache["mia_states"]
-
-
-def parity_map(ctx: Context) -> dict[str, str]:
-    return {a: "0" for a in ctx.amap}
 
 
 def parity_mia(ctx: Context) -> tuple[dict[str, str], Mia]:
@@ -122,7 +108,7 @@ def parity_mia(ctx: Context) -> tuple[dict[str, str], Mia]:
     if "parity" in ctx.cache:
         return ctx.cache["parity"]
     from .mia import relabel
-    phi = parity_map(ctx)
+    phi = {a: "0" for a in ctx.amap}
     delta = relabel(build_mia(ctx), phi)
     ctx.cache["parity"] = (phi, delta)
     return phi, delta
@@ -130,33 +116,20 @@ def parity_mia(ctx: Context) -> tuple[dict[str, str], Mia]:
 
 def string_to_word(ctx: Context, x) -> PointedWord:
     """The canonical pointed word of a string: basepoint at the right end for
-    finite strings, at the representation's anchor for infinite ones."""
+    finite strings, at the left gap for right-infinite words and windows, and
+    after the last left letter for left- and bi-infinite words."""
     if isinstance(x, Str):
         if x.is_zero():
             return PointedWord(Finite(()), zero_label(x.vertex, x.side), Finite(()))
         return PointedWord(Finite(x.letters), zero_label(x.dst, x.eps), Finite(()))
-    if isinstance(x, RightInf):
-        ctx.validate_inf_str(x)
-        first = x.prefix[0] if x.prefix else x.period[0]
-        base = zero_label(ctx.letter_src(first), -ctx.sig(first))
-        return PointedWord(Finite(()), base, x)
-    if isinstance(x, LeftInf):
-        ctx.validate_inf_str(x)
-        last = x.suffix[-1] if x.suffix else x.period[-1]
-        base = zero_label(ctx.letter_dst(last), ctx.eps(last))
-        return PointedWord(x, base, Finite(()))
-    if isinstance(x, BiInf):
-        ctx.validate_inf_str(x)
-        last = x.left_period[-1]
-        base = zero_label(ctx.letter_dst(last), ctx.eps(last))
-        return PointedWord(LeftInf(x.left_period, ()), base,
-                           RightInf(x.core, x.right_period))
-    if isinstance(x, Window):
-        ctx.validate_inf_str(x)
-        first = x.letters[0]
-        base = zero_label(ctx.letter_src(first), -ctx.sig(first))
-        return PointedWord(Finite(()), base, x)
-    raise StringError(f"unsupported input {type(x).__name__}")
+    ctx.validate_inf_str(x)
+    if isinstance(x, (RightInf, Window)):
+        first = x.letters if isinstance(x, Window) else x.prefix or x.period
+        return PointedWord(Finite(()), state_label(ctx.gap_zero(first, 0)), x)
+    left, right = ((x, Finite(())) if isinstance(x, LeftInf) else
+                   (LeftInf(x.left_period, ()), RightInf(x.core, x.right_period)))
+    last = left.suffix or left.period
+    return PointedWord(left, state_label(ctx.gap_zero(last, len(last))), right)
 
 
 def word_to_string(ctx: Context, w: PointedWord):

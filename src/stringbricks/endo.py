@@ -92,19 +92,6 @@ def band_module(ctx: Context, b: Band, l: int, lam: int,
     return Representation(dims, mats, prime)
 
 
-def relation_defects(ctx: Context, rep: Representation) -> list[str]:
-    """Relations whose composed matrix is nonzero (must be empty)."""
-    bad = []
-    for r in ctx.presentation.relations:
-        first = r[0]
-        m = rep.mats[first] % rep.prime
-        for a in r[1:]:
-            m = (rep.mats[a] @ m) % rep.prime
-        if np.any(m):
-            bad.append(" ".join(r))
-    return bad
-
-
 def _check_cap(total: int, cap: int) -> None:
     if total > cap:
         raise CapExceeded(f"total dimension {total} exceeds cap {cap}")

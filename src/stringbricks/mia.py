@@ -582,15 +582,10 @@ def check_local_bijection(m: Mia, phi: Mapping[str, str]) -> bool:
     injective on each state's set of defined letters."""
     if set(phi) != set(m.alphabet):
         raise MiaError("phi must be defined on exactly the alphabet")
-    for x in m.states:
-        seen = {}
-        for l in m.letters():
-            if m.step(x, l) is None:
-                continue
-            img = Letter(phi[l.sym], l.inv)
-            if img in seen and seen[img] != l:
-                return False
-            seen[img] = l
+    seen = {}  # (state, image symbol, inverse) -> the symbol mapped there
+    for x, l in m.trans:
+        if l.sym in phi and seen.setdefault((x, phi[l.sym], l.inv), l.sym) != l.sym:
+            return False
     return True
 
 

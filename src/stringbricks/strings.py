@@ -76,6 +76,8 @@ class Context:
         self.amap = presentation.arrow_map()
         self.rels = set(presentation.relations)
         self.maxrel = max((len(r) for r in presentation.relations), default=2)
+        self._syllables = tuple(Letter(a, inv) for a in sorted(self.amap)
+                                for inv in (False, True))
         self.cache: dict = {}
 
     # syllable-level accessors -------------------------------------------------
@@ -94,11 +96,9 @@ class Context:
         return self.signs.eps(l)
 
     def syllables(self) -> list[Letter]:
-        out = []
-        for a in sorted(self.amap):
-            out.append(Letter(a, False))
-            out.append(Letter(a, True))
-        return out
+        """Every syllable, direct before inverse, by arrow name; a fresh list
+        the caller may reorder."""
+        return list(self._syllables)
 
     # construction -------------------------------------------------------------
     def zero(self, vertex: str, side: int) -> Str:
@@ -152,22 +152,6 @@ class Context:
             return self.make_string(syllables)
         except StringError:
             return None
-
-    def concat(self, x: Str, y: Str) -> Str:
-        """Defined iff t(x)=s(y), sigma(y)=-eps(x) and the join is a valid
-        string; zero-length strings act as one-sided identities."""
-        if x.dst != y.src:
-            raise StringError(f"undefined concatenation: t(x)={x.dst} != s(y)={y.src}")
-        if y.sig != -x.eps:
-            raise StringError(f"undefined concatenation: sigma(y)={y.sig} != -eps(x)={-x.eps}")
-        if x.is_zero():
-            return y
-        if y.is_zero():
-            return x
-        try:
-            return self.make_string(x.letters + y.letters)
-        except StringError as err:
-            raise StringError(f"undefined concatenation: {err}")
 
     # literals -----------------------------------------------------------------
     def parse_literal(self, text: str) -> Str:
@@ -250,7 +234,7 @@ class Context:
         """Syllables extending a valid string by one letter."""
         last = seq[-1]
         out = []
-        for nxt in self.syllables():
+        for nxt in self._syllables:
             if self.letter_src(nxt) != self.letter_dst(last):
                 continue
             if nxt.sym == last.sym and nxt.inv != last.inv:

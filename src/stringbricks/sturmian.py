@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import solve_sign_maps
-from .bricks import BrickReport, string_brick_automaton
-from .construct import binary_word
-from .mia import PointedWord
+from .construct import binary_word, parity_mia
+from .mia import PointedWord, is_brick_word
 from .presets import lambda3
-from .scan import Rule, Track, pair_scan
+from .scan import BrickReport, Rule, Track, pair_scan
 from .strings import Context
 from .words import Letter, Window, primitive_root
 
@@ -189,6 +188,6 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
                            left_closed=(side == RIGHT_INFINITE),
                            right_closed=False)
     word = binary_word(ctx, string_window)
-    report = string_brick_automaton(ctx, string_window)
+    report = is_brick_word(parity_mia(ctx)[1], word)
     violation = sturmian_window_check(w)
     return BridgeResult(string_window, word, report, violation)

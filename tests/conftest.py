@@ -5,7 +5,25 @@ import pytest
 from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
 from stringbricks.presets import gamma, lambda3
-from stringbricks.strings import CapExceeded, Context
+from stringbricks.strings import CapExceeded, Context, Str, StringError
+
+
+def concat(ctx: Context, x: Str, y: Str) -> Str:
+    """Defined iff t(x)=s(y), sigma(y)=-eps(x) and the join is a valid
+    string; zero-length strings act as one-sided identities."""
+    if x.dst != y.src:
+        raise StringError(f"undefined concatenation: t(x)={x.dst} != s(y)={y.src}")
+    if y.sig != -x.eps:
+        raise StringError(f"undefined concatenation: sigma(y)={y.sig} != -eps(x)={-x.eps}")
+    if x.is_zero():
+        return y
+    if y.is_zero():
+        return x
+    try:
+        return ctx.make_string(x.letters + y.letters)
+    except StringError as err:
+        raise StringError(f"undefined concatenation: {err}")
+
 
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 20

@@ -104,6 +104,17 @@ def test_check_band_brick(lambda3_file, capsys):
     assert any(r["reason"] == "l must be 1" for r in doc["reports"])
 
 
+@pytest.mark.parametrize("method", ["direct", "automaton", "endo", "all"])
+def test_check_band_brick_lambda_zero_is_input_error(method, lambda3_file, capsys):
+    argv = ["check-band-brick", lambda3_file, "a2' b2", "--l", "1",
+            "--lambda", "0", "--method", method]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == "error: lambda must be nonzero\n"
+    code, doc = run_json(capsys, argv)
+    assert code == 2 and doc["error"] == "lambda must be nonzero"
+    assert "reports" not in doc and "verdict" not in doc
+
+
 def test_check_band_brick_not_a_band(lambda3_file, capsys):
     code, doc = run_json(capsys, ["check-band-brick", lambda3_file, "b1 a1'",
                                   "--l", "1"])

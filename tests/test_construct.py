@@ -2,13 +2,16 @@ import hashlib
 
 import pytest
 
+from conftest import concat
 from stringbricks.algebra import validate_string_algebra
 from stringbricks.construct import (binary_word, build_mia, parity_mia,
-                                    state_strings, string_to_word, to_dot,
-                                    word_to_string, zero_label)
+                                    parse_zero_label, state_label,
+                                    string_to_word, to_dot, word_to_string,
+                                    zero_label)
 from stringbricks.mia import equivalent, parse_mia, validate_mia
 from stringbricks.strings import Context, StringError
-from stringbricks.words import BiInf, Finite, Letter, RightInf, Window
+from stringbricks.words import (BiInf, Finite, LeftInf, Letter, RightInf, Window,
+                               unfold_left, unfold_right)
 
 
 def L(tok):
@@ -17,6 +20,17 @@ def L(tok):
 
 def lits(text):
     return tuple(L(t) for t in text.split())
+
+
+def state_strings(ctx: Context) -> dict:
+    """Label -> the string each automaton state stands for, read back from
+    the label."""
+    out = {}
+    for lab in build_mia(ctx).states:
+        zero = parse_zero_label(lab)
+        out[lab] = ctx.zero(*zero) if zero else ctx.make_string(lits(lab.replace(".", " ")))
+        assert state_label(out[lab]) == lab
+    return out
 
 
 def test_gamma_fig3(gam):
@@ -73,7 +87,7 @@ def test_transition_iff_extension_is_string(l3, gam, corpus):
                 via_concat = True
                 try:
                     one = ctx.make_string((b,))
-                    ctx.concat(x, one)
+                    concat(ctx, x, one)
                 except StringError:
                     via_concat = False
                 assert (m.step(lab, b) is not None) == via_concat
@@ -142,11 +156,29 @@ def test_two_representatives_same_string(l3):
     assert word_to_string(l3, w1) == word_to_string(l3, w2) == x
 
 
-def test_infinite_roundtrips(l3):
-    q = lits("a2' b2")
-    for rep in (RightInf((), q), BiInf(q, (), q)):
-        w = string_to_word(l3, rep)
-        assert word_to_string(l3, w) == rep
+def test_infinite_roundtrips(l3, gam, corpus):
+    # each word reads back as its string, and its basepoint is the
+    # zero-length string that concatenates with the letters on both sides
+    # of its gap
+    fitted = 0
+    for ctx in (l3, gam, *corpus[:5]):
+        xs = {x.letters for x in ctx.enumerate_strings(3)}
+        for b in ctx.enumerate_bands(6):
+            q = b.string.letters
+            for x in sorted(xs):
+                for rep in (RightInf(x, q), LeftInf(q, x), BiInf(q, x, q)):
+                    try:
+                        w = string_to_word(ctx, rep)
+                    except StringError:
+                        continue
+                    assert word_to_string(ctx, w) == rep
+                    zero = ctx.zero(*parse_zero_label(w.base))
+                    if w.left != Finite(()):
+                        concat(ctx, ctx.make_string(unfold_left(w.left, 1)), zero)
+                    if w.right != Finite(()):
+                        concat(ctx, zero, ctx.make_string(unfold_right(w.right, 1)))
+                    fitted += 1
+    assert fitted > 100
 
 
 def test_binary_word_example(l3):

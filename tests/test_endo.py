@@ -6,7 +6,7 @@ import pytest
 import stringbricks.endo as endo
 from stringbricks.endo import (DEFAULT_PRIME, SECOND_PRIME, band_module,
                                end_dim, end_dim_band, end_dim_string,
-                               relation_defects, string_module)
+                               string_module)
 from stringbricks.strings import CapExceeded
 from stringbricks.sturmian import DirectiveSequence, characteristic_prefix
 
@@ -96,6 +96,18 @@ def test_string_module_a(l3):
 def test_end_dims_hand_checked(l3):
     assert end_dim_string(l3, l3.parse_literal("b1 a1'")) == 1
     assert end_dim_string(l3, l3.parse_literal("b1 a1' a2' b2")) == 2
+
+
+def relation_defects(ctx, rep) -> list[str]:
+    """Relations whose composed matrix is nonzero (must be empty)."""
+    bad = []
+    for r in ctx.presentation.relations:
+        m = rep.mats[r[0]] % rep.prime
+        for a in r[1:]:
+            m = (rep.mats[a] @ m) % rep.prime
+        if np.any(m):
+            bad.append(" ".join(r))
+    return bad
 
 
 def test_relation_matrices_vanish(gam, l3, corpus):

@@ -291,6 +291,39 @@ def test_constant_map_can_fail():
         check_local_bijection(m, {"b": "0"})
 
 
+def reference_local_bijection(m, phi):
+    """The definition, state by state: no two defined letters at a state
+    share an image."""
+    for x in m.states:
+        seen = {}
+        for l in m.letters():
+            if m.step(x, l) is None:
+                continue
+            img = Letter(phi[l.sym], l.inv)
+            if img in seen and seen[img] != l:
+                return False
+            seen[img] = l
+    return True
+
+
+def test_local_bijection_matches_reference_on_random_mias():
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(400):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+        alphabet = tuple(sorted(rng.sample("abcd", rng.randint(1, 4))))
+        # letters outside the alphabet (x) are ignored by both
+        letters = [Letter(a, inv) for a in alphabet + ("x",) for inv in (False, True)]
+        trans = {(rng.choice(states), rng.choice(letters)): rng.choice(states)
+                 for _ in range(rng.randint(0, 16))}
+        m = Mia(states, (), {}, {}, alphabet, trans)
+        phi = {a: rng.choice("01") for a in alphabet}
+        got = check_local_bijection(m, phi)
+        assert got == reference_local_bijection(m, phi), (trans, phi)
+        outcomes.append(got)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+
 def test_relabel_gamma_fig4(gam):
     m = build_mia(gam)
     _, md = parity_mia(gam)

@@ -4,7 +4,9 @@ from functools import partial
 
 import pytest
 
+from conftest import concat
 from stringbricks.bricks import string_brick_direct
+from stringbricks.presets import gamma
 from stringbricks.strings import Context, Str, StringError
 from stringbricks.words import Letter
 
@@ -159,45 +161,57 @@ def test_continuations_match_per_index_reference(l3, gam, corpus):
     assert extended > 100
 
 
+def test_syllable_lists_belong_to_the_caller():
+    # callers may reorder what they get (the benchmark's random walks shuffle
+    # both lists), so each call returns a new list
+    ctx = Context(gamma())
+    seq = ctx.syllables()[:1]
+    expect = (ctx.syllables(), ctx.continuations(seq))
+    assert expect[0][:4] == [L("a1"), L("a1'"), L("a2"), L("a2'")]
+    ctx.syllables().reverse()
+    ctx.continuations(seq).clear()
+    assert (ctx.syllables(), ctx.continuations(seq)) == expect
+
+
 # --- concatenation ----------------------------------------------------------
 
 def test_concat_ab(l3):
     a = l3.parse_literal("b1 a1'")
     b = l3.parse_literal("a2' b2")
-    ab = l3.concat(a, b)
+    ab = concat(l3, a, b)
     assert len(ab) == 4
     assert ab == l3.make_string(lits("b1 a1' a2' b2"))
 
 
 def test_concat_right_identity(l3):
     x = l3.parse_literal("b1 a1'")
-    assert l3.concat(x, l3.zero(x.dst, x.eps)) == x
+    assert concat(l3, x, l3.zero(x.dst, x.eps)) == x
 
 
 def test_concat_zero_sign_mismatch(l3):
     x = l3.parse_literal("b1 a1'")
     with pytest.raises(StringError):
-        l3.concat(l3.zero("v2", x.sig), x)
-    assert l3.concat(l3.zero("v2", -x.sig), x) == x
+        concat(l3, l3.zero("v2", x.sig), x)
+    assert concat(l3, l3.zero("v2", -x.sig), x) == x
 
 
 def test_concat_associative_where_defined(l3):
     xs = l3.enumerate_strings(3)
     for x, y, z in itertools.islice(itertools.product(xs, xs, xs), 0, 40000):
         try:
-            xy = l3.concat(x, y)
+            xy = concat(l3, x, y)
         except StringError:
             continue
         try:
-            yz = l3.concat(y, z)
+            yz = concat(l3, y, z)
         except StringError:
             continue
         try:
-            lhs = l3.concat(xy, z)
+            lhs = concat(l3, xy, z)
         except StringError:
             lhs = None
         try:
-            rhs = l3.concat(x, yz)
+            rhs = concat(l3, x, yz)
         except StringError:
             rhs = None
         assert lhs == rhs

@@ -1,10 +1,13 @@
 import random
+import sys
 
 import pytest
 
+import stringbricks.construct as construct
+from stringbricks.bricks import string_brick_automaton
 from stringbricks.sturmian import (BI_INFINITE, RIGHT_INFINITE,
                                    DirectiveSequence, SturmianError, bridge,
-                                   characteristic_prefix,
+                                   characteristic_prefix, lambda3_context,
                                    sturmian_window_check)
 from stringbricks.words import Letter, Window, complexity_profile
 
@@ -134,6 +137,39 @@ def test_bridge_explicit_violation_window():
 def test_bridge_rejects_other_alphabets(l3):
     with pytest.raises(SturmianError):
         bridge(Window((Letter("c", False),), False, ""), BI_INFINITE)
+
+
+def test_bridge_builds_its_word_once(monkeypatch):
+    """One string_to_word call per bridge side, wherever the package binds
+    the name, and the same report as the automaton route on the window."""
+    original = construct.string_to_word
+    calls = []
+
+    def counted(ctx, x):
+        calls.append(x)
+        return original(ctx, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("stringbricks") and getattr(mod, "string_to_word", None) is original:
+            monkeypatch.setattr(mod, "string_to_word", counted)
+    d = DirectiveSequence.parse("1,(1)")
+    longer = characteristic_prefix(d, 301)
+    rng = random.Random(5)
+    windows = [characteristic_prefix(d, 20), characteristic_prefix(d, 300),
+               Window(longer.letters[1:], True, "fibonacci-dropped",
+                      left_closed=True, right_closed=False),
+               Window((B, A, A, B, B, A), False, "corrupted"),
+               *(_random_window(rng) for _ in range(10))]
+    witnesses = 0
+    for w in windows:
+        for side in (RIGHT_INFINITE, BI_INFINITE):
+            calls.clear()
+            res = bridge(w, side)
+            assert calls == [res.string_window]
+            assert res.report == string_brick_automaton(lambda3_context(),
+                                                        res.string_window)
+            witnesses += res.report.witness is not None
+    assert 0 < witnesses < 2 * len(windows)
 
 
 def _random_window(rng):
