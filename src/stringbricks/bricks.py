@@ -5,14 +5,13 @@ substring of the string, or of the doubly infinite band word, kills
 brickness) and the automaton criterion (transport the pointed word to the
 binary MIA and test the (weak) brick word property).  Both witness searches
 are the pair scan of `scan`, which also builds the one witness and report
-record: the direct route keys each gap by its zero-length string, the
-automaton route is the one in `mia` and returns its report as it is.  The
-endo module gives a third, linear-algebra route; the test suite keeps all
-three in agreement.
+record: the direct route keys each gap by the (vertex, side) of its
+zero-length string, the automaton route is the one in `mia` and returns its
+report as it is.  The endo module gives a third, linear-algebra route; the
+test suite keeps all three in agreement.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 from . import endo
@@ -28,13 +27,18 @@ def _direct_witness(ctx: Context, x: Track, xinv: Track,
                     shift: int = 0) -> Optional[BrickWitness]:
     """The direct route on the pair scan: the start key is the zero-length
     string at the gap, which decides the zero-length contents and is implied
-    by the first letter of the others.  `shift` maps track indices back to
-    word gaps."""
-    x = x._replace(key=partial(ctx.gap_zero, x.letters))
-    xinv = xinv._replace(key=partial(ctx.gap_zero, xinv.letters))
+    by the first letter of the others.  It is keyed by its (vertex, side),
+    read once per track; the string itself is built only to label a witness.
+    `shift` maps track indices back to word gaps."""
+    def keyed(t: Track) -> Track:
+        after = {l: ctx.gap_key((l,), 1) for l in set(t.letters)}
+        keys = [ctx.gap_key(t.letters, 0), *map(after.__getitem__, t.letters)]
+        return t._replace(key=keys.__getitem__)
+
+    x, xinv = keyed(x), keyed(xinv)
     hit = pair_scan(x, (x, xinv))
     return None if hit is None else witness(
-        x, (x, xinv), hit, Context.format_literal(x.key(hit.of)), shift)
+        x, (x, xinv), hit, Context.format_literal(ctx.gap_zero(x.letters, hit.of)), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,10 @@ class Context:
             if p.sym == l.sym and p.inv != l.inv:
                 raise StringError(f"backtrack {p} {l}", i)
         self._check_relations(seq)
+        return self._positive(seq)
+
+    def _positive(self, seq: tuple[Letter, ...]) -> Str:
+        """The Str of a syllable sequence already known to be a string."""
         return Str(seq, None, None,
                    self.letter_src(seq[0]), self.letter_dst(seq[-1]),
                    self.sig(seq[0]), self.eps(seq[-1]))
@@ -183,17 +187,22 @@ class Context:
         return " ".join(str(l) for l in x.letters)
 
     # gap bookkeeping ----------------------------------------------------------
-    def gap_zero(self, letters: Sequence[Letter], g: int) -> Str:
-        """The zero-length string sitting at gap g of a syllable sequence.
+    def gap_key(self, letters: Sequence[Letter], g: int) -> tuple[str, int]:
+        """(vertex, side) of the zero-length string sitting at gap g of a
+        syllable sequence, which it determines.
 
         At interior gaps the sign is forced by the preceding syllable; at the
         left end it is -sigma of the first syllable.
         """
         if g > 0:
             prev = letters[g - 1]
-            return self.zero(self.letter_dst(prev), self.eps(prev))
+            return self.letter_dst(prev), self.eps(prev)
         first = letters[0]
-        return self.zero(self.letter_src(first), -self.sig(first))
+        return self.letter_src(first), -self.sig(first)
+
+    def gap_zero(self, letters: Sequence[Letter], g: int) -> Str:
+        """The zero-length string sitting at gap g of a syllable sequence."""
+        return self.zero(*self.gap_key(letters, g))
 
     # bands ----------------------------------------------------------------------
     def is_band(self, x: Str):
@@ -253,10 +262,12 @@ class Context:
         out = [self.zero(v, i) for v in self.presentation.vertices for i in (1, -1)]
         if max_len == 0:
             return out
+        # a single syllable is a string, and continuations extends a string
+        # only to strings, so nothing popped needs validating again
         stack = [(l,) for l in self.syllables()]
         while stack:
             seq = stack.pop()
-            out.append(self.make_string(seq))
+            out.append(self._positive(seq))
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} strings")
             if len(seq) < max_len:

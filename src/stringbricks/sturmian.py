@@ -6,13 +6,20 @@ s_k = s_{k-1}^{d_k} s_{k-2} driven by a directive sequence (the continued
 fraction of the slope).  Prefixes of an infinite directive sequence are
 certified aperiodic.  The bridge realizes an {a,b}-window as a string over
 Lambda_3 (a = b1 a1', b = a2' b2), transports it to the binary MIA, and runs
-the windowed brick check next to the Sturmian subword criterion.  Both
-window searches are the pair scan of `scan`; the Sturmian one pairs the
-starts after an a with the starts after a b.
+the windowed brick check next to the Sturmian subword criterion.
+
+The subword criterion is the balance of the window: a w' a and b w' b are
+both present iff it is unbalanced, which a linear test on the convex hull of
+its a-count profile decides.  Only an unbalanced window is searched for its
+first violation, by the pair scan of `scan` pairing the starts after an a
+with the starts after a b.  The bridge's brick-word search is that pair
+scan on the transported word, quadratic in the window, so the bridge has a
+cap of its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .algebra import solve_sign_maps
@@ -27,6 +34,9 @@ A = Letter("a", False)
 B = Letter("b", False)
 
 PREFIX_CAP = 1 << 20
+# The bridge's brick-word scan is quadratic: a clean window of 2^11 letters
+# takes 1-2 s (CPython 3.11, one core), one of 2^12 letters 5-7 s.
+BRIDGE_CAP = 1 << 11
 
 
 class SturmianError(ValueError):
@@ -128,14 +138,77 @@ _AFTER_A = Rule(lambda b: b == A, lambda a: a == A)
 _AFTER_B = Rule(lambda b: b == B, lambda a: a == B)
 
 
+def _chain(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
+    """The upper (sign 1) or lower (sign -1) monotone-chain hull of points
+    sorted by x, left to right."""
+    hull: list[tuple[int, int]] = []
+    for x, y in points:
+        while len(hull) > 1:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if sign * ((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)) < 0:
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
+def _strip_fits(slopes: list[tuple[int, int]], upper: list, lower: list) -> bool:
+    """Whether some slope p/q (q > 0) of `slopes`, taken in increasing order,
+    puts every point between the hulls in a half-open strip of vertical
+    width 1: max(q y - p x) over the upper hull minus min(q y - p x) over the
+    lower hull is below q.  As the slope grows, the maximum moves left along
+    the upper hull and the minimum right along the lower one, so one pointer
+    on each makes the pass linear."""
+    up = upper[::-1]
+    i = j = 0
+    for p, q in slopes:
+        def g(v):
+            return q * v[1] - p * v[0]
+
+        while i + 1 < len(up) and g(up[i + 1]) >= g(up[i]):
+            i += 1
+        while j + 1 < len(lower) and g(lower[j + 1]) <= g(lower[j]):
+            j += 1
+        if g(up[i]) - g(lower[j]) < q:
+            return True
+    return False
+
+
+def _balanced(letters: tuple[Letter, ...]) -> bool:
+    """Whether the counts of a in any two factors of equal length differ by at
+    most one, in O(n) integer arithmetic.
+
+    A finite word is balanced iff it is a factor of a mechanical word
+    (Lothaire, Algebraic Combinatorics on Words, 2002, ch. 2), that is, iff
+    the points (i, #a in w[:i]) fit a half-open strip of vertical width 1.
+    The narrowest vertical strip around their convex hull has the slope of a
+    hull edge, so only those slopes are tried."""
+    if not set(letters) <= {A, B}:
+        raise SturmianError("Sturmian windows must be over the letters a, b")
+    if len(letters) < 2:
+        return True
+    points = list(enumerate(accumulate(map(A.__eq__, letters), initial=0)))
+    upper, lower = _chain(points, 1), _chain(points, -1)
+
+    def slopes(hull):
+        return [(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+    return (_strip_fits(slopes(lower), upper, lower)
+            or _strip_fits(slopes(upper)[::-1], upper, lower))
+
+
 def sturmian_window_check(w: Window) -> Optional[SturmianViolation]:
     """Search the window for an infix w' with both a w' a and b w' b present
     (the Sturmian balance criterion fails iff one exists); None means no
-    violation within the window."""
-    t = Track(w.letters, left_closed=False, right_closed=False)
-    hit = pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
-    if hit is None:
+    violation within the window.
+
+    Such an infix exists iff the window is unbalanced (Lothaire, Prop.
+    2.1.3), so a balanced window is cleared by the linear balance test and
+    only an unbalanced one is scanned for its first violation."""
+    if _balanced(w.letters):
         return None
+    t = Track(w.letters, left_closed=False, right_closed=False)
+    hit = pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))  # unbalanced: a hit exists
     return SturmianViolation(w.letters[hit.of:hit.of + hit.L], hit.of - 1, hit.oi - 1)
 
 
@@ -180,8 +253,9 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
     v2 (left edge closed) or a bi-infinite word (both edges open)."""
     if side not in (RIGHT_INFINITE, BI_INFINITE):
         raise SturmianError(f"unknown side {side!r}")
-    if any(l not in _BLOCKS for l in w.letters):
-        raise SturmianError("bridge windows must be over the letters a, b")
+    if len(w.letters) > BRIDGE_CAP:
+        raise SturmianError(f"bridge window exceeds cap {BRIDGE_CAP} letters")
+    violation = sturmian_window_check(w)  # rejects letters other than a, b
     ctx = lambda3_context()
     letters = tuple(s for l in w.letters for s in _BLOCKS[l])
     string_window = Window(letters, w.certified_aperiodic, w.origin,
@@ -189,5 +263,4 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
                            right_closed=False)
     word = binary_word(ctx, string_window)
     report = is_brick_word(parity_mia(ctx)[1], word)
-    violation = sturmian_window_check(w)
     return BridgeResult(string_window, word, report, violation)

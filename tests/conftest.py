@@ -5,7 +5,9 @@ import pytest
 from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
 from stringbricks.presets import gamma, lambda3
+from stringbricks.scan import Track, pair_scan
 from stringbricks.strings import CapExceeded, Context, Str, StringError
+from stringbricks.sturmian import _AFTER_A, _AFTER_B
 
 
 def concat(ctx: Context, x: Str, y: Str) -> Str:
@@ -23,6 +25,13 @@ def concat(ctx: Context, x: Str, y: Str) -> Str:
         return ctx.make_string(x.letters + y.letters)
     except StringError as err:
         raise StringError(f"undefined concatenation: {err}")
+
+
+def sturmian_pair_scan(u):
+    """The first Sturmian violation of an {a,b} window, by the pair scan
+    alone (the reference for the balance test)."""
+    t = Track(u, left_closed=False, right_closed=False)
+    return pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
 
 
 CORPUS_SEED = 20240809

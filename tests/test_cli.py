@@ -4,6 +4,7 @@ import pytest
 
 from stringbricks.cli import main
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
+from stringbricks.sturmian import BRIDGE_CAP
 
 
 @pytest.fixture()
@@ -169,6 +170,13 @@ def test_sturmian_bridge(capsys):
     assert code == 0
     assert doc["bridge_report"]["witness"] is None
     assert doc["bridge_consistent"] is True
+
+
+def test_sturmian_bridge_past_its_cap_is_input_error(capsys):
+    code, doc = run_json(capsys, ["sturmian", "--directive", "1,(1)", "--prefix",
+                                  str(BRIDGE_CAP + 1), "--check", "--bridge"])
+    assert code == 2 and "cap" in doc["error"]
+    assert doc["violation"] is None
 
 
 def test_sturmian_bad_directive(capsys):

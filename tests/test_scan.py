@@ -8,12 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sturmian_pair_scan
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
 from stringbricks.scan import FACTOR, IMAGE, Hit, Track, lce, pair_scan, unroll
-from stringbricks.sturmian import (_AFTER_A, _AFTER_B, DirectiveSequence,
+from stringbricks.sturmian import (_AFTER_A, _AFTER_B, DirectiveSequence, _balanced,
                                    characteristic_prefix, sturmian_window_check)
 from stringbricks.words import BiInf, Letter, Window, inv_seq
 
@@ -227,6 +228,42 @@ def test_sturmian_window_check_matches_brute():
             assert u[v.b_position:v.b_position + k + 2] == (B,) + v.infix + (B,)
             found += 1
     assert 0 < found < 300
+
+
+def test_sturmian_window_check_matches_brute_on_every_short_word():
+    """The balance test clears a window and the pair scan finds the first
+    violation: together they give the brute scanner's first violation on
+    every {a,b} word of at most 12 letters."""
+    clean = 0
+    for n in range(13):
+        for u in itertools.product((A, B), repeat=n):
+            v = sturmian_window_check(Window(u, False, "all"))
+            got = None if v is None else (v.a_position, v.b_position, len(v.infix))
+            assert got == brute_sturmian_first(u), u
+            clean += v is None
+    assert 0 < clean < 2 ** 13 - 1
+
+
+@st.composite
+def balance_words(draw):
+    """Random {a,b} words, and factors of characteristic words with up to two
+    letters flipped."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.sampled_from((A, B)), max_size=60)))
+    d = DirectiveSequence((draw(st.integers(0, 3)),),
+                          tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))))
+    n = draw(st.integers(0, 120))
+    off = draw(st.integers(0, 20))
+    u = list(characteristic_prefix(d, off + n + 1).letters[off:off + n])
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 if n else 0)):
+        u[i] = A if u[i] == B else B
+    return tuple(u)
+
+
+@settings(max_examples=400, deadline=None)
+@given(balance_words())
+def test_balance_verdict_matches_pair_scan(u):
+    assert _balanced(u) == (sturmian_pair_scan(u) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,21 @@ def test_enumerate_strings_independent_count(l3, gam):
         assert by_len == {k: v for k, v in expected.items() if v}
 
 
+def test_enumerate_strings_matches_validated_growth(l3, gam, corpus):
+    """The enumeration builds each string without validating it again; it
+    gives the same strings, field for field and in the same order, as
+    growing every string by every syllable through make_string."""
+    for ctx in (l3, gam, *corpus[:5]):
+        expect = [ctx.zero(v, i) for v in ctx.presentation.vertices for i in (1, -1)]
+        level = [()]
+        for _ in range(7):
+            level = [x.letters for seq in level for s in ctx.syllables()
+                     if (x := ctx.try_string(seq + (s,))) is not None]
+            expect += map(ctx.make_string, level)
+        expect.sort(key=Str.key)
+        assert ctx.enumerate_strings(7) == expect  # Str equality compares every field
+
+
 def test_enumerate_bands_lambda3(l3):
     bands = [Context.format_literal(b.string) for b in l3.enumerate_bands(2)]
     assert bands == ["a1' b1", "a2' b2"]

@@ -4,9 +4,11 @@ import sys
 import pytest
 
 import stringbricks.construct as construct
+from conftest import sturmian_pair_scan
 from stringbricks.bricks import string_brick_automaton
-from stringbricks.sturmian import (BI_INFINITE, RIGHT_INFINITE,
-                                   DirectiveSequence, SturmianError, bridge,
+from stringbricks.sturmian import (BI_INFINITE, BRIDGE_CAP, RIGHT_INFINITE,
+                                   DirectiveSequence, SturmianError,
+                                   SturmianViolation, bridge,
                                    characteristic_prefix, lambda3_context,
                                    sturmian_window_check)
 from stringbricks.words import Letter, Window, complexity_profile
@@ -65,6 +67,29 @@ def test_prefix_property():
 def test_window_check_fibonacci():
     d = DirectiveSequence.parse("1,(1)")
     assert sturmian_window_check(characteristic_prefix(d, 500)) is None
+
+
+def test_long_characteristic_windows_are_clean():
+    for text in ("1,(1)", "0,2,(1,3)"):
+        w = characteristic_prefix(DirectiveSequence.parse(text), 10 ** 4)
+        assert sturmian_window_check(w) is None
+
+
+def test_flipped_fibonacci_violation_matches_pair_scan():
+    """One flipped letter in a long balanced window: the violation is the
+    pair scan's, infix and both positions."""
+    u = list(characteristic_prefix(DirectiveSequence.parse("1,(1)"), 2000).letters)
+    for f in (3, 1000, 1997):
+        flipped = tuple(u[:f] + [A if u[f] == B else B] + u[f + 1:])
+        hit = sturmian_pair_scan(flipped)
+        v = sturmian_window_check(Window(flipped, False, "flipped"))
+        assert v == SturmianViolation(flipped[hit.of:hit.of + hit.L], hit.of - 1, hit.oi - 1)
+
+
+def test_window_check_rejects_other_letters():
+    for other in (Letter("c", False), Letter("a", True)):
+        with pytest.raises(SturmianError):
+            sturmian_window_check(Window((A, B, other, A), False, "other"))
 
 
 def test_window_check_aabb():
@@ -137,6 +162,13 @@ def test_bridge_explicit_violation_window():
 def test_bridge_rejects_other_alphabets(l3):
     with pytest.raises(SturmianError):
         bridge(Window((Letter("c", False),), False, ""), BI_INFINITE)
+
+
+def test_bridge_cap():
+    # an all-a window is the cheapest to bridge, so the cap itself is checked
+    assert bridge(Window((A,) * BRIDGE_CAP, False, "at cap"), BI_INFINITE).violation is None
+    with pytest.raises(SturmianError, match="cap"):
+        bridge(Window((A,) * (BRIDGE_CAP + 1), False, "past cap"), BI_INFINITE)
 
 
 def test_bridge_builds_its_word_once(monkeypatch):
