@@ -8,6 +8,7 @@ solved for deterministically.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -238,65 +239,54 @@ def _admissibility_bound(p: Presentation) -> Optional[int]:
 
     Nodes are sliding windows of the last (max relation length - 1) arrows of
     a relation-free path; a cycle among reachable nodes means unbounded paths.
+    One iterative pass, so a long quiver cannot exhaust the call stack: the
+    reachable windows are ordered by Kahn's algorithm (a window left
+    unordered lies on or behind a cycle), then longest paths are taken in
+    reverse order.
     """
     amap = p.arrow_map()
     rels = set(p.relations)
     maxrel = max((len(r) for r in p.relations), default=2)
     w = max(maxrel - 1, 1)
+    out_of: dict[str, list[str]] = {}
+    for b, (s, _) in amap.items():
+        out_of.setdefault(s, []).append(b)
 
     def extensions(window: tuple[str, ...]) -> list[tuple[str, ...]]:
         out = []
-        last = window[-1]
-        for b in amap:
-            if amap[last][1] != amap[b][0]:
-                continue
+        for b in out_of.get(amap[window[-1]][1], ()):
             seq = window + (b,)
-            if any(seq[i:] in rels for i in range(len(seq))):
-                continue
-            out.append(seq[-w:])
+            if not any(seq[i:] in rels for i in range(len(seq))):
+                out.append(seq[-w:])
         return out
 
     starts = [(a,) for a in amap if (a,) not in rels]
-    # cycle detection over reachable windows
-    color: dict[tuple[str, ...], int] = {}
-
-    def has_cycle(node: tuple[str, ...]) -> bool:
-        color[node] = 1
-        for nxt in extensions(node):
-            c = color.get(nxt, 0)
-            if c == 1:
-                return True
-            if c == 0 and has_cycle(nxt):
-                return True
-        color[node] = 2
-        return False
-
-    for s in starts:
-        if color.get(s, 0) == 0 and has_cycle(s):
-            return None
-
-    # longest path in the resulting DAG, counting arrows
-    memo: dict[tuple[str, ...], int] = {}
-
-    def longest_from(node: tuple[str, ...]) -> int:
-        if node in memo:
-            return memo[node]
-        best = 0
-        for nxt in extensions(node):
-            best = max(best, 1 + longest_from(nxt))
-        memo[node] = best
-        return best
-
-    if not amap:
-        return 0
-    best = 0
-    for s in starts:
-        best = max(best, 1 + longest_from(s))
-    return best
+    succ: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    todo = list(starts)
+    while todo:
+        node = todo.pop()
+        if node not in succ:
+            succ[node] = extensions(node)
+            todo.extend(succ[node])
+    indegree = Counter(nxt for outs in succ.values() for nxt in outs)
+    order = [node for node in succ if not indegree[node]]
+    for node in order:  # grows while it is read
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) < len(succ):
+        return None
+    # longest path from each window, counting arrows after it
+    longest: dict[tuple[str, ...], int] = {}
+    for node in reversed(order):
+        longest[node] = max((1 + longest[nxt] for nxt in succ[node]), default=0)
+    return max((1 + longest[s] for s in starts), default=0)
 
 
-def _sign_constraints(p: Presentation) -> list[tuple[tuple[int, str], tuple[int, str], str]]:
-    """Anti-equality constraints x = -y between sign unknowns.
+def _sign_constraints(p: Presentation) -> list[tuple[tuple[int, str], tuple[int, str], str, str]]:
+    """Anti-equality constraints x = -y between sign unknowns, each with its
+    label for the solver and its message when a sign choice violates it.
 
     Unknown keys are (0, arrow) for sigma and (1, arrow) for eps, so sigma
     unknowns sort before eps unknowns for the anchoring rule.
@@ -308,13 +298,16 @@ def _sign_constraints(p: Presentation) -> list[tuple[tuple[int, str], tuple[int,
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             if amap[a][0] == amap[b][0]:
-                cons.append(((0, a), (0, b), f"(a) s({a})=s({b})"))
+                cons.append(((0, a), (0, b), f"(a) s({a})=s({b})",
+                             f"(a): arrows {a},{b} share a source but sigma agrees"))
             if amap[a][1] == amap[b][1]:
-                cons.append(((1, a), (1, b), f"(b) t({a})=t({b})"))
+                cons.append(((1, a), (1, b), f"(b) t({a})=t({b})",
+                             f"(b): arrows {a},{b} share a target but eps agrees"))
     for a in names:
         for b in names:
             if amap[a][1] == amap[b][0] and (a, b) not in rels:
-                cons.append(((1, a), (0, b), f"(c) {a}{b} not in rho"))
+                cons.append(((1, a), (0, b), f"(c) {a}{b} not in rho",
+                             f"(c): eps({a}) != -sigma({b}) though {a}{b} is not a relation"))
     return cons
 
 
@@ -354,7 +347,7 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
             out.append(label)
         return out
 
-    for x, y, label in cons:
+    for x, y, label, _ in cons:
         rx, px = find(x)
         ry, py = find(y)
         if rx == ry:
@@ -386,20 +379,8 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
 
 
 def verify_sign_conditions(p: Presentation, maps: SignMaps) -> list[str]:
-    """Direct check of conditions (a)-(c); returns human-readable violations."""
-    amap = p.arrow_map()
-    rels = set(p.relations)
+    """Conditions (a)-(c) on a sign choice: the messages of the violated
+    constraints, in constraint order."""
     t = maps.table
-    out = []
-    names = sorted(amap)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if amap[a][0] == amap[b][0] and t[a][0] != -t[b][0]:
-                out.append(f"(a): arrows {a},{b} share a source but sigma agrees")
-            if amap[a][1] == amap[b][1] and t[a][1] != -t[b][1]:
-                out.append(f"(b): arrows {a},{b} share a target but eps agrees")
-    for a in names:
-        for b in names:
-            if amap[a][1] == amap[b][0] and (a, b) not in rels and t[a][1] != -t[b][0]:
-                out.append(f"(c): eps({a}) != -sigma({b}) though {a}{b} is not a relation")
-    return out
+    return [message for (i, a), (j, b), _, message in _sign_constraints(p)
+            if t[a][i] != -t[b][j]]

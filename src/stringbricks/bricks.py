@@ -90,8 +90,8 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
     w = binary_word(ctx, x)
     mdelta = parity_mia(ctx)[1]
     if isinstance(x, Str) and len(x) > 0:
-        # spot-check basepoint-shift invariance on the gap-0 representative
-        return is_brick_word_shift_checked(mdelta, w, -len(x))
+        # check that inversion maps the class of w into the class of w^{-1}
+        return is_brick_word_shift_checked(mdelta, w)
     return is_brick_word(mdelta, w)
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
-                    classify_periodicity, inv_seq, inverse_of, invert)
+                    classify_periodicity, inverse_of, invert)
 from .words import APERIODIC, FINITE
 
 
@@ -368,11 +368,6 @@ def _periodic_host(m: Mia, w: PointedWord) -> _PeriodicHost:
     return _PeriodicHost(m, w.right.period, w.base)
 
 
-def _periodic_inverse(m: Mia, host: _PeriodicHost) -> _PeriodicHost:
-    # the seam of the inverse word carries the involuted basepoint
-    return _PeriodicHost(m, inv_seq(host.q), m.inv[host.base])
-
-
 # ---------------------------------------------------------------------------
 # window hosts (finite views of infinite words; single-valued gap chains)
 
@@ -443,18 +438,13 @@ def equivalent(m: Mia, w1: PointedWord, w2: PointedWord) -> bool:
 
 def shift_basepoint(m: Mia, w: PointedWord, steps: int) -> PointedWord:
     """Move the basepoint of a finite word `steps` gaps to the right
-    (negative = left), staying inside the ~-class."""
+    (negative = left), staying inside the ~-class: the representative with
+    the least state of the class at that gap."""
     parts = _as_finite_parts(w)
     if parts is None:
         raise UnsupportedRepresentation("shift_basepoint expects a finite word")
     host = _FiniteHost(m, *parts)
-    return _placement(host, host.bpos + steps)
-
-
-def _placement(host: _FiniteHost, g: int) -> PointedWord:
-    """The representative of the host's class with the basepoint at gap g
-    (the least state of G[g])."""
-    u = host.u
+    u, g = host.u, host.bpos + steps
     if not 0 <= g <= len(u):
         raise MiaError("shift leaves the word")
     if not host.G[g]:
@@ -491,9 +481,7 @@ def _word_witness(x: Track, xinv: Track, states=None,
 
 def _finite_hosts(m: Mia, w: PointedWord) -> tuple[_FiniteHost, _FiniteHost]:
     """The hosts of a finite pointed word and of its inverse."""
-    host = _finite_host(m, w)
-    u, b = host.u, host.bpos
-    return host, _FiniteHost(m, inv_seq(u), len(u) - b, m.inv[host.base])
+    return _finite_host(m, w), _finite_host(m, w.inverse(m))
 
 
 def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickReport:
@@ -504,23 +492,24 @@ def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickReport:
     return BrickReport(found is None, "automaton", found, FINITE, "exact")
 
 
-def _periodic_witness(m: Mia, host: _PeriodicHost,
-                      length_bound: int) -> Optional[BrickWitness]:
+def _periodic_witness(m: Mia, w: PointedWord,
+                      length_bound_factor: int) -> Optional[BrickWitness]:
     """Anchors range over the gap period of each host, which may be a proper
     multiple of the letter period."""
-    hosts = (host, _periodic_inverse(m, host))
-    x, xinv = (unroll(h.q, h.T, length_bound) for h in hosts)
+    hosts = (_periodic_host(m, w), _periodic_host(m, w.inverse(m)))
+    span = hosts[0].P * length_bound_factor
+    x, xinv = (unroll(h.q, h.T, span) for h in hosts)
     return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 
 
 def _window_witness(m: Mia, host: _WindowHost) -> Optional[BrickWitness]:
+    """The inverse window is pointed at its left edge, which is the right end
+    of w: its basepoint is the inverse of the state there.  Building its host
+    also checks that its gap states are single-valued."""
     win = host.window
-    inv_word = PointedWord(Finite(()), m.inv[host.base],
-                           Window(inv_seq(host.u), win.certified_aperiodic, win.origin,
-                                  left_closed=win.right_closed,
-                                  right_closed=win.left_closed))
+    inv_host = _WindowHost(m, PointedWord(Finite(()), m.inv[host.chain[-1]], invert(win)))
     x = Track(host.u, win.left_closed, win.right_closed, key=host.chain.__getitem__)
-    return _word_witness(x, x.inverse(_WindowHost(m, inv_word).chain.__getitem__))
+    return _word_witness(x, x.inverse(inv_host.chain.__getitem__))
 
 
 def _brick_word(m: Mia, w: PointedWord, weak: bool,
@@ -539,8 +528,7 @@ def _brick_word(m: Mia, w: PointedWord, weak: bool,
     if not weak:
         # every eventually periodic rep is almost periodic, hence not aperiodic
         return BrickReport(False, "automaton", None, cls, "exact")
-    host = _periodic_host(m, w)
-    found = _periodic_witness(m, host, host.P * length_bound_factor)
+    found = _periodic_witness(m, w, length_bound_factor)
     return BrickReport(found is None, "automaton", found, cls, "exact")
 
 
@@ -557,18 +545,23 @@ def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> 
     return _brick_word(m, w, weak=True, length_bound_factor=length_bound_factor)
 
 
-def is_brick_word_shift_checked(m: Mia, w: PointedWord, steps: int) -> BrickReport:
-    """is_brick_word for a finite w, spot-checking basepoint-shift
-    invariance on the representative shift_basepoint(m, w, steps): it must
-    have the gap classes of w, and its inverse those of w^{-1}, else
-    RuntimeError.  The verdict is a function of the letters and these
-    classes, so the check covers it too; four host builds and one scan.
+def is_brick_word_shift_checked(m: Mia, w: PointedWord) -> BrickReport:
+    """is_brick_word for a finite w, checking that inversion maps the ~-class
+    of w into that of w^{-1}, else RuntimeError: two host builds and one scan.
+
+    The check covers every representative of the class.  A host's tables
+    depend only on the letters, and every placement in G[g] has the end
+    state of w, so each representative has the gap classes of w.  Its
+    inverse has those of w^{-1} iff the inverse of its basepoint lies in the
+    class of w^{-1} at the mirrored gap; that is tested for every gap g and
+    every state of G[g].  The verdict is a function of the letters and these
+    classes, so the check covers it too.
 
     The MIA of a string algebra passes this check; a generic MIA need not,
     since the inverses of two ~-equivalent placements may be inequivalent."""
     hosts = _finite_hosts(m, w)
-    shifted = _finite_hosts(m, _placement(hosts[0], hosts[0].bpos + steps))
-    if [h.G for h in shifted] != [h.G for h in hosts]:
+    n, inv, Ginv = len(hosts[0].u), m.inv, hosts[1].G
+    if any(inv[s] not in Ginv[n - g] for g, cls in enumerate(hosts[0].G) for s in cls):
         raise RuntimeError("gap classes not invariant under basepoint shift")
     return _finite_report(hosts)
 

@@ -130,64 +130,38 @@ def presentations_isomorphic(p1: Presentation, p2: Presentation,
     arrows2 = sorted(p2.arrows)
     rels2 = set(p2.relations)
 
-    vmap: dict[str, str] = {}
-    amap: dict[str, str] = {}
-    used_v: set[str] = set()
-    used_a: set[str] = set()
-
-    def try_vertex(a: str, b: str) -> Optional[bool]:
-        """Bind vertex a -> b; returns None on conflict, else whether the
-        binding is new."""
+    def bind(vmap: dict[str, str], a: str, b: str) -> Optional[dict[str, str]]:
+        """vmap with vertex a bound to b, or None on conflict."""
         if a in vmap:
-            return False if vmap[a] == b else None
-        if b in used_v:
-            return None
-        return True
+            return vmap if vmap[a] == b else None
+        return None if b in vmap.values() else {**vmap, a: b}
 
-    def place(i: int) -> bool:
+    def place(i: int, vmap: dict[str, str],
+              amap: dict[str, str]) -> Optional[tuple[dict[str, str], dict[str, str]]]:
+        """The first extension of the maps to every arrow from arrows1[i] on
+        that matches the relations, as (vertex map, arrow map), or None;
+        each level binds copies, so a dead end needs no undoing."""
         if i == len(arrows1):
             mapped = {tuple(amap[a] for a in r) for r in p1.relations}
-            return mapped == rels2
+            return (vmap, amap) if mapped == rels2 else None
         name, s, t = arrows1[i]
+        used = set(amap.values())
         for name2, s2, t2 in arrows2:
-            if name2 in used_a:
+            if name2 in used or deg1[s] != deg2[s2] or deg1[t] != deg2[t2]:
                 continue
-            if tuple(deg1[s]) != tuple(deg2[s2]) or tuple(deg1[t]) != tuple(deg2[t2]):
-                continue
-            new_s = try_vertex(s, s2)
-            if new_s is None:
-                continue
-            if new_s:
-                vmap[s] = s2
-                used_v.add(s2)
-            new_t = try_vertex(t, t2)
-            if new_t is None:
-                if new_s:
-                    del vmap[s]
-                    used_v.discard(s2)
-                continue
-            if new_t:
-                vmap[t] = t2
-                used_v.add(t2)
-            amap[name] = name2
-            used_a.add(name2)
-            if place(i + 1):
-                return True
-            del amap[name]
-            used_a.discard(name2)
-            if new_t:
-                del vmap[t]
-                used_v.discard(t2)
-            if new_s:
-                del vmap[s]
-                used_v.discard(s2)
-        return False
+            vs = bind(vmap, s, s2)
+            vt = None if vs is None else bind(vs, t, t2)
+            found = None if vt is None else place(i + 1, vt, {**amap, name: name2})
+            if found is not None:
+                return found
+        return None
 
-    if place(0):
-        # isolated vertices (no incident arrows) pair up by leftovers
-        rest1 = [v for v in p1.vertices if v not in vmap]
-        rest2 = [v for v in p2.vertices if v not in used_v]
-        for a, b in zip(sorted(rest1), sorted(rest2)):
-            vmap[a] = b
-        return dict(vmap), dict(amap)
-    return None
+    found = place(0, {}, {})
+    if found is None:
+        return None
+    vmap, amap = found
+    # isolated vertices (no incident arrows) pair up by leftovers
+    used = set(vmap.values())
+    rest1 = sorted(v for v in p1.vertices if v not in vmap)
+    rest2 = sorted(v for v in p2.vertices if v not in used)
+    return {**vmap, **dict(zip(rest1, rest2))}, amap

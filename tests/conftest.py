@@ -34,6 +34,12 @@ def sturmian_pair_scan(u):
     return pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
 
 
+def path_quiver_text(n: int) -> str:
+    """v0 -> v1 -> ... -> vn, one arrow per step and no relations."""
+    return "".join([*(f"vertex v{i}\n" for i in range(n + 1)),
+                    *(f"arrow a{i} v{i} v{i + 1}\n" for i in range(n))])
+
+
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 20
 CORPUS_MAX_STRINGS = 600

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import path_quiver_text
 from stringbricks.algebra import (PresentationError, SignError,
                                   format_presentation, parse_presentation,
                                   solve_sign_maps, validate_string_algebra,
@@ -115,6 +116,21 @@ arrow c v w
 """
     rep = validate_string_algebra(parse_presentation(text))
     assert "II" in rep.codes()
+
+
+def test_admissibility_bound_long_path():
+    # longer than the default recursion limit, so the search must not recurse
+    rep = validate_string_algebra(parse_presentation(path_quiver_text(1200)))
+    assert rep.is_string_algebra and rep.admissibility_bound == 1200
+
+
+def test_admissibility_bound_relation_free_cycle():
+    text = path_quiver_text(3) + "arrow back v3 v0\n"
+    rep = validate_string_algebra(parse_presentation(text))
+    assert rep.admissibility_bound is None and "III" in rep.codes()
+    # one relation on the cycle bounds it again: the longest is back a0 a1 a2
+    rep = validate_string_algebra(parse_presentation(text + "relation a2 back\n"))
+    assert rep.admissibility_bound == 4
 
 
 def test_admissibility_bound_gamma():

@@ -176,7 +176,7 @@ def test_endo_reports(l3):
 def arrow_automaton(ctx, x):
     """The automaton route of a finite string over the arrow-alphabet MIA
     M_Lambda instead of the binary one, shift spot-check included."""
-    return is_brick_word_shift_checked(build_mia(ctx), string_to_word(ctx, x), -len(x))
+    return is_brick_word_shift_checked(build_mia(ctx), string_to_word(ctx, x))
 
 
 def test_automaton_on_arrow_alphabet_agrees(l3, gam):
@@ -196,6 +196,47 @@ def test_window_direct_matches_automaton(l3):
         d = string_brick_direct(l3, win)
         a = string_brick_automaton(l3, win)
         assert (d.witness is None) == (a.witness is None)
+
+
+def test_every_string_window_matches_direct(l3, gam):
+    """Every string as a window with each pair of edges: the automaton route
+    raises nothing and finds the direct route's witness span.  Unlike the
+    block windows above, most of these have different states at their two
+    ends, so the inverse window must be pointed at the right end of w."""
+    def span(rep):
+        w = rep.witness
+        return None if w is None else (w.factor.start, w.factor.end,
+                                       w.image.start, w.image.end, w.image_host)
+
+    for ctx in (l3, gam):
+        for x in ctx.enumerate_strings(6):
+            if not len(x):
+                continue
+            for lc in (False, True):
+                for rc in (False, True):
+                    win = Window(x.letters, False, "string", left_closed=lc, right_closed=rc)
+                    assert span(string_brick_automaton(ctx, win)) == \
+                        span(string_brick_direct(ctx, win)), (x.letters, lc, rc)
+
+
+def test_string_automaton_builds_one_host_pair(l3, gam, monkeypatch):
+    """The string route builds the host of w and of w^{-1} once each; the
+    shift check reads that pair and builds no other."""
+    import stringbricks.mia as miamod
+    built = []
+
+    class Counted(miamod._FiniteHost):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(args)
+
+    monkeypatch.setattr(miamod, "_FiniteHost", Counted)
+    for ctx in (l3, gam):
+        for x in ctx.enumerate_strings(4):
+            if len(x):
+                built.clear()
+                string_brick_automaton(ctx, x)
+                assert len(built) == 2
 
 
 def test_shift_spot_check_fires(l3, request):

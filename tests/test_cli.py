@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import path_quiver_text
 from stringbricks.cli import main
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
 from stringbricks.sturmian import BRIDGE_CAP
@@ -34,6 +35,13 @@ def test_validate(lambda3_file, gamma_file, capsys):
     assert code == 0 and doc["is_string_algebra"] and doc["is_gentle"]
     code, doc = run_json(capsys, ["validate", gamma_file])
     assert code == 0 and doc["is_string_algebra"] and not doc["is_gentle"]
+
+
+def test_validate_long_path(tmp_path, capsys):
+    f = tmp_path / "path.alg"
+    f.write_text(path_quiver_text(1500))
+    code, doc = run_json(capsys, ["validate", str(f)])
+    assert code == 0 and doc["admissibility_bound"] == 1500
 
 
 def test_validate_counterexample(tmp_path, capsys):

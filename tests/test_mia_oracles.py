@@ -478,4 +478,4 @@ def test_shift_check_compares_classes_not_verdicts():
     assert shifted == finite_word((), "p", (b,))
     assert is_brick_word(m, shifted).verdict == is_brick_word(m, w).verdict
     with pytest.raises(RuntimeError, match="basepoint shift"):
-        is_brick_word_shift_checked(m, w, -1)
+        is_brick_word_shift_checked(m, w)
