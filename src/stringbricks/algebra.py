@@ -179,7 +179,12 @@ def format_presentation(p: Presentation) -> str:
 
 def validate_string_algebra(p: Presentation) -> ValidationReport:
     """Check conditions I (vertex degree caps), II (unique continuations),
-    III (bounded relation-free paths) and the gentle refinements IIa/IIb."""
+    III (bounded relation-free paths) and the gentle refinements IIa/IIb.
+
+    Arrows are grouped by source and by target, and length-2 relations by
+    first and by second arrow, once; each check then reads its own groups, so
+    validation is linear in arrows plus relations.
+    """
     violations: list[tuple[str, str]] = []
     amap = p.arrow_map()
     rels = set(p.relations)
@@ -188,22 +193,16 @@ def validate_string_algebra(p: Presentation) -> ValidationReport:
         if len(r) < 2:
             violations.append(("REL", f"relation {' '.join(r)} shorter than 2"))
 
+    out_of, into = _arrows_by_vertex(p)
     for v in p.vertices:
-        outs = [a for a, s, _ in p.arrows if s == v]
-        ins = [a for a, _, t in p.arrows if t == v]
-        if len(outs) > 2:
-            violations.append(("I", f"vertex {v} has {len(outs)} outgoing arrows"))
-        if len(ins) > 2:
-            violations.append(("I", f"vertex {v} has {len(ins)} incoming arrows"))
+        if len(out_of.get(v, ())) > 2:
+            violations.append(("I", f"vertex {v} has {len(out_of[v])} outgoing arrows"))
+        if len(into.get(v, ())) > 2:
+            violations.append(("I", f"vertex {v} has {len(into[v])} incoming arrows"))
 
-    def allowed_next(a: str) -> list[str]:
-        return [b for b in amap if amap[a][1] == amap[b][0] and (a, b) not in rels]
-
-    def allowed_prev(a: str) -> list[str]:
-        return [b for b in amap if amap[b][1] == amap[a][0] and (b, a) not in rels]
-
-    for a in amap:
-        nxt, prv = allowed_next(a), allowed_prev(a)
+    for a, (s, t) in amap.items():
+        nxt = [b for b in out_of.get(t, ()) if (a, b) not in rels]
+        prv = [b for b in into.get(s, ()) if (b, a) not in rels]
         if len(nxt) > 1:
             violations.append(("II", f"arrow {a} has allowed continuations {sorted(nxt)}"))
         if len(prv) > 1:
@@ -216,13 +215,16 @@ def validate_string_algebra(p: Presentation) -> ValidationReport:
     gentle_violations: list[tuple[str, str]] = []
     if any(len(r) != 2 for r in p.relations):
         gentle_violations.append(("REL", "gentle requires all relations of length 2"))
+    forb_next: dict[str, list[str]] = {}
+    forb_prev: dict[str, list[str]] = {}
+    for a, b in (r for r in rels if len(r) == 2):
+        forb_next.setdefault(a, []).append(b)
+        forb_prev.setdefault(b, []).append(a)
     for a in amap:
-        forb_next = [b for b in amap if (a, b) in rels]
-        forb_prev = [b for b in amap if (b, a) in rels]
-        if len(forb_next) > 1:
-            gentle_violations.append(("IIa", f"arrow {a} has forbidden continuations {sorted(forb_next)}"))
-        if len(forb_prev) > 1:
-            gentle_violations.append(("IIb", f"arrow {a} has forbidden predecessors {sorted(forb_prev)}"))
+        if len(forb_next.get(a, ())) > 1:
+            gentle_violations.append(("IIa", f"arrow {a} has forbidden continuations {sorted(forb_next[a])}"))
+        if len(forb_prev.get(a, ())) > 1:
+            gentle_violations.append(("IIb", f"arrow {a} has forbidden predecessors {sorted(forb_prev[a])}"))
 
     is_string = not violations
     is_gentle = is_string and not gentle_violations
@@ -248,9 +250,7 @@ def _admissibility_bound(p: Presentation) -> Optional[int]:
     rels = set(p.relations)
     maxrel = max((len(r) for r in p.relations), default=2)
     w = max(maxrel - 1, 1)
-    out_of: dict[str, list[str]] = {}
-    for b, (s, _) in amap.items():
-        out_of.setdefault(s, []).append(b)
+    out_of, _ = _arrows_by_vertex(p)
 
     def extensions(window: tuple[str, ...]) -> list[tuple[str, ...]]:
         out = []
@@ -284,28 +284,45 @@ def _admissibility_bound(p: Presentation) -> Optional[int]:
     return max((1 + longest[s] for s in starts), default=0)
 
 
+def _arrows_by_vertex(p: Presentation) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The arrows out of and into each vertex, in name order."""
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for a, s, t in sorted(p.arrows):
+        out_of.setdefault(s, []).append(a)
+        into.setdefault(t, []).append(a)
+    return out_of, into
+
+
 def _sign_constraints(p: Presentation) -> list[tuple[tuple[int, str], tuple[int, str], str, str]]:
     """Anti-equality constraints x = -y between sign unknowns, each with its
     label for the solver and its message when a sign choice violates it.
 
     Unknown keys are (0, arrow) for sigma and (1, arrow) for eps, so sigma
-    unknowns sort before eps unknowns for the anchoring rule.
+    unknowns sort before eps unknowns for the anchoring rule.  The (a)/(b)
+    pairs come in order of their arrow names, (a) before (b) on one pair, and
+    then the (c) pairs; each pair is read from the arrows that share a vertex,
+    so the list is built in time linear in arrows plus constraints.
     """
     amap = p.arrow_map()
     rels = set(p.relations)
-    cons = []
+    out_of, into = _arrows_by_vertex(p)
     names = sorted(amap)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if amap[a][0] == amap[b][0]:
+    cons = []
+    for a in names:
+        s, t = amap[a]
+        siblings = {b for b in out_of[s] if b > a}
+        cosiblings = {b for b in into[t] if b > a}
+        for b in sorted(siblings | cosiblings):
+            if b in siblings:
                 cons.append(((0, a), (0, b), f"(a) s({a})=s({b})",
                              f"(a): arrows {a},{b} share a source but sigma agrees"))
-            if amap[a][1] == amap[b][1]:
+            if b in cosiblings:
                 cons.append(((1, a), (1, b), f"(b) t({a})=t({b})",
                              f"(b): arrows {a},{b} share a target but eps agrees"))
     for a in names:
-        for b in names:
-            if amap[a][1] == amap[b][0] and (a, b) not in rels:
+        for b in out_of.get(amap[a][1], ()):
+            if (a, b) not in rels:
                 cons.append(((1, a), (0, b), f"(c) {a}{b} not in rho",
                              f"(c): eps({a}) != -sigma({b}) though {a}{b} is not a relation"))
     return cons
@@ -320,13 +337,13 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
     deterministic.  Raises SignError on declared violations or an infeasible
     system (reporting a conflicting constraint cycle).
     """
+    cons = _sign_constraints(p)
     if p.declared_signs is not None:
-        bad = verify_sign_conditions(p, SignMaps(p.declared_signs))
+        bad = _violated(cons, p.declared_signs)
         if bad:
             raise SignError("declared signs violate " + "; ".join(bad))
         return SignMaps(dict(p.declared_signs))
 
-    cons = _sign_constraints(p)
     parent: dict[tuple[int, str], tuple[int, str]] = {}
     parity: dict[tuple[int, str], int] = {}  # sign relative to root, +1/-1
     why: dict[tuple[int, str], tuple] = {}
@@ -371,16 +388,18 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
         values[u] = par * anchored[root]
 
     table = {a: (values[(0, a)], values[(1, a)]) for a, _, _ in p.arrows}
-    maps = SignMaps(table)
-    bad = verify_sign_conditions(p, maps)
+    bad = _violated(cons, table)
     if bad:
         raise SignError("solver produced invalid signs: " + "; ".join(bad))
-    return maps
+    return SignMaps(table)
 
 
 def verify_sign_conditions(p: Presentation, maps: SignMaps) -> list[str]:
     """Conditions (a)-(c) on a sign choice: the messages of the violated
     constraints, in constraint order."""
-    t = maps.table
-    return [message for (i, a), (j, b), _, message in _sign_constraints(p)
-            if t[a][i] != -t[b][j]]
+    return _violated(_sign_constraints(p), maps.table)
+
+
+def _violated(cons, table: Mapping[str, tuple[int, int]]) -> list[str]:
+    return [message for (i, a), (j, b), _, message in cons
+            if table[a][i] != -table[b][j]]

@@ -12,6 +12,7 @@ a stable schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,7 +313,17 @@ def cmd_roundtrip(args, out: _Output) -> int:
     return out.emit(OK)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and then shared by every
+    ``main`` call in the process; ``parse_args`` still returns a fresh
+    namespace each time.  Help and errors look up ``sys.stdout`` and
+    ``sys.stderr`` and make their formatter when printed, so a redirected
+    stream and the terminal width are read per call.  The tree holds the
+    ``cmd_*`` functions themselves (``set_defaults(fn=...)``): patch the
+    library names they call, which are looked up at call time, not a
+    ``cmd_*`` function.
+    """
     ap = _Parser(prog="stringbricks",
                  description="bricks over string algebras via inverse automata")
     common = argparse.ArgumentParser(add_help=False)

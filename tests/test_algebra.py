@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from conftest import path_quiver_text
+from conftest import path_quiver_text, random_presentation
 from stringbricks.algebra import (PresentationError, SignError,
-                                  format_presentation, parse_presentation,
-                                  solve_sign_maps, validate_string_algebra,
+                                  ValidationReport, _admissibility_bound,
+                                  _sign_constraints, format_presentation,
+                                  parse_presentation, solve_sign_maps,
+                                  validate_string_algebra,
                                   verify_sign_conditions)
 from stringbricks.presets import gamma, lambda3, lambda_n_text
 from stringbricks.words import Letter
@@ -197,3 +201,80 @@ def test_gentle_unique_successors(corpus):
             allowed = [b for b in amap if amap[a][1] == amap[b][0] and (a, b) not in rels]
             forbidden = [b for b in amap if (a, b) in rels]
             assert len(allowed) <= 1 and len(forbidden) <= 1
+
+
+def validate_by_scan(p):
+    """Conditions I, II, III, IIa and IIb, each read by scanning every arrow
+    (the reference for the indexed validation)."""
+    violations = []
+    amap = p.arrow_map()
+    rels = set(p.relations)
+    for r in p.relations:
+        if len(r) < 2:
+            violations.append(("REL", f"relation {' '.join(r)} shorter than 2"))
+    for v in p.vertices:
+        outs = [a for a, s, _ in p.arrows if s == v]
+        ins = [a for a, _, t in p.arrows if t == v]
+        if len(outs) > 2:
+            violations.append(("I", f"vertex {v} has {len(outs)} outgoing arrows"))
+        if len(ins) > 2:
+            violations.append(("I", f"vertex {v} has {len(ins)} incoming arrows"))
+    for a in amap:
+        nxt = [b for b in amap if amap[a][1] == amap[b][0] and (a, b) not in rels]
+        prv = [b for b in amap if amap[b][1] == amap[a][0] and (b, a) not in rels]
+        if len(nxt) > 1:
+            violations.append(("II", f"arrow {a} has allowed continuations {sorted(nxt)}"))
+        if len(prv) > 1:
+            violations.append(("II", f"arrow {a} has allowed predecessors {sorted(prv)}"))
+    bound = _admissibility_bound(p)
+    if bound is None:
+        violations.append(("III", "relation-free paths are unbounded"))
+    gentle_violations = []
+    if any(len(r) != 2 for r in p.relations):
+        gentle_violations.append(("REL", "gentle requires all relations of length 2"))
+    for a in amap:
+        forb_next = [b for b in amap if (a, b) in rels]
+        forb_prev = [b for b in amap if (b, a) in rels]
+        if len(forb_next) > 1:
+            gentle_violations.append(("IIa", f"arrow {a} has forbidden continuations {sorted(forb_next)}"))
+        if len(forb_prev) > 1:
+            gentle_violations.append(("IIb", f"arrow {a} has forbidden predecessors {sorted(forb_prev)}"))
+    is_string = not violations
+    return ValidationReport(is_string, is_string and not gentle_violations, bound,
+                            tuple(violations + (gentle_violations if is_string else [])))
+
+
+def sign_constraints_by_scan(p):
+    """The (a)/(b) pairs over all arrow pairs, then the (c) pairs over all
+    ordered pairs (the reference for the grouped constraint list)."""
+    amap = p.arrow_map()
+    rels = set(p.relations)
+    cons = []
+    names = sorted(amap)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            if amap[a][0] == amap[b][0]:
+                cons.append(((0, a), (0, b), f"(a) s({a})=s({b})",
+                             f"(a): arrows {a},{b} share a source but sigma agrees"))
+            if amap[a][1] == amap[b][1]:
+                cons.append(((1, a), (1, b), f"(b) t({a})=t({b})",
+                             f"(b): arrows {a},{b} share a target but eps agrees"))
+    for a in names:
+        for b in names:
+            if amap[a][1] == amap[b][0] and (a, b) not in rels:
+                cons.append(((1, a), (0, b), f"(c) {a}{b} not in rho",
+                             f"(c): eps({a}) != -sigma({b}) though {a}{b} is not a relation"))
+    return cons
+
+
+def test_indexed_validation_and_constraints_match_scans(corpus):
+    rng = random.Random(14)
+    presentations = [lambda3(), gamma(), *(ctx.presentation for ctx in corpus),
+                     *(random_presentation(rng) for _ in range(400))]
+    codes = set()
+    for p in presentations:
+        rep = validate_string_algebra(p)
+        assert rep == validate_by_scan(p)
+        assert _sign_constraints(p) == sign_constraints_by_scan(p)
+        codes |= rep.codes()
+    assert {"I", "II", "III", "IIa", "IIb", "REL"} <= codes

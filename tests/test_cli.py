@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import path_quiver_text
+from stringbricks import cli
 from stringbricks.cli import main
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
 from stringbricks.sturmian import BRIDGE_CAP
@@ -341,3 +342,54 @@ def test_shift_spot_check_exits_internal(lambda3_file, capsys, request):
     code, doc = run_json(capsys, argv)
     assert code == 4 and doc["error_kind"] == "internal"
     assert "basepoint shift" in doc["error"] and "verdict" not in doc
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_shared_parser_answers_like_a_fresh_one(lambda3_file, tmp_path, capsys,
+                                                monkeypatch):
+    # a mixed run of calls, each answered once by the shared tree and once by
+    # a tree built for that call alone: no state may leak between calls
+    main(["build-mia", lambda3_file, "--parity", "--json"])
+    miafile = tmp_path / "lambda3.mia"
+    miafile.write_text(json.loads(capsys.readouterr().out)["mia"])
+    calls = [
+        ["validate", lambda3_file],
+        ["signs", lambda3_file, "--json"],
+        ["build-mia", lambda3_file],
+        ["strings", lambda3_file, "--max-len", "3", "--json"],
+        ["--help"],
+        ["bands", lambda3_file, "--max-len", "4"],
+        ["check-string-brick", lambda3_file, "b1 a1'", "--json"],
+        ["check-string-brick", "--help"],
+        ["check-band-brick", lambda3_file, "a2' b2", "--l", "2", "--lambda", "3"],
+        ["strings", lambda3_file],
+        ["enumerate-bricks", lambda3_file, "--max-len", "3", "--json"],
+        ["no-such-command", lambda3_file],
+        ["sturmian", "--directive", "1,(1)", "--prefix", "40", "--check", "--bridge"],
+        ["recover", str(miafile), "--json"],
+        ["roundtrip", lambda3_file],
+        ["validate", lambda3_file, "--json"],
+    ]
+
+    def answers():
+        out = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = ("exit", stop.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    shared = answers()
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = answers()
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes[4] == codes[7] == ("exit", 0)
+    assert codes[9] == codes[11] == ("exit", 2)
+    assert codes[-1] == 0
