@@ -78,7 +78,7 @@ def parse_presentation(text: str) -> Presentation:
     relations: list[tuple[str, ...]] = []
     signs: dict[str, tuple[int, int]] = {}
     vset: set[str] = set()
-    aset: set[str] = set()
+    amap: dict[str, tuple[str, str]] = {}  # arrow -> (source, target)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,19 +97,18 @@ def parse_presentation(text: str) -> Presentation:
             if len(args) != 3:
                 raise PresentationError("arrow takes <id> <src> <dst>", lineno)
             name, s, t = args
-            if name in aset:
+            if name in amap:
                 raise PresentationError(f"duplicate arrow {name}", lineno)
             if s not in vset or t not in vset:
                 raise PresentationError(f"unknown vertex in arrow {name}", lineno)
-            aset.add(name)
+            amap[name] = (s, t)
             arrows.append((name, s, t))
         elif kind == "relation":
             if len(args) < 2:
                 raise PresentationError("relation needs at least two arrows", lineno)
             for a in args:
-                if a not in aset:
+                if a not in amap:
                     raise PresentationError(f"unknown arrow {a} in relation", lineno)
-            amap = {a: (s, t) for a, s, t in arrows}
             for x, y in zip(args, args[1:]):
                 if amap[x][1] != amap[y][0]:
                     raise PresentationError(
@@ -120,7 +119,7 @@ def parse_presentation(text: str) -> Presentation:
             if len(args) != 3:
                 raise PresentationError("sign takes <arrow> <sigma> <eps>", lineno)
             name = args[0]
-            if name not in aset:
+            if name not in amap:
                 raise PresentationError(f"unknown arrow {name} in sign", lineno)
             try:
                 sv, ev = int(args[1]), int(args[2])
@@ -132,8 +131,8 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise PresentationError(f"unknown directive {kind!r}", lineno)
 
-    if signs and set(signs) != aset:
-        missing = sorted(aset - set(signs))
+    if signs and signs.keys() != amap.keys():
+        missing = sorted(amap.keys() - signs.keys())
         raise PresentationError(f"signs are all-or-none; missing {missing}")
 
     return Presentation(
@@ -146,18 +145,15 @@ def parse_presentation(text: str) -> Presentation:
 
 def _normalize_relations(relations: Sequence[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
     """Deduplicate and drop any relation containing another as a contiguous
-    subpath (the generated ideal is unchanged)."""
-    uniq = sorted(set(relations), key=lambda r: (len(r), r))
-    kept: list[tuple[str, ...]] = []
-    for r in uniq:
-        redundant = False
-        for s in kept:
-            if len(s) <= len(r):
-                if any(r[i:i + len(s)] == s for i in range(len(r) - len(s) + 1)):
-                    redundant = True
-                    break
-        if not redundant:
-            kept.append(r)
+    subpath (the generated ideal is unchanged).  Shortest first, each
+    relation's subpaths of every kept length are looked up in the kept set,
+    so the work is linear in the relations for a bounded relation length."""
+    kept: set[tuple[str, ...]] = set()
+    lengths: set[int] = set()
+    for r in sorted(set(relations), key=len):
+        if not any(r[i:i + L] in kept for L in lengths for i in range(len(r) - L + 1)):
+            kept.add(r)
+            lengths.add(len(r))
     return tuple(sorted(kept))
 
 

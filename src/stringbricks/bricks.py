@@ -89,7 +89,7 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
     test the brick word property."""
     w = binary_word(ctx, x)
     mdelta = parity_mia(ctx)[1]
-    if isinstance(x, Str) and len(x) > 0:
+    if isinstance(x, Str):
         # check that inversion maps the class of w into the class of w^{-1}
         return is_brick_word_shift_checked(mdelta, w)
     return is_brick_word(mdelta, w)

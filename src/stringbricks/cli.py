@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_context(path: str) -> Context:
     with open(path, encoding="utf-8") as fh:
         p = parse_presentation(fh.read())
-    return Context(p, solve_sign_maps(p))
+    return Context(p)
 
 
 def _brick_line(rep: BrickReport) -> str:

@@ -30,9 +30,7 @@ def parse_zero_label(label: str) -> Optional[tuple[str, int]]:
 
 
 def state_label(x: Str) -> str:
-    if x.is_zero():
-        return zero_label(x.vertex, x.side)
-    return ".".join(str(l) for l in x.letters)
+    return ".".join(map(str, x.letters)) or zero_label(x.dst, x.eps)
 
 
 def build_mia(ctx: Context) -> Mia:
@@ -55,7 +53,7 @@ def build_mia(ctx: Context) -> Mia:
     state_strs = sorted({s.key(): s for s in state_strs}.values(), key=Str.key)
 
     labels = {s.key(): state_label(s) for s in state_strs}
-    nonzero_keys = {s.letters: labels[s.key()] for s in state_strs if not s.is_zero()}
+    nonzero_keys = {s.letters: labels[s.key()] for s in state_strs if s.letters}
 
     def max_right_state(letters: tuple[Letter, ...]) -> str:
         for k in range(len(letters)):
@@ -67,25 +65,19 @@ def build_mia(ctx: Context) -> Mia:
     trans: dict[tuple[str, Letter], str] = {}
     for s in state_strs:
         lab = labels[s.key()]
-        if s.is_zero():
-            for b in ctx.syllables():
-                if ctx.letter_src(b) == s.vertex and ctx.sig(b) == -s.side:
-                    trans[(lab, b)] = max_right_state((b,))
-        else:
+        if s.letters:
             for b in ctx.continuations(s.letters):
                 trans[(lab, b)] = max_right_state(s.letters + (b,))
-
-    e = {}
-    inv = {}
-    initial = []
-    for s in state_strs:
-        lab = labels[s.key()]
-        if s.is_zero():
-            initial.append(lab)
-            inv[lab] = zero_label(s.vertex, -s.side)
-            e[lab] = lab
         else:
-            e[lab] = zero_label(s.dst, s.eps)
+            for b in ctx.syllables():
+                if ctx.letter_src(b) == s.dst and ctx.sig(b) == -s.eps:
+                    trans[(lab, b)] = max_right_state((b,))
+
+    # every state's e is the zero-length string at its right end; the zero
+    # states are the initial ones, each its own e, paired with its inverse
+    e = {labels[s.key()]: zero_label(s.dst, s.eps) for s in state_strs}
+    initial = [labels[s.key()] for s in state_strs if not s.letters]
+    inv = {labels[s.key()]: state_label(s.inverse()) for s in state_strs if not s.letters}
 
     mia = Mia(
         states=tuple(labels[s.key()] for s in state_strs),
@@ -119,8 +111,6 @@ def string_to_word(ctx: Context, x) -> PointedWord:
     finite strings, at the left gap for right-infinite words and windows, and
     after the last left letter for left- and bi-infinite words."""
     if isinstance(x, Str):
-        if x.is_zero():
-            return PointedWord(Finite(()), zero_label(x.vertex, x.side), Finite(()))
         return PointedWord(Finite(x.letters), zero_label(x.dst, x.eps), Finite(()))
     ctx.validate_inf_str(x)
     if isinstance(x, (RightInf, Window)):
@@ -151,8 +141,7 @@ def word_to_string(ctx: Context, w: PointedWord):
 
 def binary_word(ctx: Context, x) -> PointedWord:
     """The parity-transported pointed word of a string over M_{Lambda delta}."""
-    phi, _ = parity_mia(ctx)
-    return transport(build_mia(ctx), phi, string_to_word(ctx, x))
+    return transport(parity_mia(ctx)[0], string_to_word(ctx, x))
 
 
 def to_dot(m: Mia) -> str:

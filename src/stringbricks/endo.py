@@ -30,66 +30,53 @@ class Representation:
         return sum(self.dims.values())
 
 
-def string_module(ctx: Context, x: Str, prime: int = DEFAULT_PRIME) -> Representation:
-    """M(x): one basis vector per string position; direct syllables act
-    forward, inverse syllables backward."""
+def _walk_module(ctx: Context, x: Str, l: int, last, prime: int) -> Representation:
+    """The module of a walk along x: an l-dimensional block per position,
+    each syllable acting by the identity from the block it leaves to the one
+    it enters, direct syllables forward, inverse ones backward.  With `last`
+    None the walk is open (len(x) + 1 positions); otherwise its last syllable
+    returns to the first position and acts by the block `last`."""
     p = ctx.presentation
-    verts = list(p.vertices)
-    positions = [x.src if x.is_zero() else ctx.letter_src(x.letters[0])]
-    for l in x.letters:
-        positions.append(ctx.letter_dst(l))
-    dims = {v: 0 for v in verts}
-    index = []  # index[i] = row of position i inside its vertex block
+    positions = [x.src, *map(ctx.letter_dst, x.letters)]
+    if last is not None:
+        positions.pop()
+    dims = dict.fromkeys(p.vertices, 0)
+    index = []  # index[i] = first row of position i's block inside its vertex
     for v in positions:
         index.append(dims[v])
-        dims[v] += 1
+        dims[v] += l
+    if last is not None:
+        index.append(index[0])  # the closed walk ends on its first block
     mats = {a: np.zeros((dims[t], dims[s]), dtype=np.int64)
             for a, s, t in p.arrows}
-    for i, l in enumerate(x.letters):
-        a = l.sym
-        if l.inv:
-            # the inverse syllable connects position i+1 back to position i
-            mats[a][index[i], index[i + 1]] = 1
+    for lt, j, k in zip(x.letters, index, index[1:]):
+        if lt.inv:
+            j, k = k, j  # an inverse syllable acts from the later block back
+        if l == 1:
+            mats[lt.sym][k, j] = 1
         else:
-            mats[a][index[i + 1], index[i]] = 1
+            for d in range(l):
+                mats[lt.sym][k + d, j + d] = 1
+    if last is not None:  # the last syllable's block, over its identity
+        mats[lt.sym][k:k + l, j:j + l] = last
     return Representation(dims, mats, prime)
+
+
+def string_module(ctx: Context, x: Str, prime: int = DEFAULT_PRIME) -> Representation:
+    """M(x): one basis vector per string position, the open walk at l = 1."""
+    return _walk_module(ctx, x, 1, None, prime)
 
 
 def band_module(ctx: Context, b: Band, l: int, lam: int,
                 prime: int = DEFAULT_PRIME) -> Representation:
-    """B(b, l, lambda): each position carries an l-dimensional block; the last
-    (direct) syllable acts by the Jordan block J_l(lambda), all others by the
-    identity."""
+    """B(b, l, lambda): the closed walk along b with l-dimensional blocks,
+    whose last (direct) syllable acts by the Jordan block J_l(lambda)."""
     if lam % prime == 0:
         raise ValueError("lambda must be nonzero")
     if l < 1:
         raise ValueError("l must be >= 1")
-    p = ctx.presentation
-    letters = b.string.letters
-    n = len(letters)
-    positions = [ctx.letter_src(letters[0])]
-    for lt in letters[:-1]:
-        positions.append(ctx.letter_dst(lt))
-    dims = {v: 0 for v in p.vertices}
-    index = []
-    for v in positions:
-        index.append(dims[v])
-        dims[v] += l
-    mats = {a: np.zeros((dims[t], dims[s]), dtype=np.int64)
-            for a, s, t in p.arrows}
-    ident = np.eye(l, dtype=np.int64)
     jordan = (lam * np.eye(l, dtype=np.int64) + np.eye(l, k=1, dtype=np.int64)) % prime
-    for i, lt in enumerate(letters):
-        block = jordan if i == n - 1 else ident
-        src_pos, dst_pos = i, (i + 1) % n
-        if lt.inv:
-            # the arrow maps the block at position i+1 back onto position i
-            mats[lt.sym][index[src_pos]:index[src_pos] + l,
-                         index[dst_pos]:index[dst_pos] + l] = block
-        else:
-            mats[lt.sym][index[dst_pos]:index[dst_pos] + l,
-                         index[src_pos]:index[src_pos] + l] = block
-    return Representation(dims, mats, prime)
+    return _walk_module(ctx, b.string, l, jordan, prime)
 
 
 def _check_cap(total: int, cap: int) -> None:

@@ -613,7 +613,7 @@ def _map_rep(phi: Mapping[str, str], rep: WordRep) -> WordRep:
     raise MiaError(f"not a word rep: {rep!r}")
 
 
-def transport(m: Mia, phi: Mapping[str, str], w: PointedWord) -> PointedWord:
+def transport(phi: Mapping[str, str], w: PointedWord) -> PointedWord:
     """Forward transport: apply phi letterwise, keep the basepoint."""
     return PointedWord(_map_rep(phi, w.left), w.base, _map_rep(phi, w.right))
 

@@ -1,9 +1,9 @@
 """Strings and bands over a validated presentation.
 
 A string is a composable, non-backtracking syllable sequence avoiding the
-relations and their inverses; zero-length strings carry a vertex and a side
-sign.  The Context object binds a presentation with its sign maps and is the
-factory for all string values.
+relations and their inverses; a zero-length string 1_(v,i) is its gap state
+(v, i), the (dst, eps) of an empty sequence.  The Context object binds a
+presentation with its sign maps and is the factory for all string values.
 """
 from __future__ import annotations
 
@@ -29,13 +29,11 @@ class CapExceeded(RuntimeError):
 class Str:
     """A validated string with cached endpoints and signs.
 
-    Zero-length strings have empty letters and carry (vertex, side); positive
-    strings have vertex=side=None.  Values are context-free once built.
+    The zero-length string 1_(v,i) has empty letters, src = dst = v, eps = i
+    and sig = -i.  Values are context-free once built.
     """
 
     letters: tuple[Letter, ...]
-    vertex: Optional[str]
-    side: Optional[int]
     src: str
     dst: str
     sig: int
@@ -48,15 +46,11 @@ class Str:
         return len(self.letters)
 
     def inverse(self) -> "Str":
-        if self.is_zero():
-            return Str((), self.vertex, -self.side, self.src, self.dst, self.eps, self.sig)
-        return Str(inv_seq(self.letters), None, None, self.dst, self.src, self.eps, self.sig)
+        return Str(inv_seq(self.letters), self.dst, self.src, self.eps, self.sig)
 
     def key(self):
-        """Deterministic sort key."""
-        if self.is_zero():
-            return (0, self.vertex, self.side)
-        return (1, self.letters)
+        """Deterministic sort key: zero-length strings by gap state first."""
+        return (1, self.letters) if self.letters else (0, self.dst, self.eps)
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ class Context:
             raise StringError(f"unknown vertex {vertex}")
         if side not in (1, -1):
             raise StringError("side must be +1 or -1")
-        return Str((), vertex, side, vertex, vertex, -side, side)
+        return Str((), vertex, vertex, -side, side)
 
     def _check_relations(self, seq: Sequence[Letter]) -> None:
         """Raise at the first relation (or inverse of one) in seq, by end
@@ -147,8 +141,7 @@ class Context:
 
     def _positive(self, seq: tuple[Letter, ...]) -> Str:
         """The Str of a syllable sequence already known to be a string."""
-        return Str(seq, None, None,
-                   self.letter_src(seq[0]), self.letter_dst(seq[-1]),
+        return Str(seq, self.letter_src(seq[0]), self.letter_dst(seq[-1]),
                    self.sig(seq[0]), self.eps(seq[-1]))
 
     def try_string(self, syllables: Iterable[Letter]) -> Optional[Str]:
@@ -182,9 +175,7 @@ class Context:
 
     @staticmethod
     def format_literal(x: Str) -> str:
-        if x.is_zero():
-            return f"1({x.vertex},{x.side:+d})"
-        return " ".join(str(l) for l in x.letters)
+        return " ".join(map(str, x.letters)) or f"1({x.dst},{x.eps:+d})"
 
     # gap bookkeeping ----------------------------------------------------------
     def gap_key(self, letters: Sequence[Letter], g: int) -> tuple[str, int]:

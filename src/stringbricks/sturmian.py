@@ -18,11 +18,11 @@ cap of its own.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .algebra import solve_sign_maps
 from .construct import binary_word, parity_mia
 from .mia import PointedWord, is_brick_word
 from .presets import lambda3
@@ -225,15 +225,10 @@ class BridgeResult:
         return (self.report.witness is None) == (self.violation is None)
 
 
-_LAMBDA3_CTX: Optional[Context] = None
-
-
+@functools.cache
 def lambda3_context() -> Context:
-    global _LAMBDA3_CTX
-    if _LAMBDA3_CTX is None:
-        p = lambda3()
-        _LAMBDA3_CTX = Context(p, solve_sign_maps(p))
-    return _LAMBDA3_CTX
+    """The context of Lambda_3, the bridge's algebra, built once per process."""
+    return Context(lambda3())
 
 
 RIGHT_INFINITE = "right-infinite-at-v2"

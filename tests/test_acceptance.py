@@ -162,7 +162,7 @@ def test_criterion_7_transport_and_shift_invariance(l3, gam):
         words = []
         for x in ctx.enumerate_strings(6):
             w = string_to_word(ctx, x)
-            wd = transport(m, phi, w)
+            wd = transport(phi, w)
             if transport_back(m, phi, wd) != w:
                 ok_roundtrip = False
             b1 = is_brick_word(m, w)

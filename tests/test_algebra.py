@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import path_quiver_text, random_presentation
-from stringbricks.algebra import (PresentationError, SignError,
+from stringbricks.algebra import (Presentation, PresentationError, SignError,
                                   ValidationReport, _admissibility_bound,
-                                  _sign_constraints, format_presentation,
+                                  _normalize_relations, _sign_constraints,
+                                  format_presentation,
                                   parse_presentation, solve_sign_maps,
                                   validate_string_algebra,
                                   verify_sign_conditions)
@@ -278,3 +279,180 @@ def test_indexed_validation_and_constraints_match_scans(corpus):
         assert _sign_constraints(p) == sign_constraints_by_scan(p)
         codes |= rep.codes()
     assert {"I", "II", "III", "IIa", "IIb", "REL"} <= codes
+
+
+def normalize_by_pairs(relations):
+    """Drop duplicates and every relation containing a kept one, comparing
+    each relation with every kept one (the reference for the subpath
+    lookup)."""
+    uniq = sorted(set(relations), key=lambda r: (len(r), r))
+    kept = []
+    for r in uniq:
+        redundant = False
+        for s in kept:
+            if len(s) <= len(r):
+                if any(r[i:i + len(s)] == s for i in range(len(r) - len(s) + 1)):
+                    redundant = True
+                    break
+        if not redundant:
+            kept.append(r)
+    return tuple(sorted(kept))
+
+
+def parse_by_rebuild(text):
+    """The parser that rebuilds the arrow map at every relation line and
+    normalizes by pairs (the reference for the one-pass parser)."""
+    vertices, arrows, relations, signs = [], [], [], {}
+    vset, aset = set(), set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind, args = parts[0], parts[1:]
+        if kind == "vertex":
+            if len(args) != 1:
+                raise PresentationError("vertex takes one identifier", lineno)
+            if args[0] in vset:
+                raise PresentationError(f"duplicate vertex {args[0]}", lineno)
+            vset.add(args[0])
+            vertices.append(args[0])
+        elif kind == "arrow":
+            if len(args) != 3:
+                raise PresentationError("arrow takes <id> <src> <dst>", lineno)
+            name, s, t = args
+            if name in aset:
+                raise PresentationError(f"duplicate arrow {name}", lineno)
+            if s not in vset or t not in vset:
+                raise PresentationError(f"unknown vertex in arrow {name}", lineno)
+            aset.add(name)
+            arrows.append((name, s, t))
+        elif kind == "relation":
+            if len(args) < 2:
+                raise PresentationError("relation needs at least two arrows", lineno)
+            for a in args:
+                if a not in aset:
+                    raise PresentationError(f"unknown arrow {a} in relation", lineno)
+            amap = {a: (s, t) for a, s, t in arrows}
+            for x, y in zip(args, args[1:]):
+                if amap[x][1] != amap[y][0]:
+                    raise PresentationError(
+                        f"relation not composable in string order: "
+                        f"t({x})={amap[x][1]} != s({y})={amap[y][0]}", lineno)
+            relations.append(tuple(args))
+        elif kind == "sign":
+            if len(args) != 3:
+                raise PresentationError("sign takes <arrow> <sigma> <eps>", lineno)
+            name = args[0]
+            if name not in aset:
+                raise PresentationError(f"unknown arrow {name} in sign", lineno)
+            try:
+                sv, ev = int(args[1]), int(args[2])
+            except ValueError:
+                raise PresentationError("sign values must be +1 or -1", lineno)
+            if sv not in (1, -1) or ev not in (1, -1):
+                raise PresentationError("sign values must be +1 or -1", lineno)
+            signs[name] = (sv, ev)
+        else:
+            raise PresentationError(f"unknown directive {kind!r}", lineno)
+    if signs and set(signs) != aset:
+        missing = sorted(aset - set(signs))
+        raise PresentationError(f"signs are all-or-none; missing {missing}")
+    return Presentation(tuple(vertices), tuple(arrows), normalize_by_pairs(relations),
+                        dict(signs) if signs else None)
+
+
+def random_presentation_text(rng):
+    """A presentation with random relations (composable or not), signs for
+    all arrows or none, and about half the time one slip: a line duplicated
+    or moved, a token replaced, dropped or added."""
+    verts = [f"v{i}" for i in range(rng.randint(1, 3))]
+    arrows = [(f"a{i}", rng.choice(verts), rng.choice(verts)) for i in range(rng.randint(1, 5))]
+    lines = [f"vertex {v}" for v in verts] + [f"arrow {a} {s} {t}" for a, s, t in arrows]
+    for _ in range(rng.randint(0, 6)):
+        path = [rng.choice(arrows)]
+        for _ in range(rng.randint(1, 3)):
+            nxt = [x for x in arrows if x[1] == path[-1][2]]
+            path.append(rng.choice(nxt if nxt and rng.random() < 0.9 else arrows))
+        lines.append("relation " + " ".join(a for a, _, _ in path))
+    if rng.random() < 0.3:
+        lines += [f"sign {a} {rng.choice(['+1', '-1'])} {rng.choice(['+1', '-1'])}"
+                  for a, _, _ in arrows]
+    if rng.random() < 0.5:
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        slip = rng.choice(["dup", "move", "replace", "drop", "add", "directive"])
+        if slip == "dup":
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif slip == "move":
+            lines.insert(rng.randrange(len(lines) + 1), lines.pop(i))
+        else:
+            j = rng.randrange(len(toks))
+            junk = rng.choice(["v0", "v9", "a0", "a9", "+1", "2", "x", "#"])
+            if slip == "replace":
+                toks[j] = junk
+            elif slip == "drop":
+                del toks[j]
+            elif slip == "add":
+                toks.insert(j + 1, junk)
+            else:
+                toks[0] = rng.choice(["loop", "vertex", "arrow", "relation", "sign"])
+            lines[i] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except PresentationError as err:
+        return ("error", str(err), err.line)
+
+
+def test_one_pass_parser_matches_rebuilding_parser(corpus):
+    rng = random.Random(15)
+    texts = [format_presentation(p) for p in (lambda3(), gamma())]
+    texts += [format_presentation(ctx.presentation) for ctx in corpus]
+    texts += [random_presentation_text(rng) for _ in range(3000)]
+    outcomes = [parse_outcome(parse_presentation, t) for t in texts]
+    assert outcomes == [parse_outcome(parse_by_rebuild, t) for t in texts]
+    parsed = [o for o in outcomes if isinstance(o, Presentation)]
+    assert sum(len(p.relations) > 0 for p in parsed) > 100
+    assert {o[1].split(" ")[2] for o in outcomes if not isinstance(o, Presentation)
+            and o[2] is not None} >= {"vertex", "duplicate", "arrow", "relation", "unknown",
+                                      "sign"}
+
+
+def test_subpath_normalization_matches_pairwise():
+    rng = random.Random(15)
+    for _ in range(5000):
+        rels = [tuple(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(0, 6))]
+        assert _normalize_relations(rels) == normalize_by_pairs(rels)
+
+
+LAMBDA2 = "vertex v1\nvertex v2\narrow a v1 v2\narrow b v2 v1\n"
+
+
+@pytest.mark.parametrize("tail, line, message", [
+    ("vertex\n", 5, "vertex takes one identifier"),
+    ("vertex x y\n", 5, "vertex takes one identifier"),
+    ("vertex v2\n", 5, "duplicate vertex v2"),
+    ("arrow c v1\n", 5, "arrow takes <id> <src> <dst>"),
+    ("arrow a v1 v1\n", 5, "duplicate arrow a"),
+    ("arrow c v1 v9\n", 5, "unknown vertex in arrow c"),
+    ("relation a\n", 5, "relation needs at least two arrows"),
+    ("relation a z\n", 5, "unknown arrow z in relation"),
+    ("relation a a\n", 5,
+     "relation not composable in string order: t(a)=v2 != s(a)=v1"),
+    ("sign a +1\n", 5, "sign takes <arrow> <sigma> <eps>"),
+    ("sign z +1 -1\n", 5, "unknown arrow z in sign"),
+    ("sign a + -1\n", 5, "sign values must be +1 or -1"),
+    ("sign a +1 2\n", 5, "sign values must be +1 or -1"),
+    ("# a comment\n\nloop a\n", 7, "unknown directive 'loop'"),
+    ("sign a +1 -1\n", None, "signs are all-or-none; missing ['b']"),
+])
+def test_parse_error_messages_and_lines(tail, line, message):
+    with pytest.raises(PresentationError) as err:
+        parse_presentation(LAMBDA2 + tail)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")

@@ -248,6 +248,6 @@ def test_window_word_roundtrip(l3):
     check_word(m, w)
     assert word_to_string(l3, w) == win
     phi, md = parity_mia(l3)
-    wd = transport(m, phi, w)
+    wd = transport(phi, w)
     assert isinstance(wd.right, Window)
     assert transport_back(m, phi, wd) == w

@@ -198,7 +198,7 @@ def test_brick_and_weak_brick_word_by_kind(l3):
 
     def both(w, *factors):
         reports = [is_brick_word(m, w)] + [is_weak_brick_word(m, w, f) for f in factors]
-        wd = transport(m, phi, w)
+        wd = transport(phi, w)
         reports_d = [is_brick_word(md, wd)] + [is_weak_brick_word(md, wd, f) for f in factors]
         assert [(r.verdict, r.periodicity) for r in reports] == \
                [(r.verdict, r.periodicity) for r in reports_d]
@@ -343,7 +343,7 @@ def test_transport_example(l3):
     m = build_mia(l3)
     phi, md = parity_mia(l3)
     w = finite_word((), "1(v2,+1)", lits("b1 a1'"))
-    wd = transport(m, phi, w)
+    wd = transport(phi, w)
     assert wd.right.letters == lits("0 0'")
     assert wd.base == "1(v2,+1)"
     assert transport_back(m, phi, wd) == w
@@ -355,7 +355,7 @@ def test_transport_roundtrip_corpus(l3, gam):
         phi, _ = parity_mia(ctx)
         for x in ctx.enumerate_strings(6):
             w = string_to_word(ctx, x)
-            assert transport_back(m, phi, transport(m, phi, w)) == w
+            assert transport_back(m, phi, transport(phi, w)) == w
 
 
 def test_transport_periodic_roundtrip(l3):
@@ -363,7 +363,7 @@ def test_transport_periodic_roundtrip(l3):
     phi, _ = parity_mia(l3)
     q = lits("a2' b2")
     w = string_to_word(l3, BiInf(q, (), q))
-    assert transport_back(m, phi, transport(m, phi, w)) == w
+    assert transport_back(m, phi, transport(phi, w)) == w
 
 
 # --- text format ---------------------------------------------------------------

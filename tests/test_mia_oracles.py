@@ -108,7 +108,7 @@ def test_finite_class_matches_brute_force(l3, gam, corpus):
             if ctx in (l3, gam):
                 host = _FiniteHost(m, u, bpos, w.base)
                 assert host.G == brute_class(m, u, bpos, w.base)
-            wd = transport(m, phi, w)
+            wd = transport(phi, w)
             ud = wd.left.letters + wd.right.letters
             host_d = _FiniteHost(md, ud, bpos, wd.base)
             assert host_d.G == brute_class(md, ud, bpos, wd.base)
@@ -176,8 +176,8 @@ def test_subword_occurrences_in_aa(l3):
     m = build_mia(l3)
     phi, md = parity_mia(l3)
     aa = l3.make_string(lits("b1 a1' b1 a1'"))
-    haystack = transport(m, phi, string_to_word(l3, aa))
-    needle = transport(m, phi, finite_word((), "1(v2,+1)", lits("b1 a1'")))
+    haystack = transport(phi, string_to_word(l3, aa))
+    needle = transport(phi, finite_word((), "1(v2,+1)", lits("b1 a1'")))
     occs = subword_occurrences(md, needle, haystack)
     assert [(o.start, o.end) for o in occs] == [(0, 2), (2, 4)]
 
@@ -214,11 +214,11 @@ def test_transport_preserves_subwords_and_verdicts(l3):
     xs = [x for x in l3.enumerate_strings(6) if len(x) >= 1]
     for x in rng.sample(xs, 30):
         w = string_to_word(l3, x)
-        wd = transport(m, phi, w)
+        wd = transport(phi, w)
         assert is_brick_word(m, w).verdict == is_brick_word(md, wd).verdict
         for y in rng.sample(xs, 5):
             u = string_to_word(l3, y)
-            ud = transport(m, phi, u)
+            ud = transport(phi, u)
             occ = subword_occurrences(m, u, w)
             occ_d = subword_occurrences(md, ud, wd)
             assert [(o.start, o.end, classify_occurrence(o)) for o in occ] == \
@@ -359,7 +359,7 @@ def band_words(ctx, max_len):
         q = band.string.letters
         w = string_to_word(ctx, BiInf(q, (), q))
         yield m, w
-        yield md, transport(m, phi, w)
+        yield md, transport(phi, w)
 
 
 def test_periodic_class_matches_burnin_walk(l3, gam, corpus):
@@ -392,7 +392,7 @@ def test_periodic_class_matches_unfolded_window(l3, corpus):
         for band in bands[:3]:
             q = band.string.letters
             w = string_to_word(ctx, BiInf(q, (), q))
-            wd = transport(m, phi, w)
+            wd = transport(phi, w)
             host = _PeriodicHost(md, wd.right.period, wd.base)
             burn = burnin_margin(md, host)
             reps = max(6, (2 * burn) // len(wd.right.period) + 2)
@@ -426,7 +426,7 @@ relation x1 x0 x1
     m = build_mia(ctx)
     phi, md = parity_mia(ctx)
     q = band.string.letters
-    wd = transport(m, phi, string_to_word(ctx, BiInf(q, (), q)))
+    wd = transport(phi, string_to_word(ctx, BiInf(q, (), q)))
     assert len(wd.right.period) == 3  # the binary letters collapse
     host = _PeriodicHost(md, wd.right.period, wd.base)
     assert host.T == 6

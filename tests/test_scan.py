@@ -103,7 +103,7 @@ def test_windows_match_brute_pairs(l3):
                                      window_host(v, rc, lc, zinv), len(u))
                 assert (string_brick_direct(l3, win).witness is not None) == direct, (word, lc, rc)
 
-                w = transport(m, phi, string_to_word(l3, win))
+                w = transport(phi, string_to_word(l3, win))
                 ud, vd = w.right.letters, inv_seq(w.right.letters)
                 auto = brute_pairs(window_host(ud, lc, rc, chain(md, w.base, ud)),
                                    window_host(vd, rc, lc, chain(md, md.inv[w.base], vd)),
@@ -131,7 +131,7 @@ def band_matches_brute_pairs(ctx, b):
                          periodic_host(qinv, P, gap_keys(qinv)), 3 * P)
     assert (band_brick_direct(ctx, b, 1).witness is not None) == direct
 
-    w = transport(m, phi, string_to_word(ctx, BiInf(q, (), q)))
+    w = transport(phi, string_to_word(ctx, BiInf(q, (), q)))
     hosts = [_PeriodicHost(md, w.right.period, w.base),
              _PeriodicHost(md, inv_seq(w.right.period), md.inv[w.base])]
     auto = brute_pairs(*(periodic_host(h.q, h.T, h.state_at) for h in hosts),
@@ -379,7 +379,7 @@ def test_long_windows_match_brute_first_pair(l3):
                                          window_host(v, rc, lc, zinv), len(u))
                 assert _witness_pair(string_brick_direct(l3, win)) == first, (word, lc, rc)
 
-                w = transport(m, phi, string_to_word(l3, win))
+                w = transport(phi, string_to_word(l3, win))
                 ud, vd = w.right.letters, inv_seq(w.right.letters)
                 auto = brute_first_pair(window_host(ud, lc, rc, chain(md, w.base, ud)),
                                         window_host(vd, rc, lc, chain(md, md.inv[w.base], vd)),

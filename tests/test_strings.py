@@ -108,7 +108,7 @@ def reference_make_string(ctx, seq):
             raise StringError(f"backtrack {seq[i-1]} {seq[i]}", i)
     for i in range(len(seq)):
         reference_check_window(ctx, seq, i)
-    return Str(seq, None, None, ctx.letter_src(seq[0]), ctx.letter_dst(seq[-1]),
+    return Str(seq, ctx.letter_src(seq[0]), ctx.letter_dst(seq[-1]),
                ctx.sig(seq[0]), ctx.eps(seq[-1]))
 
 
