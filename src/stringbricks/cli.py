@@ -18,8 +18,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .algebra import (PresentationError, SignError, parse_presentation,
-                      format_presentation, solve_sign_maps,
+from .algebra import (Presentation, PresentationError, SignError,
+                      parse_presentation, format_presentation, solve_sign_maps,
                       validate_string_algebra)
 from .bricks import (BrickReport, band_brick_automaton, band_brick_direct,
                      band_brick_endo, string_brick_automaton,
@@ -80,10 +80,13 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def _load_context(path: str) -> Context:
+def _load_presentation(path: str) -> Presentation:
     with open(path, encoding="utf-8") as fh:
-        p = parse_presentation(fh.read())
-    return Context(p)
+        return parse_presentation(fh.read())
+
+
+def _load_context(path: str) -> Context:
+    return Context(_load_presentation(path))
 
 
 def _brick_line(rep: BrickReport) -> str:
@@ -110,8 +113,7 @@ def _emit_reports(out: _Output, reports: list[BrickReport]) -> int:
 
 
 def cmd_validate(args, out: _Output) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        p = parse_presentation(fh.read())
+    p = _load_presentation(args.file)
     rep = validate_string_algebra(p)
     out.field("is_string_algebra", rep.is_string_algebra)
     out.field("is_gentle", rep.is_gentle)
@@ -127,8 +129,7 @@ def cmd_validate(args, out: _Output) -> int:
 
 
 def cmd_signs(args, out: _Output) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        p = parse_presentation(fh.read())
+    p = _load_presentation(args.file)
     try:
         maps = solve_sign_maps(p)
     except SignError as err:

@@ -39,12 +39,8 @@ def build_mia(ctx: Context) -> Mia:
         return ctx.cache["mia"]
     p = ctx.presentation
 
-    state_strs: list[Str] = []
-    for v in p.vertices:
-        for i in (1, -1):
-            state_strs.append(ctx.zero(v, i))
-    for l in ctx.syllables():
-        state_strs.append(ctx.make_string((l,)))
+    state_strs = [ctx.zero(v, i) for v in p.vertices for i in (1, -1)]
+    state_strs += (ctx.make_string((l,)) for l in ctx.syllables())
     for r in p.relations:
         word = tuple(Letter(a, False) for a in r)
         for x in (word, inv_seq(word)):
@@ -65,13 +61,9 @@ def build_mia(ctx: Context) -> Mia:
     trans: dict[tuple[str, Letter], str] = {}
     for s in state_strs:
         lab = labels[s.key()]
-        if s.letters:
-            for b in ctx.continuations(s.letters):
-                trans[(lab, b)] = max_right_state(s.letters + (b,))
-        else:
-            for b in ctx.syllables():
-                if ctx.letter_src(b) == s.dst and ctx.sig(b) == -s.eps:
-                    trans[(lab, b)] = max_right_state((b,))
+        nxt = ctx.continuations(s.letters) if s.letters else ctx.leaving.get((s.dst, s.eps), ())
+        for b in nxt:
+            trans[(lab, b)] = max_right_state(s.letters + (b,))
 
     # every state's e is the zero-length string at its right end; the zero
     # states are the initial ones, each its own e, paired with its inverse

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Presentation, SignMaps, solve_sign_maps
+from .algebra import (Presentation, SignError, SignMaps, solve_sign_maps,
+                      verify_sign_conditions)
 from .words import (BiInf, LeftInf, Letter, RightInf, WordRep, Window, inv_seq,
                     primitive_root, unfold_left, unfold_right)
 
@@ -65,6 +66,9 @@ class Context:
     operation needs."""
 
     def __init__(self, presentation: Presentation, signs: SignMaps | None = None):
+        # the gap-state table below is right only under conditions (a)-(c)
+        if signs is not None and (bad := verify_sign_conditions(presentation, signs)):
+            raise SignError("given signs violate " + "; ".join(bad))
         self.presentation = presentation
         self.signs = signs if signs is not None else solve_sign_maps(presentation)
         self.amap = presentation.arrow_map()
@@ -72,6 +76,11 @@ class Context:
         self.maxrel = max((len(r) for r in presentation.relations), default=2)
         self._syllables = tuple(Letter(a, inv) for a in sorted(self.amap)
                                 for inv in (False, True))
+        self._vertices = frozenset(presentation.vertices)
+        # each syllable under the gap state it leaves, at most two per key
+        self.leaving: dict[tuple[str, int], list[Letter]] = {}
+        for b in self._syllables:
+            self.leaving.setdefault(self.gap_key((b,), 0), []).append(b)
         self.cache: dict = {}
 
     # syllable-level accessors -------------------------------------------------
@@ -96,17 +105,17 @@ class Context:
 
     # construction -------------------------------------------------------------
     def zero(self, vertex: str, side: int) -> Str:
-        if vertex not in self.presentation.vertices:
+        if vertex not in self._vertices:
             raise StringError(f"unknown vertex {vertex}")
         if side not in (1, -1):
             raise StringError("side must be +1 or -1")
         return Str((), vertex, vertex, -side, side)
 
-    def _check_relations(self, seq: Sequence[Letter]) -> None:
-        """Raise at the first relation (or inverse of one) in seq, by end
-        index, then length.  A relation window lies inside one run of
-        same-direction syllables, so only windows within the current run
-        are looked at."""
+    def _relation_violation(self, seq: Sequence[Letter]) -> Optional[StringError]:
+        """The error for the first relation (or inverse of one) in seq, by
+        end index, then length, or None.  A relation window lies inside one
+        run of same-direction syllables, so only windows within the current
+        run are looked at."""
         run = 0
         for i, l in enumerate(seq):
             run = run + 1 if i and l.inv == seq[i - 1].inv else 1
@@ -114,10 +123,11 @@ class Context:
                 syms = tuple(x.sym for x in seq[i - L + 1:i + 1])
                 if not l.inv:
                     if syms in self.rels:
-                        raise StringError(f"relation {' '.join(syms)} violated", i)
+                        return StringError(f"relation {' '.join(syms)} violated", i)
                 elif syms[::-1] in self.rels:
-                    raise StringError(
+                    return StringError(
                         f"inverse of relation {' '.join(syms[::-1])} violated", i)
+        return None
 
     def make_string(self, syllables: Iterable[Letter]) -> Str:
         """Validate a syllable sequence; raises StringError naming the violated
@@ -136,7 +146,8 @@ class Context:
                     f" != s({l})={self.letter_src(l)}", i)
             if p.sym == l.sym and p.inv != l.inv:
                 raise StringError(f"backtrack {p} {l}", i)
-        self._check_relations(seq)
+        if (err := self._relation_violation(seq)) is not None:
+            raise err
         return self._positive(seq)
 
     def _positive(self, seq: tuple[Letter, ...]) -> Str:
@@ -210,9 +221,9 @@ class Context:
             reasons.append("first syllable is direct")
         if x.letters[-1].inv:
             reasons.append("last syllable is inverse")
-        if not reasons:
-            if self.try_string(x.letters + x.letters) is None:
-                reasons.append("square is not a string")
+        # no relation window spans the join, where a direct meets an inverse
+        if not reasons and x.letters[0] not in self.continuations(x.letters):
+            reasons.append("square is not a string")
         if reasons:
             return None, reasons
         return Band(x), []
@@ -231,54 +242,50 @@ class Context:
 
     # enumeration ------------------------------------------------------------------
     def continuations(self, seq: Sequence[Letter]) -> list[Letter]:
-        """Syllables extending a valid string by one letter."""
-        last = seq[-1]
-        out = []
-        for nxt in self._syllables:
-            if self.letter_src(nxt) != self.letter_dst(last):
-                continue
-            if nxt.sym == last.sym and nxt.inv != last.inv:
-                continue
-            try:
-                self._check_relations(tuple(seq[-(self.maxrel - 1):]) + (nxt,))
-            except StringError:
-                continue
-            out.append(nxt)
-        return out
+        """Syllables extending a valid string: those leaving its right gap
+        state, less any that closes a relation window.  Under (a)-(c) this
+        needs no composition or backtrack test: a syllable b with
+        s(b) = t(last) that is no backtrack and closes no length-2 relation
+        has sigma(b) = -eps(last) ((a) or (b) when the directions differ,
+        (c) when they agree), while sigma(last^-1) = eps(last)."""
+        tail = tuple(seq[-(self.maxrel - 1):])
+        return [b for b in self.leaving.get(self.gap_key(seq, len(seq)), ())
+                if self._relation_violation(tail + (b,)) is None]
 
-    def enumerate_strings(self, max_len: int, cap: int = 200000) -> list[Str]:
-        """All strings of length <= max_len, zero-length ones included."""
+    def _walk(self, seeds: Iterable[Letter], max_len: int, cap: int, found: int = 0):
+        """Every string of 1..max_len syllables starting with one of seeds,
+        grown by continuations and never validated again; CapExceeded once
+        found plus the strings walked pass cap."""
         if max_len < 0:
             raise StringError(f"max_len must be >= 0, got {max_len}")
-        out = [self.zero(v, i) for v in self.presentation.vertices for i in (1, -1)]
-        if max_len == 0:
-            return out
-        # a single syllable is a string, and continuations extends a string
-        # only to strings, so nothing popped needs validating again
-        stack = [(l,) for l in self.syllables()]
+        stack = [(l,) for l in seeds] if max_len else []
         while stack:
             seq = stack.pop()
-            out.append(self._positive(seq))
-            if len(out) > cap:
+            found += 1
+            if found > cap:
                 raise CapExceeded(f"more than {cap} strings")
+            yield seq
             if len(seq) < max_len:
-                for nxt in self.continuations(seq):
-                    stack.append(seq + (nxt,))
+                stack.extend(seq + (nxt,) for nxt in self.continuations(seq))
+
+    def enumerate_strings(self, max_len: int, cap: int = 200000) -> list[Str]:
+        """All strings of length <= max_len, zero-length ones included; the
+        cap counts them all."""
+        out = [self.zero(v, i) for v in self.presentation.vertices for i in (1, -1)]
+        out += map(self._positive, self._walk(self._syllables, max_len, cap, len(out)))
         out.sort(key=Str.key)
         return out
 
     def enumerate_bands(self, max_len: int, cap: int = 200000) -> list[Band]:
         """All bands of length <= max_len up to rotation/inversion, in
-        canonical form."""
+        canonical form.  A canonical band starts with an inverse syllable,
+        so only strings that do are walked, and the cap counts them."""
         seen: dict = {}
-        for x in self.enumerate_strings(max_len, cap):
-            if x.is_zero() or x.src != x.dst:
-                continue
-            band, _ = self.is_band(x)
-            if band is None:
-                continue
-            canon = self.band_canonical(band)
-            seen[canon.key()] = Band(canon)
+        for seq in self._walk([l for l in self._syllables if l.inv], max_len, cap):
+            band, _ = self.is_band(self._positive(seq))
+            if band is not None:
+                canon = self.band_canonical(band)
+                seen[canon.key()] = Band(canon)
         return [seen[k] for k in sorted(seen)]
 
     # infinite representations -------------------------------------------------

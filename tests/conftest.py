@@ -4,7 +4,7 @@ import pytest
 
 from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
-from stringbricks.presets import gamma, lambda3
+from stringbricks.presets import gamma, lambda3, lambda_n
 from stringbricks.scan import Track, pair_scan
 from stringbricks.strings import CapExceeded, Context, Str, StringError
 from stringbricks.sturmian import _AFTER_A, _AFTER_B
@@ -53,6 +53,11 @@ def l3():
 @pytest.fixture(scope="session")
 def gam():
     return Context(gamma())
+
+
+@pytest.fixture(scope="session")
+def l6():
+    return Context(lambda_n(6))
 
 
 def random_presentation(rng: random.Random):

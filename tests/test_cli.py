@@ -6,6 +6,7 @@ from conftest import path_quiver_text
 from stringbricks import cli
 from stringbricks.cli import main
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
+from stringbricks.strings import Context
 from stringbricks.sturmian import BRIDGE_CAP
 
 
@@ -323,6 +324,40 @@ def test_structured_and_human_verdicts_agree(argv, expect_code, lambda3_file,
     capsys.readouterr()
     json_code, doc = run_json(capsys, argv + ["--json"])
     assert human_code == json_code == expect_code
+
+
+def text_verdicts(text: str) -> list[bool]:
+    """Each report line's verdict, in order."""
+    out = []
+    for line in text.splitlines():
+        method, sep, rest = line.partition(": ")
+        if sep and method in ("direct", "automaton", "endo"):
+            out.append(rest.startswith("brick "))
+            assert out[-1] or rest.startswith("not a brick "), line
+    return out
+
+
+def test_text_and_json_agree_on_every_small_case(lambda3_file, gamma_file, capsys):
+    """Text mode and --json give the same exit code and the same verdicts on
+    every string of <= 4 syllables and every band of <= 4 at l = 1, 2."""
+    cases, seen = 0, set()
+    for path in (lambda3_file, gamma_file):
+        ctx = cli._load_context(path)
+        argvs = [["check-string-brick", path, Context.format_literal(x), "--method", "all"]
+                 for x in ctx.enumerate_strings(4)]
+        argvs += [["check-band-brick", path, Context.format_literal(b.string),
+                   "--l", str(l), "--method", "all"]
+                  for b in ctx.enumerate_bands(4) for l in (1, 2)]
+        for argv in argvs:
+            text_code = main(argv)
+            verdicts = text_verdicts(capsys.readouterr().out)
+            json_code, doc = run_json(capsys, argv)
+            assert text_code == json_code, argv
+            assert verdicts == [r["verdict"] for r in doc["reports"]], argv
+            assert len(verdicts) == 3 and doc["verdict"] == verdicts[0], argv
+            cases += 1
+            seen.update(verdicts)
+    assert cases > 100 and seen == {True, False}
 
 
 def test_signs_declared(gamma_file, capsys):

@@ -93,6 +93,17 @@ def test_transition_iff_extension_is_string(l3, gam, corpus):
                 assert (m.step(lab, b) is not None) == via_concat
 
 
+def test_zero_state_rows_match_sign_filter(l3, gam, l6, corpus):
+    """A zero state 1_(v,i) reads exactly the syllables b with s(b) = v and
+    sigma(b) = -i, in syllable order."""
+    for ctx in (l3, gam, l6, *corpus):
+        m = build_mia(ctx)
+        for lab in m.initial:
+            v, i = parse_zero_label(lab)
+            assert [b for (x, b) in m.trans if x == lab] == [
+                b for b in ctx.syllables() if ctx.letter_src(b) == v and ctx.sig(b) == -i]
+
+
 def test_transition_lands_on_maximal_right_substring(gam):
     m = build_mia(gam)
     strs = state_strings(gam)

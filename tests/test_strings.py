@@ -5,10 +5,11 @@ from functools import partial
 import pytest
 
 from conftest import concat
+from stringbricks.algebra import SignError, SignMaps, solve_sign_maps
 from stringbricks.bricks import string_brick_direct
 from stringbricks.presets import gamma
-from stringbricks.strings import Context, Str, StringError
-from stringbricks.words import Letter
+from stringbricks.strings import Band, CapExceeded, Context, Str, StringError
+from stringbricks.words import Letter, primitive_root
 
 
 def L(tok: str) -> Letter:
@@ -48,6 +49,18 @@ def test_make_string_inverse_relation_rejected(l3):
     # the inverse of b2 a1 is A1 B2; its window reversal lies in rho
     with pytest.raises(StringError):
         l3.make_string(lits("a1' b2'"))
+
+
+def test_given_signs_must_satisfy_the_conditions(l3, gam, corpus):
+    """The gap-state table is right only under (a)-(c), so signs that break
+    them are refused; solved signs are taken as they are."""
+    for ctx in (l3, gam, *corpus):
+        p = ctx.presentation
+        assert Context(p, solve_sign_maps(p)).leaving == ctx.leaving
+    p = l3.presentation
+    flat = SignMaps({a: (1, 1) for a, _, _ in p.arrows})
+    with pytest.raises(SignError, match=r"^given signs violate \(a\): arrows a1,b1 share"):
+        Context(p, flat)
 
 
 def test_zero_string_signs(l3):
@@ -150,15 +163,27 @@ def test_make_string_matches_per_index_reference(l3, gam, corpus):
     assert kinds == {"ok", "composition", "backtrack", "relation", "inverse"}
 
 
-def test_continuations_match_per_index_reference(l3, gam, corpus):
+def test_continuations_match_per_index_reference(l3, gam, l6, corpus):
+    """The gap-state table with the relation test gives what the brute rule
+    (composition, no backtrack, no relation window, over every syllable)
+    gives, in the same order."""
     extended = 0
-    for ctx in (l3, gam, *corpus[:5]):
-        for x in ctx.enumerate_strings(5):
+    for ctx in (l3, gam, l6, *corpus):
+        for x in ctx.enumerate_strings(6):
             if x.letters:
                 got = ctx.continuations(x.letters)
                 assert got == reference_continuations(ctx, x.letters), x
                 extended += bool(got)
-    assert extended > 100
+    assert extended > 1000
+
+
+def test_leaving_table_lists_each_syllable_under_its_gap_state(l3, gam, l6, corpus):
+    for ctx in (l3, gam, l6, *corpus):
+        for (v, i), syls in ctx.leaving.items():
+            assert 1 <= len(syls) <= 2
+            assert syls == [b for b in ctx.syllables()
+                            if ctx.letter_src(b) == v and ctx.sig(b) == -i]
+        assert sum(map(len, ctx.leaving.values())) == len(ctx.syllables())
 
 
 def test_syllable_lists_belong_to_the_caller():
@@ -400,9 +425,89 @@ def test_band_canonical_includes_rotations(l3):
 
 
 def test_cap_exceeded(l3):
-    from stringbricks.strings import CapExceeded
     with pytest.raises(CapExceeded):
         l3.enumerate_strings(8, cap=10)
+
+
+def reference_enumerate_strings(ctx, max_len, cap=200000):
+    """Every string grown syllable by syllable over the brute continuation
+    rule, with the cap counting zero-length strings too; sorted at every
+    length, 0 included."""
+    if max_len < 0:
+        raise StringError(f"max_len must be >= 0, got {max_len}")
+    out = [ctx.zero(v, i) for v in ctx.presentation.vertices for i in (1, -1)]
+    if max_len == 0:
+        return sorted(out, key=Str.key)
+    stack = [(l,) for l in ctx.syllables()]
+    while stack:
+        seq = stack.pop()
+        out.append(ctx.make_string(seq))
+        if len(out) > cap:
+            raise CapExceeded(f"more than {cap} strings")
+        if len(seq) < max_len:
+            stack.extend(seq + (b,) for b in reference_continuations(ctx, seq))
+    out.sort(key=Str.key)
+    return out
+
+
+def reference_is_band(ctx, x):
+    return (x.letters and x.src == x.dst
+            and len(primitive_root(x.letters)) == len(x.letters)
+            and x.letters[0].inv and not x.letters[-1].inv
+            and ctx.try_string(x.letters + x.letters) is not None)
+
+
+def reference_enumerate_bands(ctx, max_len):
+    """The canonical form of every band among all strings."""
+    seen = {}
+    for x in reference_enumerate_strings(ctx, max_len):
+        if reference_is_band(ctx, x):
+            canon = ctx.band_canonical(Band(x))
+            seen[canon.key()] = Band(canon)
+    return [seen[k] for k in sorted(seen)]
+
+
+def enumeration_outcome(enumerate_, *args):
+    try:
+        return enumerate_(*args)
+    except (CapExceeded, StringError) as err:
+        return type(err), str(err)
+
+
+def test_enumerate_strings_cap_matches_reference(l3, gam, l6, corpus):
+    """CapExceeded, with its message, exactly where the brute growth raises
+    it; the benchmark's corpus is selected on this cap."""
+    raised = 0
+    for ctx in (l3, gam, l6, *corpus[:8]):
+        zeros = 2 * len(ctx.presentation.vertices)
+        for n in range(-1, 6):
+            total = len(reference_enumerate_strings(ctx, max(n, 0)))
+            for cap in {0, 1, zeros - 1, zeros, zeros + 1, total - 1, total, total + 1}:
+                got = enumeration_outcome(ctx.enumerate_strings, n, cap)
+                assert got == enumeration_outcome(
+                    partial(reference_enumerate_strings, ctx), n, cap), (n, cap)
+                raised += isinstance(got, tuple) and got[0] is CapExceeded
+    assert raised > 100
+
+
+def test_enumerate_bands_match_filter_over_strings(l3, gam, l6, corpus):
+    found = 0
+    for ctx in (l3, gam, l6, *corpus):
+        for n in range(9):
+            got = ctx.enumerate_bands(n)
+            assert got == reference_enumerate_bands(ctx, n), n
+            found += len(got)
+    assert found > 100
+
+
+def test_band_cap_counts_the_strings_walked(l3, gam, l6):
+    # only strings that start with an inverse syllable are walked
+    for ctx in (l3, gam, l6):
+        for n in range(1, 7):
+            walked = sum(x.letters[0].inv for x in ctx.enumerate_strings(n) if x.letters)
+            assert ctx.enumerate_bands(n, cap=walked) == ctx.enumerate_bands(n)
+            with pytest.raises(CapExceeded, match=f"^more than {walked - 1} strings$"):
+                ctx.enumerate_bands(n, cap=walked - 1)
 
 
 def test_zero_length_count_any_presentation(gam, corpus):
