@@ -5,8 +5,8 @@ from .algebra import (Presentation, PresentationError, SignError, SignMaps,
                       solve_sign_maps, validate_string_algebra,
                       verify_sign_conditions)
 from .strings import Band, CapExceeded, Context, Str, StringError
-from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window,
-                    classify_periodicity, complexity_profile, invert)
+from .words import (Letter, Window, Word, classify_periodicity,
+                    complexity_profile, invert)
 from .mia import (Mia, MiaError, PointedWord, UnsupportedRepresentation,
                   check_local_bijection, check_word, equivalent, format_mia,
                   is_brick_word, is_weak_brick_word, parse_mia, relabel,

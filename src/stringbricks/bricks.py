@@ -18,8 +18,8 @@ from . import endo
 from .construct import binary_word, parity_mia
 from .mia import is_brick_word, is_brick_word_shift_checked, is_weak_brick_word
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
-from .strings import Band, Context, Str, StringError
-from .words import BiInf, LeftInf, RightInf, Window, classify_periodicity, inv_seq
+from .strings import Band, Context, Str
+from .words import Window, Word, classify_periodicity, inv_seq
 from .words import APERIODIC, FINITE
 
 
@@ -52,23 +52,18 @@ def string_brick_direct(ctx: Context, x) -> BrickReport:
         t = Track(x.letters)
         w = _direct_witness(ctx, t, t.inverse()) if x.letters else None
         return BrickReport(w is None, "direct", w, FINITE, "exact")
+    ctx.validate_inf_str(x)
+    cls = classify_periodicity(x)
     if isinstance(x, Window):
-        ctx.validate_inf_str(x)
         t = Track(x.letters, x.left_closed, x.right_closed)
         w = _direct_witness(ctx, t, t.inverse())
-        cls = classify_periodicity(x)
         verdict = w is None and cls == APERIODIC
         return BrickReport(verdict, "direct", w, cls, f"window {len(x.letters)}")
-    if isinstance(x, (RightInf, LeftInf, BiInf)):
-        ctx.validate_inf_str(x)
-        cls = classify_periodicity(x)
-        return BrickReport(False, "direct", None, cls, "exact",
-                           reason="eventually periodic words are almost periodic, never aperiodic")
-    raise StringError(f"unsupported representation {type(x).__name__}")
+    return BrickReport(False, "direct", None, cls, "exact",
+                       reason="eventually periodic words are almost periodic, never aperiodic")
 
 
-def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1,
-                      length_bound_factor: int = 1) -> BrickReport:
+def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
     """Band criterion: brick iff l = 1 and the doubly infinite band word has
     no finite common factor/image substring (lambda never matters)."""
     if lam == 0:
@@ -79,8 +74,8 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1,
         return BrickReport(False, "direct", None, "periodic", "exact",
                            reason="l must be 1")
     q = b.string.letters
-    span = len(q) * length_bound_factor
-    w = _direct_witness(ctx, unroll(q, len(q), span), unroll(inv_seq(q), len(q), span), 1)
+    n = len(q)  # every witness is shorter than |q| (see `unroll`)
+    w = _direct_witness(ctx, unroll(q, n, n), unroll(inv_seq(q), n, n), 1)
     return BrickReport(w is None, "direct", w, "periodic", "exact")
 
 
@@ -95,8 +90,7 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
     return is_brick_word(mdelta, w)
 
 
-def band_brick_automaton(ctx: Context, b: Band, l: int,
-                         length_bound_factor: int = 1) -> BrickReport:
+def band_brick_automaton(ctx: Context, b: Band, l: int) -> BrickReport:
     """l = 1 plus the weak brick word property of the transported doubly
     infinite band word."""
     if l < 1:
@@ -105,8 +99,7 @@ def band_brick_automaton(ctx: Context, b: Band, l: int,
         return BrickReport(False, "automaton", None, "periodic", "exact",
                            reason="l must be 1")
     q = b.string.letters
-    return is_weak_brick_word(parity_mia(ctx)[1], binary_word(ctx, BiInf(q, (), q)),
-                              length_bound_factor)
+    return is_weak_brick_word(parity_mia(ctx)[1], binary_word(ctx, Word(q, (), q)))
 
 
 def string_brick_endo(ctx: Context, x: Str, prime: int = endo.DEFAULT_PRIME) -> BrickReport:

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .mia import Mia, PointedWord, transport, underlying
 from .strings import Context, Str, StringError
-from .words import Finite, LeftInf, Letter, RightInf, Window, inv_seq
+from .words import Letter, Window, Word, inv_seq
 
 
 def zero_label(vertex: str, side: int) -> str:
@@ -103,28 +103,28 @@ def string_to_word(ctx: Context, x) -> PointedWord:
     finite strings, at the left gap for right-infinite words and windows, and
     after the last left letter for left- and bi-infinite words."""
     if isinstance(x, Str):
-        return PointedWord(Finite(x.letters), zero_label(x.dst, x.eps), Finite(()))
+        return PointedWord(Word(core=x.letters), zero_label(x.dst, x.eps), Word())
     ctx.validate_inf_str(x)
-    if isinstance(x, (RightInf, Window)):
-        first = x.letters if isinstance(x, Window) else x.prefix or x.period
-        return PointedWord(Finite(()), state_label(ctx.gap_zero(first, 0)), x)
-    left, right = ((x, Finite(())) if isinstance(x, LeftInf) else
-                   (LeftInf(x.left_period, ()), RightInf(x.core, x.right_period)))
-    last = left.suffix or left.period
+    if isinstance(x, Window) or not x.left_period:
+        first = x.letters if isinstance(x, Window) else x.core or x.right_period
+        return PointedWord(Word(), state_label(ctx.gap_zero(first, 0)), x)
+    left, right = ((Word(x.left_period), Word((), x.core, x.right_period))
+                   if x.right_period else (x, Word()))
+    last = left.core or left.left_period
     return PointedWord(left, state_label(ctx.gap_zero(last, len(last))), right)
 
 
 def word_to_string(ctx: Context, w: PointedWord):
     """Concatenate the two sides back into a string (the inverse of
     string_to_word up to basepoint equivalence)."""
-    if isinstance(w.right, Window) and w.left != Finite(()):
+    if isinstance(w.right, Window) and w.left != Word():
         raise StringError("a window word must have an empty left part")
     rep = underlying(w)
-    if not isinstance(rep, Finite):
+    if isinstance(rep, Window) or rep.left_period or rep.right_period:
         ctx.validate_inf_str(rep)
         return rep
-    if rep.letters:
-        return ctx.make_string(rep.letters)
+    if rep.core:
+        return ctx.make_string(rep.core)
     parsed = parse_zero_label(w.base)
     if parsed is None:
         raise StringError(f"basepoint {w.base!r} is not a zero-length state")

@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
-from .words import (BiInf, Finite, LeftInf, Letter, RightInf, Window, WordRep,
-                    classify_periodicity, inverse_of, invert)
+from .words import (Letter, Window, Word, WordRep, classify_periodicity,
+                    inverse_of, invert)
 from .words import APERIODIC, FINITE
 
 
@@ -134,8 +134,9 @@ def validate_mia(m: Mia) -> list[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class PointedWord:
-    """(left, basepoint, right); left is Finite or LeftInf, right is Finite,
-    RightInf, or a Window with the basepoint at its left edge."""
+    """(left, basepoint, right); left is a Word with no right period, right
+    is a Word with no left period, or a Window with the basepoint at its left
+    edge (and an empty left)."""
 
     left: WordRep
     base: str
@@ -146,25 +147,21 @@ class PointedWord:
 
 
 def finite_word(left: Sequence[Letter], base: str, right: Sequence[Letter]) -> PointedWord:
-    return PointedWord(Finite(tuple(left)), base, Finite(tuple(right)))
+    return PointedWord(Word(core=left), base, Word(core=right))
 
 
 def underlying(w: PointedWord) -> WordRep:
     """The two-sided word rep obtained by forgetting the basepoint."""
     l, r = w.left, w.right
     if isinstance(r, Window):
-        if l != Finite(()):
+        if l != Word():
             raise UnsupportedRepresentation("window words must have an empty left part")
         return r
-    if isinstance(l, Finite) and isinstance(r, Finite):
-        return Finite(l.letters + r.letters)
-    if isinstance(l, Finite) and isinstance(r, RightInf):
-        return RightInf(l.letters + r.prefix, r.period)
-    if isinstance(l, LeftInf) and isinstance(r, Finite):
-        return LeftInf(l.period, l.suffix + r.letters)
-    if isinstance(l, LeftInf) and isinstance(r, RightInf):
-        return BiInf(l.period, l.suffix + r.prefix, r.period)
-    raise UnsupportedRepresentation(f"{type(l).__name__} + {type(r).__name__}")
+    if isinstance(l, Window) or l.right_period or r.left_period:
+        raise UnsupportedRepresentation(
+            "a left part must be a Word with no right period, and a right part "
+            "have no left period")
+    return Word(l.left_period, l.core + r.core, r.right_period)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +214,10 @@ class _FiniteHost:
 
 
 def _as_finite_parts(w: PointedWord) -> Optional[tuple[tuple[Letter, ...], int, str]]:
-    if isinstance(w.left, Finite) and isinstance(w.right, Finite):
-        return (w.left.letters + w.right.letters, len(w.left.letters), w.base)
-    return None
+    rep = underlying(w)
+    if isinstance(rep, Window) or rep.left_period or rep.right_period:
+        return None
+    return rep.core, len(w.left.core), w.base
 
 
 def _finite_host(m: Mia, w: PointedWord) -> _FiniteHost:
@@ -356,16 +354,12 @@ class _PeriodicHost:
 
 
 def _periodic_host(m: Mia, w: PointedWord) -> _PeriodicHost:
-    if not (isinstance(w.left, LeftInf) and isinstance(w.right, RightInf)):
+    rep = underlying(w)
+    if isinstance(rep, Window) or rep.core or not rep.right_period \
+            or rep.left_period != rep.right_period:
         raise UnsupportedRepresentation(
-            "periodic machinery needs a two-sided eventually periodic word")
-    if w.left.suffix or w.right.prefix:
-        raise UnsupportedRepresentation(
-            "only purely periodic two-sided words are supported")
-    if w.left.period != w.right.period:
-        raise UnsupportedRepresentation(
-            "left and right periods disagree; the word is not purely periodic")
-    return _PeriodicHost(m, w.right.period, w.base)
+            "periodic machinery needs a purely periodic two-sided word")
+    return _PeriodicHost(m, w.right.right_period, w.base)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,7 @@ class _WindowHost:
     """
 
     def __init__(self, m: Mia, w: PointedWord):
-        if not (isinstance(w.right, Window) and isinstance(w.left, Finite)
-                and not w.left.letters):
+        if not isinstance(w.right, Window) or w.left != Word():
             raise UnsupportedRepresentation(
                 "window words must have an empty left part and a Window right part")
         self.m = m
@@ -492,13 +485,12 @@ def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickReport:
     return BrickReport(found is None, "automaton", found, FINITE, "exact")
 
 
-def _periodic_witness(m: Mia, w: PointedWord,
-                      length_bound_factor: int) -> Optional[BrickWitness]:
+def _periodic_witness(m: Mia, w: PointedWord) -> Optional[BrickWitness]:
     """Anchors range over the gap period of each host, which may be a proper
-    multiple of the letter period."""
+    multiple of the letter period; every witness is shorter than the letter
+    period (see `unroll`)."""
     hosts = (_periodic_host(m, w), _periodic_host(m, w.inverse(m)))
-    span = hosts[0].P * length_bound_factor
-    x, xinv = (unroll(h.q, h.T, span) for h in hosts)
+    x, xinv = (unroll(h.q, h.T, h.P) for h in hosts)
     return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 
 
@@ -507,13 +499,12 @@ def _window_witness(m: Mia, host: _WindowHost) -> Optional[BrickWitness]:
     of w: its basepoint is the inverse of the state there.  Building its host
     also checks that its gap states are single-valued."""
     win = host.window
-    inv_host = _WindowHost(m, PointedWord(Finite(()), m.inv[host.chain[-1]], invert(win)))
+    inv_host = _WindowHost(m, PointedWord(Word(), m.inv[host.chain[-1]], invert(win)))
     x = Track(host.u, win.left_closed, win.right_closed, key=host.chain.__getitem__)
     return _word_witness(x, x.inverse(inv_host.chain.__getitem__))
 
 
-def _brick_word(m: Mia, w: PointedWord, weak: bool,
-                length_bound_factor: int = 1) -> BrickReport:
+def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
     """Both notions share the witness search; only a brick word must also
     be aperiodic."""
     if isinstance(w.right, Window):
@@ -528,7 +519,7 @@ def _brick_word(m: Mia, w: PointedWord, weak: bool,
     if not weak:
         # every eventually periodic rep is almost periodic, hence not aperiodic
         return BrickReport(False, "automaton", None, cls, "exact")
-    found = _periodic_witness(m, w, length_bound_factor)
+    found = _periodic_witness(m, w)
     return BrickReport(found is None, "automaton", found, cls, "exact")
 
 
@@ -539,10 +530,10 @@ def is_brick_word(m: Mia, w: PointedWord) -> BrickReport:
     return _brick_word(m, w, weak=False)
 
 
-def is_weak_brick_word(m: Mia, w: PointedWord, length_bound_factor: int = 1) -> BrickReport:
+def is_weak_brick_word(m: Mia, w: PointedWord) -> BrickReport:
     """Weak brick word: no finite common factor/image pointed subword; no
     aperiodicity requirement."""
-    return _brick_word(m, w, weak=True, length_bound_factor=length_bound_factor)
+    return _brick_word(m, w, weak=True)
 
 
 def is_brick_word_shift_checked(m: Mia, w: PointedWord) -> BrickReport:
@@ -598,19 +589,11 @@ def _phi_letters(phi: Mapping[str, str], seq: Sequence[Letter]) -> tuple[Letter,
 
 
 def _map_rep(phi: Mapping[str, str], rep: WordRep) -> WordRep:
-    f = lambda seq: _phi_letters(phi, seq)
-    if isinstance(rep, Finite):
-        return Finite(f(rep.letters))
-    if isinstance(rep, RightInf):
-        return RightInf(f(rep.prefix), f(rep.period))
-    if isinstance(rep, LeftInf):
-        return LeftInf(f(rep.period), f(rep.suffix))
-    if isinstance(rep, BiInf):
-        return BiInf(f(rep.left_period), f(rep.core), f(rep.right_period))
     if isinstance(rep, Window):
-        return Window(f(rep.letters), rep.certified_aperiodic, rep.origin,
-                      rep.left_closed, rep.right_closed)
-    raise MiaError(f"not a word rep: {rep!r}")
+        return Window(_phi_letters(phi, rep.letters), rep.certified_aperiodic,
+                      rep.origin, rep.left_closed, rep.right_closed)
+    return Word(*(_phi_letters(phi, seq)
+                  for seq in (rep.left_period, rep.core, rep.right_period)))
 
 
 def transport(phi: Mapping[str, str], w: PointedWord) -> PointedWord:
@@ -635,45 +618,36 @@ def _walk_back_finite(m, phi, state, seq):
     return tuple(out), state
 
 
-def _walk_back_rightinf(m, phi, state, rep: RightInf):
-    pre, state = _walk_back_finite(m, phi, state, rep.prefix)
-    seen = {}
+def _walk_back_right(m, phi, state, rep: WordRep) -> WordRep:
+    """The preimage of a right part read from `state`: the core, then the
+    period until the state repeats, which closes the preimage's period."""
+    if isinstance(rep, Window):
+        letters, _ = _walk_back_finite(m, phi, state, rep.letters)
+        return Window(letters, rep.certified_aperiodic, rep.origin,
+                      rep.left_closed, rep.right_closed)
+    if rep.left_period:
+        raise UnsupportedRepresentation("a right part must have no left period")
+    core, state = _walk_back_finite(m, phi, state, rep.core)
+    if not rep.right_period:
+        return Word(core=core)
+    seen: dict[str, int] = {}
     rounds = []
     while state not in seen:
         seen[state] = len(rounds)
-        letters, state = _walk_back_finite(m, phi, state, rep.period)
+        letters, state = _walk_back_finite(m, phi, state, rep.right_period)
         rounds.append(letters)
     i = seen[state]
-    prefix = pre + tuple(l for r in rounds[:i] for l in r)
-    period = tuple(l for r in rounds[i:] for l in r)
-    return RightInf(prefix, period)
+    return Word((), core + tuple(l for r in rounds[:i] for l in r),
+                tuple(l for r in rounds[i:] for l in r))
 
 
 def transport_back(m: Mia, phi: Mapping[str, str], w: PointedWord) -> PointedWord:
     """Backward transport: the unique per-state preimage walk (the inverse of
-    the forward bijection on words)."""
-    # right side walks forward from the basepoint
-    if isinstance(w.right, Finite):
-        letters, _ = _walk_back_finite(m, phi, w.base, w.right.letters)
-        right: WordRep = Finite(letters)
-    elif isinstance(w.right, RightInf):
-        right = _walk_back_rightinf(m, phi, w.base, w.right)
-    elif isinstance(w.right, Window):
-        win = w.right
-        letters, _ = _walk_back_finite(m, phi, w.base, win.letters)
-        right = Window(letters, win.certified_aperiodic, win.origin,
-                       win.left_closed, win.right_closed)
-    else:
-        raise UnsupportedRepresentation(type(w.right).__name__)
-    # left side walks forward from the involuted basepoint over the inverse
-    linv = invert(w.left)
-    if isinstance(linv, Finite):
-        letters, _ = _walk_back_finite(m, phi, m.inv[w.base], linv.letters)
-        left: WordRep = invert(Finite(letters))
-    elif isinstance(linv, RightInf):
-        left = invert(_walk_back_rightinf(m, phi, m.inv[w.base], linv))
-    else:
-        raise UnsupportedRepresentation(type(w.left).__name__)
+    the forward bijection on words).  The right part walks forward from the
+    basepoint, the left part forward from the involuted basepoint over its
+    inverse."""
+    right = _walk_back_right(m, phi, w.base, w.right)
+    left = invert(_walk_back_right(m, phi, m.inv[w.base], invert(w.left)))
     return PointedWord(left, w.base, right)
 
 

@@ -12,8 +12,8 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (Presentation, SignError, SignMaps, solve_sign_maps,
                       verify_sign_conditions)
-from .words import (BiInf, LeftInf, Letter, RightInf, WordRep, Window, inv_seq,
-                    primitive_root, unfold_left, unfold_right)
+from .words import (Letter, Window, Word, WordRep, inv_seq, primitive_root,
+                    unfold_left, unfold_right)
 
 
 class StringError(ValueError):
@@ -290,23 +290,15 @@ class Context:
 
     # infinite representations -------------------------------------------------
     def validate_inf_str(self, rep: WordRep) -> None:
-        """Check that every unfolded window of an eventually periodic rep is a
-        valid string (sufficient up to preperiod + two periods + margin)."""
-        if isinstance(rep, RightInf):
-            n = len(rep.prefix) + 2 * len(rep.period) + self.maxrel
-            self.make_string(unfold_right(rep, n))
-        elif isinstance(rep, LeftInf):
-            n = len(rep.suffix) + 2 * len(rep.period) + self.maxrel
-            self.make_string(unfold_left(rep, n))
-        elif isinstance(rep, BiInf):
-            ln = 2 * len(rep.left_period) + self.maxrel
-            rn = 2 * len(rep.right_period) + self.maxrel
-            text = (unfold_left(LeftInf(rep.left_period, ()), ln)
-                    + rep.core
-                    + unfold_right(RightInf((), rep.right_period), rn))
-            self.make_string(text)
-        elif isinstance(rep, Window):
+        """Check that a window, or every unfolded window of an eventually
+        periodic word, is a valid string (the core with two periods and a
+        margin on each infinite side suffices)."""
+        if isinstance(rep, Window):
             self.make_string(rep.letters)
-        else:
-            raise StringError(f"unsupported representation {type(rep).__name__}")
+            return
+        lp, rp, k = rep.left_period, rep.right_period, self.maxrel
+        if not (lp or rp):
+            raise StringError("unsupported representation: a finite word")
+        self.make_string(unfold_left(Word(lp), 2 * len(lp) + k) + rep.core
+                         + unfold_right(Word(right_period=rp), 2 * len(rp) + k))
 

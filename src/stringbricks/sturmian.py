@@ -27,7 +27,7 @@ from .construct import binary_word, parity_mia
 from .mia import PointedWord, is_brick_word
 from .presets import lambda3
 from .scan import BrickReport, Rule, Track, pair_scan
-from .strings import Context
+from .strings import CapExceeded, Context
 from .words import Letter, Window, primitive_root
 
 A = Letter("a", False)
@@ -106,7 +106,7 @@ def characteristic_prefix(d: DirectiveSequence, n: int) -> Window:
     if n < 1:
         raise SturmianError("prefix length must be >= 1")
     if n > PREFIX_CAP:
-        raise SturmianError(f"prefix length exceeds cap {PREFIX_CAP}")
+        raise CapExceeded(f"prefix length exceeds cap {PREFIX_CAP}")
     prev = "b"  # s_{-1}
     cur = "a"   # s_0
     k = 0
@@ -249,7 +249,7 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
     if side not in (RIGHT_INFINITE, BI_INFINITE):
         raise SturmianError(f"unknown side {side!r}")
     if len(w.letters) > BRIDGE_CAP:
-        raise SturmianError(f"bridge window exceeds cap {BRIDGE_CAP} letters")
+        raise CapExceeded(f"bridge window exceeds cap {BRIDGE_CAP} letters")
     violation = sturmian_window_check(w)  # rejects letters other than a, b
     ctx = lambda3_context()
     letters = tuple(s for l in w.letters for s in _BLOCKS[l])

@@ -1,9 +1,9 @@
 """Alphabet-generic words over signed alphabets.
 
 A word lives over an alphabet A together with formal inverses A'; letters are
-(symbol, inverted) pairs.  Infinite words exist only as eventually periodic
-representations (right-, left- or two-sided) or as finite windows sampled from
-a generated word.  All values are immutable.
+(symbol, inverted) pairs.  A `Word` is finite or eventually periodic on
+either side or both; an aperiodic word exists only as a finite `Window`
+sampled from a generated word.  All values are immutable.
 """
 from __future__ import annotations
 
@@ -62,84 +62,35 @@ def primitive_root(seq: Sequence[Letter]) -> Letters:
     return seq
 
 
-def _rot_left(seq: Letters) -> Letters:
-    return seq[1:] + seq[:1]
-
-
-def _rot_right(seq: Letters) -> Letters:
-    return seq[-1:] + seq[:-1]
-
-
 @dataclass(frozen=True)
-class Finite:
-    letters: Letters
+class Word:
+    """The eventually periodic word ^infinity(left_period) . core .
+    (right_period)^infinity; an empty period makes that end finite, so
+    Word(core=u) is the finite word u.
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-
-
-@dataclass(frozen=True)
-class RightInf:
-    """prefix . period^infinity; the period is primitive and the prefix is
-    shortened as far as rotation allows, so equal words get equal reps."""
-
-    prefix: Letters
-    period: Letters
-
-    def __post_init__(self):
-        prefix, period = tuple(self.prefix), tuple(self.period)
-        if not period:
-            raise WordError("empty period")
-        period = primitive_root(period)
-        while prefix and prefix[-1] == period[-1]:
-            period = _rot_right(period)
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "period", period)
-
-
-@dataclass(frozen=True)
-class LeftInf:
-    """period^infinity . suffix, normalized like RightInf."""
-
-    period: Letters
-    suffix: Letters
-
-    def __post_init__(self):
-        period, suffix = tuple(self.period), tuple(self.suffix)
-        if not period:
-            raise WordError("empty period")
-        period = primitive_root(period)
-        while suffix and suffix[0] == period[0]:
-            period = _rot_left(period)
-            suffix = suffix[1:]
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "suffix", suffix)
-
-
-@dataclass(frozen=True)
-class BiInf:
-    """left_period^infinity . core . right_period^infinity.
-
-    The core is absorbed into the periods (left side first) so that purely
-    periodic words normalize to an empty core with equal periods.
+    Both periods are made primitive and the core is absorbed into the left
+    period, then into the right one, so equal words get equal reps and a
+    purely periodic word has an empty core.  A finite word skips that work.
     """
 
-    left_period: Letters
-    core: Letters
-    right_period: Letters
+    left_period: Letters = ()
+    core: Letters = ()
+    right_period: Letters = ()
 
     def __post_init__(self):
-        lp, core, rp = tuple(self.left_period), tuple(self.core), tuple(self.right_period)
-        if not lp or not rp:
-            raise WordError("empty period")
-        lp, rp = primitive_root(lp), primitive_root(rp)
-        while core and core[0] == lp[0]:
-            lp = _rot_left(lp)
-            core = core[1:]
-        while core and core[-1] == rp[-1]:
-            rp = _rot_right(rp)
-            core = core[:-1]
+        lp, core, rp = self.left_period, self.core, self.right_period
+        if not (lp or rp):
+            if type(core) is tuple and lp == () == rp:
+                return  # a finite word given as tuples is already normal
+            lp, core, rp = (), tuple(core), ()
+        else:
+            lp, core, rp = primitive_root(lp), tuple(core), primitive_root(rp)
+            while core and lp and core[0] == lp[0]:
+                lp = lp[1:] + lp[:1]
+                core = core[1:]
+            while core and rp and core[-1] == rp[-1]:
+                rp = rp[-1:] + rp[:-1]
+                core = core[:-1]
         object.__setattr__(self, "left_period", lp)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "right_period", rp)
@@ -164,48 +115,40 @@ class Window:
         object.__setattr__(self, "letters", tuple(self.letters))
 
 
-WordRep = Union[Finite, RightInf, LeftInf, BiInf, Window]
+WordRep = Union[Word, Window]
 
 
 def invert(w: WordRep) -> WordRep:
     """Letterwise inversion with order reversal; swaps left/right infinitude."""
-    if isinstance(w, Finite):
-        return Finite(inv_seq(w.letters))
-    if isinstance(w, RightInf):
-        return LeftInf(period=inv_seq(w.period), suffix=inv_seq(w.prefix))
-    if isinstance(w, LeftInf):
-        return RightInf(prefix=inv_seq(w.suffix), period=inv_seq(w.period))
-    if isinstance(w, BiInf):
-        return BiInf(inv_seq(w.right_period), inv_seq(w.core), inv_seq(w.left_period))
     if isinstance(w, Window):
         return Window(inv_seq(w.letters), w.certified_aperiodic, w.origin,
                       left_closed=w.right_closed, right_closed=w.left_closed)
-    raise WordError(f"not a word rep: {w!r}")
+    return Word(inv_seq(w.right_period), inv_seq(w.core), inv_seq(w.left_period))
+
+
+def _cycle(p: Letters, n: int) -> Letters:
+    """The first n letters of p^infinity (none for an empty p)."""
+    return (p * (n // len(p) + 1))[:n] if p else ()
 
 
 def unfold_right(w: WordRep, n: int) -> Letters:
     """First n letters reading rightward from the left anchor (all of them for
     finite reps shorter than n)."""
-    if isinstance(w, (Finite, Window)):
+    if isinstance(w, Window):
         return w.letters[:n]
-    if isinstance(w, RightInf):
-        out = list(w.prefix[:n])
-        while len(out) < n:
-            out.extend(w.period)
-        return tuple(out[:n])
-    raise WordError(f"cannot unfold {type(w).__name__} rightward")
+    if w.left_period:
+        raise WordError("cannot unfold a left-infinite word rightward")
+    return w.core[:n] + _cycle(w.right_period, n - len(w.core))
 
 
 def unfold_left(w: WordRep, n: int) -> Letters:
     """Last n letters of a leftward rep, in left-to-right order."""
-    if isinstance(w, (Finite, Window)):
+    if isinstance(w, Window):
         return w.letters[-n:] if n else ()
-    if isinstance(w, LeftInf):
-        out = list(w.suffix)
-        while len(out) < n:
-            out = list(w.period) + out
-        return tuple(out[-n:]) if n else ()
-    raise WordError(f"cannot unfold {type(w).__name__} leftward")
+    if w.right_period:
+        raise WordError("cannot unfold a right-infinite word leftward")
+    out = _cycle(w.left_period[::-1], n - len(w.core))[::-1] + w.core
+    return out[-n:] if n else ()
 
 
 FINITE = "finite"
@@ -224,19 +167,14 @@ def classify_periodicity(w: WordRep) -> str:
     by normalization, almost periodic otherwise; windows are aperiodic only
     when their generator certified it.
     """
-    if isinstance(w, Finite):
-        return FINITE
-    if isinstance(w, RightInf):
-        return PERIODIC if not w.prefix else ALMOST_RIGHT
-    if isinstance(w, LeftInf):
-        return PERIODIC if not w.suffix else ALMOST_LEFT
-    if isinstance(w, BiInf):
-        if not w.core and w.left_period == w.right_period:
-            return PERIODIC
-        return ALMOST_BOTH
     if isinstance(w, Window):
         return APERIODIC if w.certified_aperiodic else UNKNOWN
-    raise WordError(f"not a word rep: {w!r}")
+    lp, rp = w.left_period, w.right_period
+    if lp and rp:
+        return PERIODIC if not w.core and lp == rp else ALMOST_BOTH
+    if not (lp or rp):
+        return FINITE
+    return PERIODIC if not w.core else ALMOST_LEFT if lp else ALMOST_RIGHT
 
 
 def complexity_profile(w: Window, max_len: int) -> list[int]:

@@ -5,9 +5,12 @@ import pytest
 from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
 from stringbricks.presets import gamma, lambda3, lambda_n
-from stringbricks.scan import Track, pair_scan
+from stringbricks.bricks import _direct_witness
+from stringbricks.mia import _periodic_host, _word_witness
+from stringbricks.scan import Track, pair_scan, unroll
 from stringbricks.strings import CapExceeded, Context, Str, StringError
 from stringbricks.sturmian import _AFTER_A, _AFTER_B
+from stringbricks.words import inv_seq
 
 
 def concat(ctx: Context, x: Str, y: Str) -> Str:
@@ -32,6 +35,21 @@ def sturmian_pair_scan(u):
     alone (the reference for the balance test)."""
     t = Track(u, left_closed=False, right_closed=False)
     return pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
+
+
+def direct_band_witness_3q(ctx: Context, q):
+    """The direct route's witness for the band word of q, scanned 3|q|
+    letters past each start instead of the route's |q|."""
+    n = len(q)
+    return _direct_witness(ctx, unroll(q, n, 3 * n), unroll(inv_seq(q), n, 3 * n), 1)
+
+
+def periodic_witness_3q(m, w):
+    """The automaton route's witness for a purely periodic pointed word w,
+    scanned 3|q| letters past each start instead of the route's |q|."""
+    hosts = (_periodic_host(m, w), _periodic_host(m, w.inverse(m)))
+    x, xinv = (unroll(h.q, h.T, 3 * h.P) for h in hosts)
+    return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 
 
 def path_quiver_text(n: int) -> str:

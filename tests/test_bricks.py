@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import direct_band_witness_3q
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  band_brick_endo, string_brick_automaton,
                                  string_brick_direct, string_brick_endo)
@@ -9,7 +10,7 @@ from stringbricks.construct import build_mia, string_to_word
 from stringbricks.endo import end_dim_band, end_dim_string
 from stringbricks.mia import is_brick_word_shift_checked
 from stringbricks.strings import Context
-from stringbricks.words import BiInf, Letter, RightInf, Window
+from stringbricks.words import Letter, Window, Word
 
 
 def L(tok):
@@ -65,11 +66,11 @@ def test_rotated_aabb_band_not_brick(l3):
 
 def test_periodic_string_not_brick(l3):
     q = lits("a2' b2")
-    rep = string_brick_direct(l3, BiInf(q, (), q))
+    rep = string_brick_direct(l3, Word(q, (), q))
     assert not rep.verdict and rep.periodicity == "periodic"
-    rep2 = string_brick_automaton(l3, BiInf(q, (), q))
+    rep2 = string_brick_automaton(l3, Word(q, (), q))
     assert not rep2.verdict and rep2.periodicity == "periodic"
-    rep3 = string_brick_direct(l3, RightInf((), q))
+    rep3 = string_brick_direct(l3, Word((), (), q))
     assert not rep3.verdict
 
 
@@ -140,9 +141,9 @@ def test_band_lambda_invariance(l3, gam):
 def test_witness_bound_soundness(l3, gam, corpus):
     for ctx in (l3, gam, *corpus):
         for b in ctx.enumerate_bands(8):
-            w1 = band_brick_direct(ctx, b, 1, 1, length_bound_factor=1).witness
-            w3 = band_brick_direct(ctx, b, 1, 1, length_bound_factor=3).witness
-            assert (w1 is None) == (w3 is None)
+            w1 = band_brick_direct(ctx, b, 1, 1).witness
+            w3 = direct_band_witness_3q(ctx, b.string.letters)
+            assert w1 == w3
 
 
 def _is_inverse_token(tok):

@@ -7,7 +7,7 @@ from stringbricks import cli
 from stringbricks.cli import main
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
 from stringbricks.strings import Context
-from stringbricks.sturmian import BRIDGE_CAP
+from stringbricks.sturmian import BRIDGE_CAP, PREFIX_CAP
 
 
 @pytest.fixture()
@@ -182,11 +182,19 @@ def test_sturmian_bridge(capsys):
     assert doc["bridge_consistent"] is True
 
 
-def test_sturmian_bridge_past_its_cap_is_input_error(capsys):
+def test_sturmian_bridge_past_its_cap_exits_3(capsys):
     code, doc = run_json(capsys, ["sturmian", "--directive", "1,(1)", "--prefix",
                                   str(BRIDGE_CAP + 1), "--check", "--bridge"])
-    assert code == 2 and "cap" in doc["error"]
+    assert code == 3 and f"cap {BRIDGE_CAP} " in doc["error"]
     assert doc["violation"] is None
+
+
+def test_sturmian_prefix_past_its_cap_exits_3(capsys):
+    code, doc = run_json(capsys, ["sturmian", "--directive", "1,(1)", "--prefix",
+                                  str(PREFIX_CAP + 1)])
+    assert code == 3 and doc["error"].endswith(f"cap {PREFIX_CAP}")
+    code, doc = run_json(capsys, ["sturmian", "--directive", "1,(1)", "--prefix", "0"])
+    assert code == 2
 
 
 def test_sturmian_bad_directive(capsys):

@@ -10,8 +10,7 @@ from stringbricks.construct import (binary_word, build_mia, parity_mia,
                                     zero_label)
 from stringbricks.mia import equivalent, parse_mia, validate_mia
 from stringbricks.strings import Context, StringError
-from stringbricks.words import (BiInf, Finite, LeftInf, Letter, RightInf, Window,
-                               unfold_left, unfold_right)
+from stringbricks.words import Letter, Window, Word, unfold_left, unfold_right
 
 
 def L(tok):
@@ -153,7 +152,7 @@ def test_string_word_roundtrip(l3, gam):
 
 def test_zero_string_word(l3):
     w = string_to_word(l3, l3.zero("v1", 1))
-    assert w.left == Finite(()) and w.right == Finite(())
+    assert w.left == Word() and w.right == Word()
     assert w.base == zero_label("v1", 1)
 
 
@@ -177,16 +176,16 @@ def test_infinite_roundtrips(l3, gam, corpus):
         for b in ctx.enumerate_bands(6):
             q = b.string.letters
             for x in sorted(xs):
-                for rep in (RightInf(x, q), LeftInf(q, x), BiInf(q, x, q)):
+                for rep in (Word((), x, q), Word(q, x), Word(q, x, q)):
                     try:
                         w = string_to_word(ctx, rep)
                     except StringError:
                         continue
                     assert word_to_string(ctx, w) == rep
                     zero = ctx.zero(*parse_zero_label(w.base))
-                    if w.left != Finite(()):
+                    if w.left != Word():
                         concat(ctx, ctx.make_string(unfold_left(w.left, 1)), zero)
-                    if w.right != Finite(()):
+                    if w.right != Word():
                         concat(ctx, zero, ctx.make_string(unfold_right(w.right, 1)))
                     fitted += 1
     assert fitted > 100
@@ -194,7 +193,7 @@ def test_infinite_roundtrips(l3, gam, corpus):
 
 def test_binary_word_example(l3):
     w = binary_word(l3, l3.parse_literal("b1 a1'"))
-    assert w.left.letters == lits("0 0'")
+    assert w.left.core == lits("0 0'")
     assert w.base == "1(v2,+1)"
 
 
@@ -238,7 +237,7 @@ def test_word_to_string_rejects(l3):
         word_to_string(l3, finite_word((), "b1", ()))
     win = Window(lits("b1 a1' a2' b2"), False, "sample")
     with pytest.raises(StringError):
-        word_to_string(l3, PointedWord(Finite(lits("a1")), "1(v1,-1)", win))
+        word_to_string(l3, PointedWord(Word(core=lits("a1")), "1(v1,-1)", win))
     with pytest.raises(StringError):
         word_to_string(l3, finite_word(lits("b1 b1"), "1(v2,+1)", ()))
 
@@ -262,3 +261,28 @@ def test_window_word_roundtrip(l3):
     wd = transport(phi, w)
     assert isinstance(wd.right, Window)
     assert transport_back(m, phi, wd) == w
+
+
+def test_word_shapes_are_checked_on_data(l3):
+    """A left part with a right period, a right part with a left period and
+    a window after a non-empty left part are no pointed words; a finite word
+    is no infinite string."""
+    from stringbricks.bricks import string_brick_direct
+    from stringbricks.mia import (PointedWord, UnsupportedRepresentation,
+                                  check_word, is_brick_word, underlying)
+    m = build_mia(l3)
+    q = lits("a2' b2")
+    shapes = [PointedWord(Word((), (), q), "1(v2,+1)", Word()),
+              PointedWord(Word(), "1(v2,+1)", Word(q)),
+              PointedWord(Word(core=lits("b1")), "1(v2,+1)",
+                          Window(lits("a1'"), False, "sample"))]
+    for w in shapes:
+        for check in (underlying, lambda w: check_word(m, w),
+                      lambda w: is_brick_word(m, w)):
+            with pytest.raises(UnsupportedRepresentation):
+                check(w)
+    for x in (Word(core=q), Word()):
+        for check in (lambda x: string_to_word(l3, x),
+                      lambda x: string_brick_direct(l3, x), l3.validate_inf_str):
+            with pytest.raises(StringError):
+                check(x)

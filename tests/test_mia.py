@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from conftest import periodic_witness_3q
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord,
                               UnsupportedRepresentation, check_local_bijection,
@@ -10,7 +11,8 @@ from stringbricks.mia import (Mia, MiaError, PointedWord,
                               is_brick_word, is_weak_brick_word, parse_mia,
                               relabel, shift_basepoint, transport,
                               transport_back, underlying, validate_mia)
-from stringbricks.words import BiInf, Finite, Letter, Window, inv_seq
+from stringbricks.strings import StringError
+from stringbricks.words import Letter, Window, Word, inv_seq
 
 
 def L(tok):
@@ -132,8 +134,8 @@ def test_equivalent_different_words(l3):
 def test_equivalent_periodic(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
-    w1 = string_to_word(l3, BiInf(q, (), q))
-    w2 = string_to_word(l3, BiInf(q, (), q))
+    w1 = string_to_word(l3, Word(q, (), q))
+    w2 = string_to_word(l3, Word(q, (), q))
     assert equivalent(m, w1, w2)
 
 
@@ -154,9 +156,9 @@ def test_invalid_word_rejected(l3):
 
 def test_underlying_keeps_or_rejects_a_window_left_part():
     win = Window(lits("a1'"), False, "sample")
-    assert underlying(PointedWord(Finite(()), "1(v2,+1)", win)) == win
+    assert underlying(PointedWord(Word(), "1(v2,+1)", win)) == win
     with pytest.raises(UnsupportedRepresentation):
-        underlying(PointedWord(Finite(lits("b1")), "1(v2,+1)", win))
+        underlying(PointedWord(Word(core=lits("b1")), "1(v2,+1)", win))
 
 
 # --- brick words -----------------------------------------------------------------
@@ -181,11 +183,11 @@ def test_brick_word_ab_witness(l3):
 def test_brick_word_periodic(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
-    w = string_to_word(l3, BiInf(q, (), q))
+    w = string_to_word(l3, Word(q, (), q))
     assert not is_brick_word(m, w).verdict            # periodic
     assert is_brick_word(m, w).periodicity == "periodic"
     assert is_weak_brick_word(m, w).verdict           # no finite witness
-    assert is_weak_brick_word(m, w, 3).verdict        # sound at 3x the bound
+    assert periodic_witness_3q(m, w) is None          # sound at 3x the bound
 
 
 def test_brick_and_weak_brick_word_by_kind(l3):
@@ -196,10 +198,10 @@ def test_brick_and_weak_brick_word_by_kind(l3):
     blocks = {"a": "b1 a1'", "b": "a2' b2"}
     fib = tuple(l for c in "abaab" for l in lits(blocks[c]))
 
-    def both(w, *factors):
-        reports = [is_brick_word(m, w)] + [is_weak_brick_word(m, w, f) for f in factors]
+    def both(w):
+        reports = [is_brick_word(m, w), is_weak_brick_word(m, w)]
         wd = transport(phi, w)
-        reports_d = [is_brick_word(md, wd)] + [is_weak_brick_word(md, wd, f) for f in factors]
+        reports_d = [is_brick_word(md, wd), is_weak_brick_word(md, wd)]
         assert [(r.verdict, r.periodicity) for r in reports] == \
                [(r.verdict, r.periodicity) for r in reports_d]
         return reports
@@ -209,26 +211,28 @@ def test_brick_and_weak_brick_word_by_kind(l3):
                                          right_closed=closed))
 
     # an uncertified window without a witness: only the aperiodicity fails
-    brick, weak = both(window(False, False), 1)
+    brick, weak = both(window(False, False))
     assert not brick.verdict and brick.periodicity == "unknown-window"
     assert weak.verdict and brick.witness is None and weak.witness is None
     # a refuted window: both false on the same witness
-    brick, weak = both(window(False, True), 1)
+    brick, weak = both(window(False, True))
     assert not brick.verdict and not weak.verdict
     assert brick.witness is not None and brick.witness == weak.witness
     # a certified window without a witness: both hold
-    brick, weak = both(window(True, False), 1)
+    brick, weak = both(window(True, False))
     assert brick.verdict and weak.verdict
     assert brick.periodicity == weak.periodicity == "aperiodic-certified"
     # finite words: the notions coincide, witness included
     for text in ("b1 a1'", "b1 a1' a2' b2"):
-        brick, weak = both(string_to_word(l3, l3.parse_literal(text)), 1)
+        brick, weak = both(string_to_word(l3, l3.parse_literal(text)))
         assert brick == weak and brick.periodicity == "finite"
     # a periodic band word: never a brick word, a weak one at either bound
     q = lits("a2' b2")
-    brick, weak1, weak3 = both(string_to_word(l3, BiInf(q, (), q)), 1, 3)
+    w = string_to_word(l3, Word(q, (), q))
+    brick, weak1 = both(w)
     assert not brick.verdict and brick.periodicity == "periodic"
-    assert weak1.verdict and weak3.verdict
+    assert weak1.verdict and periodic_witness_3q(m, w) is None
+    assert periodic_witness_3q(md, transport(phi, w)) is None
 
 
 def test_brick_implies_weak_and_finite_coincide(l3, gam):
@@ -252,10 +256,10 @@ def test_brick_invariant_under_shifts(l3, gam):
     shifts = 0
     for m, w in words:
         rep = is_brick_word(m, w).verdict
-        n = len(w.left.letters) + len(w.right.letters)
+        n = len(w.left.core) + len(w.right.core)
         for _ in range(3):
             g = rng.randint(0, n)
-            shifted = shift_basepoint(m, w, g - len(w.left.letters))
+            shifted = shift_basepoint(m, w, g - len(w.left.core))
             assert equivalent(m, shifted, w)
             assert is_brick_word(m, shifted).verdict == rep
             shifts += 1
@@ -344,7 +348,7 @@ def test_transport_example(l3):
     phi, md = parity_mia(l3)
     w = finite_word((), "1(v2,+1)", lits("b1 a1'"))
     wd = transport(phi, w)
-    assert wd.right.letters == lits("0 0'")
+    assert wd.right.core == lits("0 0'")
     assert wd.base == "1(v2,+1)"
     assert transport_back(m, phi, wd) == w
 
@@ -362,8 +366,28 @@ def test_transport_periodic_roundtrip(l3):
     m = build_mia(l3)
     phi, _ = parity_mia(l3)
     q = lits("a2' b2")
-    w = string_to_word(l3, BiInf(q, (), q))
+    w = string_to_word(l3, Word(q, (), q))
     assert transport_back(m, phi, transport(phi, w)) == w
+
+
+def test_transport_eventually_periodic_roundtrip(l3, gam):
+    # one walk back serves both parts: words eventually periodic on the
+    # right, on the left and on both sides
+    checked = 0
+    for ctx in (l3, gam):
+        m = build_mia(ctx)
+        phi, _ = parity_mia(ctx)
+        xs = sorted({x.letters for x in ctx.enumerate_strings(3)})
+        for b in ctx.enumerate_bands(6):
+            q = b.string.letters
+            for rep in (r for x in xs for r in (Word((), x, q), Word(q, x), Word(q, x, q))):
+                try:
+                    w = string_to_word(ctx, rep)
+                except StringError:
+                    continue
+                assert transport_back(m, phi, transport(phi, w)) == w
+                checked += 1
+    assert checked == 77
 
 
 # --- text format ---------------------------------------------------------------
@@ -416,7 +440,7 @@ def test_pointed_word_inverse(l3):
     wi = w.inverse(m)
     check_word(m, wi)
     assert wi.inverse(m) == w
-    assert wi.left.letters == inv_seq(w.right.letters) == ()
+    assert wi.left.core == inv_seq(w.right.core) == ()
     assert wi.base == m.inv[w.base]
 
 
@@ -424,8 +448,8 @@ def test_equivalent_periodic_rotation(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
     rot = lits("b2 a2'")
-    w1 = string_to_word(l3, BiInf(q, (), q))
-    w2 = string_to_word(l3, BiInf(rot, (), rot))
+    w1 = string_to_word(l3, Word(q, (), q))
+    w2 = string_to_word(l3, Word(rot, (), rot))
     # same doubly infinite word, seams one letter apart
     assert equivalent(m, w1, w2)
     assert equivalent(m, w2, w1)
@@ -435,8 +459,8 @@ def test_equivalent_periodic_different_words(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
     other = lits("a1' b1")
-    w1 = string_to_word(l3, BiInf(q, (), q))
-    w2 = string_to_word(l3, BiInf(other, (), other))
+    w1 = string_to_word(l3, Word(q, (), q))
+    w2 = string_to_word(l3, Word(other, (), other))
     assert not equivalent(m, w1, w2)
 
 
@@ -444,6 +468,6 @@ def test_equivalent_mixed_shapes(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
     wfin = string_to_word(l3, l3.parse_literal("a2' b2"))
-    wper = string_to_word(l3, BiInf(q, (), q))
+    wper = string_to_word(l3, Word(q, (), q))
     assert not equivalent(m, wfin, wper)
     assert not equivalent(m, wper, wfin)

@@ -16,7 +16,7 @@ from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
                               is_brick_word_shift_checked, shift_basepoint,
                               transport)
 from stringbricks.scan import FACTOR, IMAGE
-from stringbricks.words import BiInf, Letter, inv_seq
+from stringbricks.words import Letter, Word, inv_seq
 
 
 def L(tok):
@@ -103,13 +103,13 @@ def test_finite_class_matches_brute_force(l3, gam, corpus):
         phi, md = parity_mia(ctx)
         for x in ctx.enumerate_strings(4):
             w = string_to_word(ctx, x)
-            u = w.left.letters + w.right.letters
-            bpos = len(w.left.letters)
+            u = w.left.core + w.right.core
+            bpos = len(w.left.core)
             if ctx in (l3, gam):
                 host = _FiniteHost(m, u, bpos, w.base)
                 assert host.G == brute_class(m, u, bpos, w.base)
             wd = transport(phi, w)
-            ud = wd.left.letters + wd.right.letters
+            ud = wd.left.core + wd.right.core
             host_d = _FiniteHost(md, ud, bpos, wd.base)
             assert host_d.G == brute_class(md, ud, bpos, wd.base)
 
@@ -158,8 +158,8 @@ def subword_occurrences(m, needle, hay):
     at the anchor gap."""
     host = _finite_host(m, hay)
     _finite_host(m, needle)  # validate the needle
-    nu = needle.left.letters + needle.right.letters
-    napos, k = len(needle.left.letters), len(nu)
+    nu = needle.left.core + needle.right.core
+    napos, k = len(needle.left.core), len(nu)
     u, n = host.u, len(host.u)
     out = []
     for o in range(n - k + 1):
@@ -240,7 +240,7 @@ def brute_witness_exists(m, w):
     """Witness search straight from the definitions: range over candidate
     pointed needles and test factor/image occurrence through the occurrence
     API, excluding only the identity pair."""
-    u = w.left.letters + w.right.letters
+    u = w.left.core + w.right.core
     n = len(u)
     winv = w.inverse(m)
     for i in range(n + 1):
@@ -357,7 +357,7 @@ def band_words(ctx, max_len):
     phi, md = parity_mia(ctx)
     for band in ctx.enumerate_bands(max_len):
         q = band.string.letters
-        w = string_to_word(ctx, BiInf(q, (), q))
+        w = string_to_word(ctx, Word(q, (), q))
         yield m, w
         yield md, transport(phi, w)
 
@@ -366,7 +366,7 @@ def test_periodic_class_matches_burnin_walk(l3, gam, corpus):
     checked = 0
     for ctx in (l3, gam, *corpus[:5]):
         for m, w in band_words(ctx, 6):
-            q = w.right.period
+            q = w.right.right_period
             for qq, base in ((q, w.base), (inv_seq(q), m.inv[w.base])):
                 host = _PeriodicHost(m, qq, base)
                 assert (host.T, host.G) == burnin_classes(m, qq, base), ctx.presentation
@@ -391,13 +391,13 @@ def test_periodic_class_matches_unfolded_window(l3, corpus):
         phi, md = parity_mia(ctx)
         for band in bands[:3]:
             q = band.string.letters
-            w = string_to_word(ctx, BiInf(q, (), q))
+            w = string_to_word(ctx, Word(q, (), q))
             wd = transport(phi, w)
-            host = _PeriodicHost(md, wd.right.period, wd.base)
+            host = _PeriodicHost(md, wd.right.right_period, wd.base)
             burn = burnin_margin(md, host)
-            reps = max(6, (2 * burn) // len(wd.right.period) + 2)
-            letters = wd.right.period * reps
-            mid = (reps // 2) * len(wd.right.period)
+            reps = max(6, (2 * burn) // len(wd.right.right_period) + 2)
+            letters = wd.right.right_period * reps
+            mid = (reps // 2) * len(wd.right.right_period)
             fin = _FiniteHost(md, letters, mid, wd.base)
             # compare on gaps far enough from both window edges
             lo, hi = burn, len(letters) - burn
@@ -426,15 +426,15 @@ relation x1 x0 x1
     m = build_mia(ctx)
     phi, md = parity_mia(ctx)
     q = band.string.letters
-    wd = transport(phi, string_to_word(ctx, BiInf(q, (), q)))
-    assert len(wd.right.period) == 3  # the binary letters collapse
-    host = _PeriodicHost(md, wd.right.period, wd.base)
+    wd = transport(phi, string_to_word(ctx, Word(q, (), q)))
+    assert len(wd.right.right_period) == 3  # the binary letters collapse
+    host = _PeriodicHost(md, wd.right.right_period, wd.base)
     assert host.T == 6
     assert host.state_at(0) != host.state_at(3)  # classes do not have period 3
-    assert (host.T, host.G) == burnin_classes(md, wd.right.period, wd.base)
+    assert (host.T, host.G) == burnin_classes(md, wd.right.right_period, wd.base)
     burn = burnin_margin(md, host)
     reps = (2 * burn) // 3 + 2
-    letters = wd.right.period * reps
+    letters = wd.right.right_period * reps
     mid = (reps // 2) * 3
     fin = _FiniteHost(md, letters, mid, wd.base)
     for g in range(burn, len(letters) - burn):

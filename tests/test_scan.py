@@ -8,15 +8,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sturmian_pair_scan
+from conftest import direct_band_witness_3q, periodic_witness_3q, sturmian_pair_scan
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
-from stringbricks.construct import build_mia, parity_mia, string_to_word
+from stringbricks.construct import binary_word, build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
 from stringbricks.scan import FACTOR, IMAGE, Hit, Track, lce, pair_scan, unroll
 from stringbricks.sturmian import (_AFTER_A, _AFTER_B, DirectiveSequence, _balanced,
                                    characteristic_prefix, sturmian_window_check)
-from stringbricks.words import BiInf, Letter, Window, inv_seq
+from stringbricks.words import Letter, Window, Word, inv_seq
 
 OPEN = "open"
 A, B = Letter("a"), Letter("b")
@@ -131,9 +131,9 @@ def band_matches_brute_pairs(ctx, b):
                          periodic_host(qinv, P, gap_keys(qinv)), 3 * P)
     assert (band_brick_direct(ctx, b, 1).witness is not None) == direct
 
-    w = transport(phi, string_to_word(ctx, BiInf(q, (), q)))
-    hosts = [_PeriodicHost(md, w.right.period, w.base),
-             _PeriodicHost(md, inv_seq(w.right.period), md.inv[w.base])]
+    w = transport(phi, string_to_word(ctx, Word(q, (), q)))
+    hosts = [_PeriodicHost(md, w.right.right_period, w.base),
+             _PeriodicHost(md, inv_seq(w.right.right_period), md.inv[w.base])]
     auto = brute_pairs(*(periodic_host(h.q, h.T, h.state_at) for h in hosts),
                        3 * max(h.T for h in hosts))
     assert (band_brick_automaton(ctx, b, 1).witness is not None) == auto
@@ -170,12 +170,14 @@ def test_band_witnesses_are_shorter_than_the_period(l3, gam, corpus):
                                  for b in ctx.enumerate_bands(8)]
     ratios = []
     for ctx, b in bands:
-        P = len(b.string.letters)
-        for f in (1, 3):
-            for rep in (band_brick_direct(ctx, b, 1, length_bound_factor=f),
-                        band_brick_automaton(ctx, b, 1, length_bound_factor=f)):
-                if rep.witness is not None:
-                    ratios.append((rep.witness.factor.end - rep.witness.factor.start) / P)
+        q = b.string.letters
+        wd = binary_word(ctx, Word(q, (), q))
+        for wit in (band_brick_direct(ctx, b, 1).witness,
+                    band_brick_automaton(ctx, b, 1).witness,
+                    direct_band_witness_3q(ctx, q),
+                    periodic_witness_3q(parity_mia(ctx)[1], wd)):
+            if wit is not None:
+                ratios.append((wit.factor.end - wit.factor.start) / len(q))
     assert len(ratios) > 32 and max(ratios) < 1
     assert max(ratios) == 12 / 32  # the long-witness band
 

@@ -6,8 +6,10 @@ import pytest
 import stringbricks.construct as construct
 from conftest import sturmian_pair_scan
 from stringbricks.bricks import string_brick_automaton
-from stringbricks.sturmian import (BI_INFINITE, BRIDGE_CAP, RIGHT_INFINITE,
-                                   DirectiveSequence, SturmianError,
+from stringbricks.strings import CapExceeded
+from stringbricks.sturmian import (BI_INFINITE, BRIDGE_CAP, PREFIX_CAP,
+                                   RIGHT_INFINITE, DirectiveSequence,
+                                   SturmianError,
                                    SturmianViolation, bridge,
                                    characteristic_prefix, lambda3_context,
                                    sturmian_window_check)
@@ -167,8 +169,19 @@ def test_bridge_rejects_other_alphabets(l3):
 def test_bridge_cap():
     # an all-a window is the cheapest to bridge, so the cap itself is checked
     assert bridge(Window((A,) * BRIDGE_CAP, False, "at cap"), BI_INFINITE).violation is None
-    with pytest.raises(SturmianError, match="cap"):
+    with pytest.raises(CapExceeded, match=f"cap {BRIDGE_CAP} "):
         bridge(Window((A,) * (BRIDGE_CAP + 1), False, "past cap"), BI_INFINITE)
+
+
+def test_prefix_cap_and_input_errors():
+    # a cap hit is CapExceeded, naming the cap; a bad argument stays SturmianError
+    fib = DirectiveSequence.parse("1,(1)")
+    with pytest.raises(CapExceeded, match=f"cap {PREFIX_CAP}$"):
+        characteristic_prefix(fib, PREFIX_CAP + 1)
+    with pytest.raises(SturmianError):
+        characteristic_prefix(fib, 0)
+    with pytest.raises(SturmianError):
+        bridge(characteristic_prefix(fib, 8), "sideways")
 
 
 def test_bridge_builds_its_word_once(monkeypatch):
