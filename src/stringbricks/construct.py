@@ -101,10 +101,17 @@ def parity_mia(ctx: Context) -> tuple[dict[str, str], Mia]:
 def string_to_word(ctx: Context, x) -> PointedWord:
     """The canonical pointed word of a string: basepoint at the right end for
     finite strings, at the left gap for right-infinite words and windows, and
-    after the last left letter for left- and bi-infinite words."""
+    after the last left letter for left- and bi-infinite words.  A window or
+    infinite word is validated first; a Str is valid by construction."""
+    if not isinstance(x, Str):
+        ctx.validate_inf_str(x)
+    return _pointed_word(ctx, x)
+
+
+def _pointed_word(ctx: Context, x) -> PointedWord:
+    """string_to_word of a string known to be valid, without validating it."""
     if isinstance(x, Str):
         return PointedWord(Word(core=x.letters), zero_label(x.dst, x.eps), Word())
-    ctx.validate_inf_str(x)
     if isinstance(x, Window) or not x.left_period:
         first = x.letters if isinstance(x, Window) else x.core or x.right_period
         return PointedWord(Word(), state_label(ctx.gap_zero(first, 0)), x)

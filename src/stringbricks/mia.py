@@ -19,8 +19,13 @@ Key facts the implementation leans on (checked by the test suite):
 Every host reads the MIA through its per-letter table, so its cost follows
 the transitions on the letters the word reads, not |states| x length.
 
-The (weak) brick-word witness search is the pair scan of `scan`, run on
-each host with its gap states.
+`_host` maps a pointed word's shape to its host once: a finite word, a
+purely periodic word, or a window word (a window with the basepoint at its
+left edge, whose inverse `PointedWord.inverse` points at the left edge
+again).  Each host carries the track its scan reads, its gap classes and the
+shift from track indices to word gaps, so the (weak) brick-word witness
+search is one pair scan of `scan` over the hosts of a word and its inverse,
+and one report path serves every shape.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .words import (Letter, Window, Word, WordRep, classify_periodicity,
                     inverse_of, invert)
-from .words import APERIODIC, FINITE
+from .words import APERIODIC, FINITE, UNKNOWN
 
 
 class MiaError(ValueError):
@@ -143,6 +148,15 @@ class PointedWord:
     right: WordRep
 
     def inverse(self, m: Mia) -> "PointedWord":
+        """The inverse word, pointed at the involuted basepoint; a window
+        word's inverse is again a window word, pointed at its left edge,
+        which is the right end of the window: the involution of the state
+        there.  MiaError when the window's run is undefined."""
+        if isinstance(self.right, Window):
+            end = m.run(self.base, self.right.letters)
+            if end is None:
+                raise MiaError("window run undefined")
+            return PointedWord(Word(), m.inv[m.e[end]], invert(self.right))
         return PointedWord(invert(self.right), m.inv[self.base], invert(self.left))
 
 
@@ -165,7 +179,8 @@ def underlying(w: PointedWord) -> WordRep:
 
 
 # ---------------------------------------------------------------------------
-# finite hosts: exact placement machinery
+# hosts: one per pointed-word shape, each with the track its scan reads, its
+# gap classes state_at(g) and the shift from track indices to word gaps
 
 
 class _FiniteHost:
@@ -175,14 +190,13 @@ class _FiniteHost:
     placements equivalent to the given one.
     """
 
+    shift = 0
+
     def __init__(self, m: Mia, u: tuple[Letter, ...], bpos: int, base: str):
-        self.m = m
         self.u = u
         self.bpos = bpos
-        self.base = base
+        self.track = Track(u)
         n = len(u)
-        if base not in set(m.initial):
-            raise MiaError(f"basepoint {base!r} is not an initial state")
         table = m.by_letter
         fwd = [table.get(l, {}) for l in u]  # gap g to g + 1 reads u[g]
         back = [table.get(l, {}) for l in map(inverse_of, u)]
@@ -212,35 +226,8 @@ class _FiniteHost:
         self.G = [frozenset(s for s in tchain[g] if s in rfin[g] and e[rfin[g][s]] == end)
                   for g in range(n + 1)]
 
-
-def _as_finite_parts(w: PointedWord) -> Optional[tuple[tuple[Letter, ...], int, str]]:
-    rep = underlying(w)
-    if isinstance(rep, Window) or rep.left_period or rep.right_period:
-        return None
-    return rep.core, len(w.left.core), w.base
-
-
-def _finite_host(m: Mia, w: PointedWord) -> _FiniteHost:
-    parts = _as_finite_parts(w)
-    if parts is None:
-        raise UnsupportedRepresentation("finite machinery on an infinite rep")
-    return _FiniteHost(m, *parts)
-
-
-def check_word(m: Mia, w: PointedWord) -> None:
-    """Raise MiaError unless w is a valid pointed word over m."""
-    parts = _as_finite_parts(w)
-    if parts is not None:
-        _FiniteHost(m, *parts)
-        return
-    if isinstance(w.right, Window):
-        _WindowHost(m, w)
-        return
-    _periodic_host(m, w)
-
-
-# ---------------------------------------------------------------------------
-# periodic hosts (purely periodic two-sided words, basepoint at a seam)
+    def state_at(self, g: int) -> frozenset:
+        return self.G[g]
 
 
 def _forever(nodes: Iterable[Hashable],
@@ -282,14 +269,12 @@ class _PeriodicHost:
     validity pass, which walks each (gap mod |q|, state) at most once.
     """
 
+    shift = 1  # gap g sits at track index g + 1 (see `unroll`)
+
     def __init__(self, m: Mia, q: tuple[Letter, ...], base: str):
-        self.m = m
         self.q = q
-        self.base = base
         P = len(q)
         self.P = P
-        if base not in set(m.initial):
-            raise MiaError(f"basepoint {base!r} is not an initial state")
         table = m.by_letter
         fwd = [table.get(l, {}) for l in q]  # gap r to r + 1 reads q[r]
         back = [table.get(l, {}) for l in map(inverse_of, q[-1:] + q[:-1])]
@@ -331,6 +316,9 @@ class _PeriodicHost:
             node = shift(node)
         entry = seen[node]
         T = self.T = len(chain) - entry
+        # anchors range over the gap period, which may be a proper multiple of
+        # the letter period; every witness is shorter than the letter period
+        self.track = unroll(q, T, P)
 
         # pred[r][t]: the valid placements at gaps r - 1 (mod P) that shift to t
         pred = [defaultdict(list) for _ in range(P)]
@@ -353,78 +341,81 @@ class _PeriodicHost:
         return self.G[g % self.T]
 
 
-def _periodic_host(m: Mia, w: PointedWord) -> _PeriodicHost:
-    rep = underlying(w)
-    if isinstance(rep, Window) or rep.core or not rep.right_period \
-            or rep.left_period != rep.right_period:
-        raise UnsupportedRepresentation(
-            "periodic machinery needs a purely periodic two-sided word")
-    return _PeriodicHost(m, w.right.right_period, w.base)
-
-
-# ---------------------------------------------------------------------------
-# window hosts (finite views of infinite words; single-valued gap chains)
-
-
 class _WindowHost:
-    """A Window right part with the basepoint at gap 0.
+    """A window with the basepoint at its left edge: a finite view of an
+    infinite word.
 
-    Uses the single forward gap chain; backward determinism along the window
-    is verified so the chain really is the whole ~-class at each gap.
+    The track keys each gap by the state of the single forward gap chain;
+    backward determinism along the window is verified so the chain really is
+    the whole ~-class at each gap.
     """
 
-    def __init__(self, m: Mia, w: PointedWord):
-        if not isinstance(w.right, Window) or w.left != Word():
-            raise UnsupportedRepresentation(
-                "window words must have an empty left part and a Window right part")
-        self.m = m
-        self.window = w.right
-        self.u = w.right.letters
-        self.base = w.base
+    shift = 0
+    state_at = None  # no gap classes: the track's start keys are the classes
+
+    def __init__(self, m: Mia, window: Window, base: str):
         table, e = m.by_letter, m.e
-        run = w.base
-        self.chain = [w.base]
-        for g, l in enumerate(self.u):
+        run = base
+        chain = [base]
+        for g, l in enumerate(window.letters):
             run = table.get(l, {}).get(run)
             if run is None:
                 raise MiaError(f"window run undefined at position {g}")
-            self.chain.append(e[run])
+            chain.append(e[run])
+        self.track = Track(window.letters, window.left_closed, window.right_closed,
+                           key=chain.__getitem__)
         # gap states must be single-valued for the windowed pair scan: each
         # gap state has a unique initial-state predecessor across its letter
         preds: dict[Letter, Counter] = {}
-        for g, l in enumerate(self.u):
+        for g, l in enumerate(window.letters):
             if l not in preds:
                 step = table.get(l, {})
                 preds[l] = Counter(e[step[s]] for s in m.initial if s in step)
-            if preds[l][self.chain[g + 1]] != 1:
+            if preds[l][chain[g + 1]] != 1:
                 raise UnsupportedRepresentation(
                     "window gap states are not single-valued; "
                     "use the finite machinery instead")
 
 
+def _host(m: Mia, w: PointedWord):
+    """The host of w's shape: a window word, a finite word, or a purely
+    periodic word with its basepoint at a seam.  UnsupportedRepresentation
+    for any other shape; MiaError unless w is valid over m."""
+    rep = underlying(w)
+    if w.base not in m.initial:
+        raise MiaError(f"basepoint {w.base!r} is not an initial state")
+    if isinstance(rep, Window):
+        return _WindowHost(m, rep, w.base)
+    if not (rep.left_period or rep.right_period):
+        return _FiniteHost(m, rep.core, len(w.left.core), w.base)
+    if rep.core or rep.left_period != rep.right_period:
+        raise UnsupportedRepresentation(
+            "periodic machinery needs a purely periodic two-sided word")
+    return _PeriodicHost(m, w.right.right_period, w.base)
+
+
+def check_word(m: Mia, w: PointedWord) -> None:
+    """Raise MiaError unless w is a valid pointed word over m."""
+    _host(m, w)
+
+
 def equivalent(m: Mia, w1: PointedWord, w2: PointedWord) -> bool:
     """Basepoint-shift equivalence: same underlying word, and the forward
     placement chains merge."""
-    p1, p2 = _as_finite_parts(w1), _as_finite_parts(w2)
-    if p1 is not None and p2 is not None:
-        u1, b1, v1 = p1
-        u2, b2, v2 = p2
-        if u1 != u2:
-            return False
-        host = _FiniteHost(m, u1, b1, v1)
-        _FiniteHost(m, u2, b2, v2)
-        return v2 in host.G[b2]
-    if p1 is not None or p2 is not None:
+    h1, h2 = _host(m, w1), _host(m, w2)
+    if isinstance(h1, _WindowHost) or isinstance(h2, _WindowHost):
+        raise UnsupportedRepresentation("a window does not decide equivalence")
+    if type(h1) is not type(h2):
         return False
-    h1 = _periodic_host(m, w1)
-    h2 = _periodic_host(m, w2)
+    if isinstance(h1, _FiniteHost):
+        return h1.u == h2.u and w2.base in h1.G[h2.bpos]
     P = h1.P
     if h2.P != P:
         return False
     for d in range(P):
         if all(h2.q[i] == h1.q[(i + d) % P] for i in range(P)):
             # the seam of w2 may sit at any gap congruent to d mod P
-            if any(h2.base in h1.state_at(d + k * P) for k in range(h1.T // P)):
+            if any(w2.base in h1.state_at(d + k * P) for k in range(h1.T // P)):
                 return True
     return False
 
@@ -433,10 +424,9 @@ def shift_basepoint(m: Mia, w: PointedWord, steps: int) -> PointedWord:
     """Move the basepoint of a finite word `steps` gaps to the right
     (negative = left), staying inside the ~-class: the representative with
     the least state of the class at that gap."""
-    parts = _as_finite_parts(w)
-    if parts is None:
+    host = _host(m, w)
+    if not isinstance(host, _FiniteHost):
         raise UnsupportedRepresentation("shift_basepoint expects a finite word")
-    host = _FiniteHost(m, *parts)
     u, g = host.u, host.bpos + steps
     if not 0 <= g <= len(u):
         raise MiaError("shift leaves the word")
@@ -472,55 +462,28 @@ def _word_witness(x: Track, xinv: Track, states=None,
     return witness(x, (x, xinv), hit, f"<{base}>", shift)
 
 
-def _finite_hosts(m: Mia, w: PointedWord) -> tuple[_FiniteHost, _FiniteHost]:
-    """The hosts of a finite pointed word and of its inverse."""
-    return _finite_host(m, w), _finite_host(m, w.inverse(m))
-
-
-def _finite_report(hosts: tuple[_FiniteHost, _FiniteHost]) -> BrickReport:
-    """Finite words are aperiodic, so a word is a (weak) brick word iff the
-    scan finds no witness."""
-    x = Track(hosts[0].u)
-    found = _word_witness(x, x.inverse(), lambda h, g: hosts[h].G[g])
-    return BrickReport(found is None, "automaton", found, FINITE, "exact")
-
-
-def _periodic_witness(m: Mia, w: PointedWord) -> Optional[BrickWitness]:
-    """Anchors range over the gap period of each host, which may be a proper
-    multiple of the letter period; every witness is shorter than the letter
-    period (see `unroll`)."""
-    hosts = (_periodic_host(m, w), _periodic_host(m, w.inverse(m)))
-    x, xinv = (unroll(h.q, h.T, h.P) for h in hosts)
-    return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
-
-
-def _window_witness(m: Mia, host: _WindowHost) -> Optional[BrickWitness]:
-    """The inverse window is pointed at its left edge, which is the right end
-    of w: its basepoint is the inverse of the state there.  Building its host
-    also checks that its gap states are single-valued."""
-    win = host.window
-    inv_host = _WindowHost(m, PointedWord(Word(), m.inv[host.chain[-1]], invert(win)))
-    x = Track(host.u, win.left_closed, win.right_closed, key=host.chain.__getitem__)
-    return _word_witness(x, x.inverse(inv_host.chain.__getitem__))
+def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
+    """The report of one scan over the hosts of a word and of its inverse.
+    A word is a weak brick word iff the scan finds no witness; a brick word
+    must also be aperiodic, which a finite word is, and a window only when
+    its generator certified it."""
+    x, xinv = (h.track for h in hosts)
+    window = hosts[0].state_at is None
+    found = _word_witness(x, xinv, None if window else lambda h, g: hosts[h].state_at(g),
+                          hosts[0].shift)
+    scope = f"window {len(x.letters)}" if window else "exact"
+    return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
+                       found, cls, scope)
 
 
 def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
     """Both notions share the witness search; only a brick word must also
     be aperiodic."""
-    if isinstance(w.right, Window):
-        host = _WindowHost(m, w)
-        found = _window_witness(m, host)
-        cls = classify_periodicity(w.right)
-        verdict = found is None and (weak or cls == APERIODIC)
-        return BrickReport(verdict, "automaton", found, cls, f"window {len(host.u)}")
     cls = classify_periodicity(underlying(w))
-    if cls == FINITE:
-        return _finite_report(_finite_hosts(m, w))
-    if not weak:
+    if not weak and cls not in (FINITE, APERIODIC, UNKNOWN):
         # every eventually periodic rep is almost periodic, hence not aperiodic
         return BrickReport(False, "automaton", None, cls, "exact")
-    found = _periodic_witness(m, w)
-    return BrickReport(found is None, "automaton", found, cls, "exact")
+    return _report((_host(m, w), _host(m, w.inverse(m))), cls, weak)
 
 
 def is_brick_word(m: Mia, w: PointedWord) -> BrickReport:
@@ -550,11 +513,14 @@ def is_brick_word_shift_checked(m: Mia, w: PointedWord) -> BrickReport:
 
     The MIA of a string algebra passes this check; a generic MIA need not,
     since the inverses of two ~-equivalent placements may be inequivalent."""
-    hosts = _finite_hosts(m, w)
-    n, inv, Ginv = len(hosts[0].u), m.inv, hosts[1].G
-    if any(inv[s] not in Ginv[n - g] for g, cls in enumerate(hosts[0].G) for s in cls):
+    host = _host(m, w)
+    if not isinstance(host, _FiniteHost):
+        raise UnsupportedRepresentation("the shift check expects a finite word")
+    hosts = host, _host(m, w.inverse(m))
+    n, inv, Ginv = len(host.u), m.inv, hosts[1].G
+    if any(inv[s] not in Ginv[n - g] for g, cls in enumerate(host.G) for s in cls):
         raise RuntimeError("gap classes not invariant under basepoint shift")
-    return _finite_report(hosts)
+    return _report(hosts, FINITE, weak=False)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +591,6 @@ def _walk_back_right(m, phi, state, rep: WordRep) -> WordRep:
         letters, _ = _walk_back_finite(m, phi, state, rep.letters)
         return Window(letters, rep.certified_aperiodic, rep.origin,
                       rep.left_closed, rep.right_closed)
-    if rep.left_period:
-        raise UnsupportedRepresentation("a right part must have no left period")
     core, state = _walk_back_finite(m, phi, state, rep.core)
     if not rep.right_period:
         return Word(core=core)
@@ -645,7 +609,9 @@ def transport_back(m: Mia, phi: Mapping[str, str], w: PointedWord) -> PointedWor
     """Backward transport: the unique per-state preimage walk (the inverse of
     the forward bijection on words).  The right part walks forward from the
     basepoint, the left part forward from the involuted basepoint over its
-    inverse."""
+    inverse.  The shape is checked first, as every pointed-word operation
+    does."""
+    underlying(w)
     right = _walk_back_right(m, phi, w.base, w.right)
     left = invert(_walk_back_right(m, phi, m.inv[w.base], invert(w.left)))
     return PointedWord(left, w.base, right)

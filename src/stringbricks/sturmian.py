@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .construct import binary_word, parity_mia
-from .mia import PointedWord, is_brick_word
+from .construct import _pointed_word, parity_mia
+from .mia import PointedWord, is_brick_word, transport
 from .presets import lambda3
 from .scan import BrickReport, Rule, Track, pair_scan
 from .strings import CapExceeded, Context
@@ -256,6 +256,10 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
     string_window = Window(letters, w.certified_aperiodic, w.origin,
                            left_closed=(side == RIGHT_INFINITE),
                            right_closed=False)
-    word = binary_word(ctx, string_window)
-    report = is_brick_word(parity_mia(ctx)[1], word)
+    # the blocks always form a string, so the window is not validated: a
+    # composition, backtrack or relation fault (Lambda_3's relations have
+    # length 2) lies within two adjacent blocks, and aa ab ba bb are strings
+    phi, mdelta = parity_mia(ctx)
+    word = transport(phi, _pointed_word(ctx, string_window))
+    report = is_brick_word(mdelta, word)
     return BridgeResult(string_window, word, report, violation)

@@ -6,7 +6,7 @@ from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
 from stringbricks.presets import gamma, lambda3, lambda_n
 from stringbricks.bricks import _direct_witness
-from stringbricks.mia import _periodic_host, _word_witness
+from stringbricks.mia import _host, _word_witness
 from stringbricks.scan import Track, pair_scan, unroll
 from stringbricks.strings import CapExceeded, Context, Str, StringError
 from stringbricks.sturmian import _AFTER_A, _AFTER_B
@@ -47,7 +47,7 @@ def direct_band_witness_3q(ctx: Context, q):
 def periodic_witness_3q(m, w):
     """The automaton route's witness for a purely periodic pointed word w,
     scanned 3|q| letters past each start instead of the route's |q|."""
-    hosts = (_periodic_host(m, w), _periodic_host(m, w.inverse(m)))
+    hosts = (_host(m, w), _host(m, w.inverse(m)))
     x, xinv = (unroll(h.q, h.T, 3 * h.P) for h in hosts)
     return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
 

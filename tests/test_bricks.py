@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -6,9 +8,11 @@ from conftest import direct_band_witness_3q
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  band_brick_endo, string_brick_automaton,
                                  string_brick_direct, string_brick_endo)
-from stringbricks.construct import build_mia, string_to_word
+from stringbricks.construct import (binary_word, build_mia, parity_mia,
+                                   string_to_word)
 from stringbricks.endo import end_dim_band, end_dim_string
-from stringbricks.mia import is_brick_word_shift_checked
+from stringbricks.mia import (is_brick_word, is_brick_word_shift_checked,
+                              is_weak_brick_word, transport)
 from stringbricks.strings import Context
 from stringbricks.words import Letter, Window, Word
 
@@ -249,3 +253,40 @@ def test_shift_spot_check_fires(l3, request):
         string_brick_automaton(l3, x)
     with pytest.raises(RuntimeError, match="basepoint shift"):
         arrow_automaton(l3, x)
+
+
+# sha256 prefix of every report below, in order, as its repr: verdicts,
+# witness contents and spans, periodicity classes and scopes must all stay
+# as they are
+PINNED_REPORTS = (2309, "e9acb15ad573c953")
+
+
+def pinned_reports(ctx):
+    """The automaton and direct reports of every string of <= 6 syllables,
+    of the same strings as windows with each edge open or closed on the
+    arrow and the binary MIA, and every band of <= 6 syllables as a brick
+    and as a weak brick word, with its direct report at l = 1."""
+    m = build_mia(ctx)
+    phi, md = parity_mia(ctx)
+    xs = ctx.enumerate_strings(6)
+    for x in xs:
+        yield string_brick_automaton(ctx, x), string_brick_direct(ctx, x)
+    for x in (x for x in xs if x.letters):
+        for lc, rc in itertools.product((False, True), repeat=2):
+            win = Window(x.letters, False, "string", lc, rc)
+            w = string_to_word(ctx, win)
+            for mm, ww in ((m, w), (md, transport(phi, w))):
+                yield is_brick_word(mm, ww), string_brick_direct(ctx, win)
+    for b in ctx.enumerate_bands(6):
+        q = b.string.letters
+        w = binary_word(ctx, Word(q, (), q))
+        yield is_brick_word(md, w), is_weak_brick_word(md, w), band_brick_direct(ctx, b, 1)
+
+
+def test_reports_are_pinned(l3, gam):
+    digest, n = hashlib.sha256(), 0
+    for ctx in (l3, gam):
+        for reports in pinned_reports(ctx):
+            digest.update(repr(reports).encode() + b"\n")
+            n += 1
+    assert (n, digest.hexdigest()[:16]) == PINNED_REPORTS

@@ -264,24 +264,30 @@ def test_window_word_roundtrip(l3):
 
 
 def test_word_shapes_are_checked_on_data(l3):
-    """A left part with a right period, a right part with a left period and
-    a window after a non-empty left part are no pointed words; a finite word
-    is no infinite string."""
+    """A left part with a right period, a right part with a left period, a
+    window after a non-empty left part and a window on the left are no
+    pointed words; a finite word is no infinite string, and a window with a
+    backtrack is no string."""
     from stringbricks.bricks import string_brick_direct
     from stringbricks.mia import (PointedWord, UnsupportedRepresentation,
-                                  check_word, is_brick_word, underlying)
+                                  check_word, is_brick_word, transport_back,
+                                  underlying)
     m = build_mia(l3)
+    phi = parity_mia(l3)[0]
     q = lits("a2' b2")
     shapes = [PointedWord(Word((), (), q), "1(v2,+1)", Word()),
               PointedWord(Word(), "1(v2,+1)", Word(q)),
               PointedWord(Word(core=lits("b1")), "1(v2,+1)",
-                          Window(lits("a1'"), False, "sample"))]
+                          Window(lits("a1'"), False, "sample")),
+              # the binary window word of b1 a1', inverted without re-pointing
+              PointedWord(Window(lits("0 0'"), False, "sample"), "1(v2,-1)", Word())]
     for w in shapes:
         for check in (underlying, lambda w: check_word(m, w),
-                      lambda w: is_brick_word(m, w)):
+                      lambda w: is_brick_word(m, w),
+                      lambda w: transport_back(m, phi, w)):
             with pytest.raises(UnsupportedRepresentation):
                 check(w)
-    for x in (Word(core=q), Word()):
+    for x in (Word(core=q), Word(), Window(lits("b1 b1'"), False, "backtrack")):
         for check in (lambda x: string_to_word(l3, x),
                       lambda x: string_brick_direct(l3, x), l3.validate_inf_str):
             with pytest.raises(StringError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -444,6 +445,37 @@ def test_pointed_word_inverse(l3):
     assert wi.base == m.inv[w.base]
 
 
+def test_window_inverse_is_a_window_word(l3, gam):
+    """The inverse of a window word is a window word pointed at its left
+    edge: valid, and inverting back, for every string of 1-6 syllables as a
+    window with each edge open or closed, on the arrow and the binary MIA;
+    a window whose run is undefined has no inverse."""
+    checked = 0
+    for ctx in (l3, gam):
+        m = build_mia(ctx)
+        phi, md = parity_mia(ctx)
+        for x in ctx.enumerate_strings(6):
+            if not x.letters:
+                continue
+            for lc, rc in itertools.product((False, True), repeat=2):
+                w = string_to_word(ctx, Window(x.letters, False, "string", lc, rc))
+                for mm, ww in ((m, w), (md, transport(phi, w))):
+                    wi = ww.inverse(mm)
+                    check_word(mm, wi)
+                    assert wi.left == Word() and wi.inverse(mm) == ww
+                    checked += 1
+    assert checked == 2032
+    m = build_mia(l3)
+    w = string_to_word(l3, Window(lits("b1 a1'"), False, "string"))
+    bad = PointedWord(Word(), w.base, Window(lits("b1 a1' a1"), False, "backtrack"))
+    with pytest.raises(MiaError, match="window run undefined"):
+        bad.inverse(m)
+    # a window word's basepoint is an initial state, as any pointed word's
+    for base in ("a1'", "b2"):
+        with pytest.raises(MiaError, match="not an initial state"):
+            check_word(m, PointedWord(Word(), base, w.right))
+
+
 def test_equivalent_periodic_rotation(l3):
     m = build_mia(l3)
     q = lits("a2' b2")
@@ -471,3 +503,8 @@ def test_equivalent_mixed_shapes(l3):
     wper = string_to_word(l3, Word(q, (), q))
     assert not equivalent(m, wfin, wper)
     assert not equivalent(m, wper, wfin)
+    # a window is a view of a word that goes on, which does not decide it
+    wwin = string_to_word(l3, Window(q, False, "sample"))
+    for pair in ((wfin, wwin), (wwin, wper), (wwin, wwin)):
+        with pytest.raises(UnsupportedRepresentation):
+            equivalent(m, *pair)

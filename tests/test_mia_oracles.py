@@ -11,7 +11,7 @@ import pytest
 
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
-                              _PeriodicHost, _finite_host, check_word,
+                              _PeriodicHost, _host, check_word,
                               equivalent, finite_word, is_brick_word,
                               is_brick_word_shift_checked, shift_basepoint,
                               transport)
@@ -156,8 +156,8 @@ def subword_occurrences(m, needle, hay):
     """All anchored occurrences of a finite needle in a finite host: the
     needle's letters at some offset, with the needle's basepoint achievable
     at the anchor gap."""
-    host = _finite_host(m, hay)
-    _finite_host(m, needle)  # validate the needle
+    host = _host(m, hay)
+    _host(m, needle)  # validate the needle
     nu = needle.left.core + needle.right.core
     napos, k = len(needle.left.core), len(nu)
     u, n = host.u, len(host.u)

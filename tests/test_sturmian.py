@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -6,11 +7,11 @@ import pytest
 import stringbricks.construct as construct
 from conftest import sturmian_pair_scan
 from stringbricks.bricks import string_brick_automaton
-from stringbricks.strings import CapExceeded
+from stringbricks.strings import CapExceeded, Context
 from stringbricks.sturmian import (BI_INFINITE, BRIDGE_CAP, PREFIX_CAP,
                                    RIGHT_INFINITE, DirectiveSequence,
                                    SturmianError,
-                                   SturmianViolation, bridge,
+                                   SturmianViolation, _BLOCKS, bridge,
                                    characteristic_prefix, lambda3_context,
                                    sturmian_window_check)
 from stringbricks.words import Letter, Window, complexity_profile
@@ -185,18 +186,26 @@ def test_prefix_cap_and_input_errors():
 
 
 def test_bridge_builds_its_word_once(monkeypatch):
-    """One string_to_word call per bridge side, wherever the package binds
-    the name, and the same report as the automaton route on the window."""
-    original = construct.string_to_word
-    calls = []
+    """One construction step and no validation per bridge side, wherever the
+    package binds the names, and the same report as the automaton route on
+    the window."""
+    original = construct._pointed_word
+    calls, validated = [], []
 
     def counted(ctx, x):
         calls.append(x)
         return original(ctx, x)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("stringbricks") and getattr(mod, "string_to_word", None) is original:
-            monkeypatch.setattr(mod, "string_to_word", counted)
+        if name.startswith("stringbricks") and getattr(mod, "_pointed_word", None) is original:
+            monkeypatch.setattr(mod, "_pointed_word", counted)
+    validate = Context.validate_inf_str
+
+    def counted_validate(ctx, rep):
+        validated.append(rep)
+        return validate(ctx, rep)
+
+    monkeypatch.setattr(Context, "validate_inf_str", counted_validate)
     d = DirectiveSequence.parse("1,(1)")
     longer = characteristic_prefix(d, 301)
     rng = random.Random(5)
@@ -209,12 +218,23 @@ def test_bridge_builds_its_word_once(monkeypatch):
     for w in windows:
         for side in (RIGHT_INFINITE, BI_INFINITE):
             calls.clear()
+            validated.clear()
             res = bridge(w, side)
-            assert calls == [res.string_window]
+            assert calls == [res.string_window] and validated == []
             assert res.report == string_brick_automaton(lambda3_context(),
                                                         res.string_window)
             witnesses += res.report.witness is not None
     assert 0 < witnesses < 2 * len(windows)
+
+
+def test_bridge_blocks_always_form_a_string():
+    """The bridge does not validate its window: Lambda_3's relations have
+    length 2, so a fault lies within two adjacent blocks, and every word of
+    two blocks is a string."""
+    ctx = lambda3_context()
+    assert {len(r) for r in ctx.presentation.relations} == {2}
+    for x, y in itertools.product(_BLOCKS, repeat=2):
+        ctx.make_string(_BLOCKS[x] + _BLOCKS[y])
 
 
 def _random_window(rng):
