@@ -481,7 +481,13 @@ def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
     be aperiodic."""
     cls = classify_periodicity(underlying(w))
     if not weak and cls not in (FINITE, APERIODIC, UNKNOWN):
-        # every eventually periodic rep is almost periodic, hence not aperiodic
+        # every eventually periodic rep is almost periodic, hence not
+        # aperiodic; the word is still validated, on its host when it has
+        # one, and a word with a core, which has none, by its basepoint
+        try:
+            _host(m, w)
+        except UnsupportedRepresentation:
+            pass
         return BrickReport(False, "automaton", None, cls, "exact")
     return _report((_host(m, w), _host(m, w.inverse(m))), cls, weak)
 

@@ -14,15 +14,34 @@ other, nor flush with a word end.  So the scan pairs only starts whose
 start keys agree (each route supplies its own notion of gap state, the
 zero-length string at a gap or an automaton state, as the key, and a
 predicate for whatever the key does not decide), and takes an LCE only for
-pairs whose first letters agree; the others have L = 0.  The LCE is exact:
-letters are tuples, so it compares tuple slices in C, with no hashing and
-no index to build.  `witness` turns a hit into the one witness record,
-which every route's `BrickReport` carries.
+pairs whose first letters agree; the others have L = 0.
+
+Each track is read once into a code string, one character per letter,
+from a code table per rule pair.  The codes go up in five bands: letters
+allowed after a factor, a factor's closed end, letters allowed after
+neither, an image's closed end, letters allowed after an image.  An end the
+rule refuses, or an open edge, gets a code past every letter: above them
+after a factor, below them after an image.  The rules may allow no letter
+after both a factor and an image, so at L a witness's factor code lies
+below its image code: a witness's factor suffix sorts below its image
+suffix (the suffix order of Manber and Myers, SIAM J. Comput. 1993, used
+for one comparison per start, with no suffix array).  Hence once a walk
+over the image starts with some key finds no pair that obeys the rules, a
+factor start whose suffix is not below the greatest of their suffixes has
+none either and is skipped; on a clean window that is one comparison per
+start.  The after-rules are two character comparisons, the before-rules
+one translate table per rule.  A suffix comparison and an LCE compare
+slices in C whose length doubles (and, for the LCE, halves again), so they
+read O(LCE) characters and copy no whole suffix.  `witness` turns a hit
+into the one witness record, which every route's `BrickReport` carries.
 """
 from __future__ import annotations
 
+import functools
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from .words import Letter, inv_seq
@@ -130,10 +149,10 @@ def witness(track: Track, images: Sequence[Track], hit: Hit, zero: str,
                         ("x", "x-inverse")[hit.host])
 
 
-def lce(u: tuple, i: int, v: tuple, j: int) -> int:
-    """The longest common extension of u[i:] and v[j:], exactly: tuple
-    slices are compared in C, their length doubling after a match and
-    halving after a mismatch, so the cost is O(log L) slice comparisons."""
+def lce(u: Sequence, i: int, v: Sequence, j: int) -> int:
+    """The longest common extension of u[i:] and v[j:], exactly: slices are
+    compared in C, their length doubling after a match and halving after a
+    mismatch, so the cost is O(log L) slice comparisons."""
     n = min(len(u) - i, len(v) - j)
     k, step = 0, 1
     while step:
@@ -145,19 +164,97 @@ def lce(u: tuple, i: int, v: tuple, j: int) -> int:
     return k
 
 
-def _rule_at(t: Track, rule: Callable[[Optional[Letter]], bool]) -> list:
-    """rule at letter index i as entry i + 1, for i = -1..n: the closed ends
-    read None, an open end is False."""
-    return [t.left_closed and rule(None), *map(rule, t.letters),
-            t.right_closed and rule(None)]
+def _below(u: str, i: int, v: str, j: int) -> bool:
+    """Whether the suffix u[i:] sorts below v[j:], for two code strings
+    that differ past their common extension (distinct end codes, or distinct
+    starts in one string): prefixes of doubling length are compared until
+    they differ, so O(LCE) characters are read and no suffix is copied."""
+    k = 1
+    while True:
+        a, b = u[i:i + k], v[j:j + k]
+        if a != b:
+            return a < b
+        k *= 2
 
 
-def _starts(t: Track, before: list) -> list[tuple[int, Optional[Letter], Hashable]]:
-    """The admissible starts with their first letter (None at the word end)
-    and start key."""
-    u, n = t.letters, len(t.letters)
-    return [(o, u[o] if o < n else None, t.key(o) if t.key else None)
-            for o in (t.starts if t.starts is not None else range(n + 1)) if before[o]]
+def _greatest(v: str, starts: list[int]) -> int:
+    """The start of the greatest suffix of v among `starts`."""
+    m = starts[0]
+    for o in starts[1:]:
+        if v[o] > v[m] or v[o] == v[m] and _below(v, m, v, o):
+            m = o
+    return m
+
+
+class _Codes(dict):
+    """A rule pair's code for each letter, added on first sight.
+
+    The codes go up in five bands: letters allowed after a factor, a
+    factor's closed end (`fend`), letters allowed after neither, an image's
+    closed end (`iend`), letters allowed after an image.  An end the rule
+    refuses, or an open edge, is `top` after a factor and `bottom` after an
+    image.  Each letter band holds `cap` codes, so code strings are ASCII
+    until a band holds more than 41 letters; a letter past that doubles
+    `cap` and lays every code out again.  `before[side]` is the translate
+    table from a code to 1 or 0: whether the factor (side 0) or image
+    (side 1) rule admits that letter before a start; the table reads
+    `bottom` as a closed left edge and `top` as an open one."""
+
+    def __init__(self, rules: tuple[Rule, Rule]):
+        super().__init__()
+        self.rules = rules
+        self.bands: tuple[list, list, list] = ([], [], [])
+        self.admits = ({}, {})  # per side: letter -> whether its rule admits it before a start
+        self.layout(41)
+
+    def layout(self, cap: int) -> None:
+        if 3 * cap + 3 > sys.maxunicode:
+            raise ValueError("too many distinct letters for one rule pair")
+        self.cap = cap
+        self.fend, self.iend = chr(cap + 1), chr(2 * cap + 2)
+        self.bottom, self.top = chr(0), chr(3 * cap + 3)
+        fr, ir = self.rules
+        # the code past a closed right edge, on the factor and on the image side
+        self.closed = (self.fend if fr.after(None) else self.top,
+                       self.iend if ir.after(None) else self.bottom)
+        for b, band in enumerate(self.bands):
+            for k, l in enumerate(band, 1):
+                self[l] = chr(b * (cap + 1) + k)
+        self.before = tuple({0: int(r.before(None)), 3 * cap + 3: 0,
+                             **{ord(self[l]): ok for l, ok in admits.items()}}
+                            for r, admits in zip(self.rules, self.admits))
+
+    def __missing__(self, l: Letter) -> str:
+        fa, ia = (r.after(l) for r in self.rules)
+        if fa and ia:
+            raise ValueError(f"the rules allow {l} after both a factor and an image")
+        b = 0 if fa else 2 if ia else 1
+        band = self.bands[b]
+        band.append(l)
+        for admits, r in zip(self.admits, self.rules):
+            admits[l] = int(r.before(l))
+        if len(band) > self.cap:
+            self.layout(2 * self.cap)
+            return self[l]
+        code = self[l] = chr(b * (self.cap + 1) + len(band))
+        for table, admits in zip(self.before, self.admits):
+            table[ord(code)] = admits[l]
+        return code
+
+    def starts(self, t: Track, s: str, side: int) -> list[int]:
+        """The starts of t, ascending, whose before-letter (or closed left
+        edge) the rule of `side` admits; s is t's code string."""
+        edge = self.bottom if t.left_closed else self.top
+        flags = (edge + s).translate(self.before[side]).encode()
+        r = t.starts if t.starts is not None else range(len(flags))
+        return list(compress(r, flags[r.start:r.stop:r.step]))
+
+
+@functools.cache
+def _codes(rules: tuple[Rule, Rule]) -> _Codes:
+    """The code table of a rule pair, shared by every scan with those rules:
+    it holds only codes, so sharing it changes no result."""
+    return _Codes(rules)
 
 
 def pair_scan(track: Track, images: Sequence[Track],
@@ -171,28 +268,54 @@ def pair_scan(track: Track, images: Sequence[Track],
     only starts with equal keys are paired, and a pair is returned when both
     ends obey the rules and `accept` (if any) agrees.  The identity pair (the
     same start in `track` itself, which the rules admit only as the whole
-    closed word) is excluded.
+    closed word) is excluded.  Once a factor start's walk over the image
+    starts with its key finds no pair that obeys the rules, a later factor
+    start whose suffix does not sort below the greatest of their suffixes is
+    skipped: it has no such pair either.  ValueError when the rules allow
+    one letter after both a factor and an image.
     """
     if not all(isinstance(t.letters, tuple) for t in (track, *images)):
-        # a list slice never equals a tuple slice, so a list would get LCE 0
+        # every route builds its tracks from tuples; a list is a caller's slip
         raise TypeError("track letters must be a tuple")
-    frule, irule = rules
+    codes = _codes(rules)
+    code, cap = codes.__getitem__, codes.cap
     u = track.letters
-    fstarts = _starts(track, _rule_at(track, frule.before))
-    fafter = _rule_at(track, frule.after)
+    su = "".join(map(code, u))  # shared by the factor side and host 0
+    strs = [su if t.letters is u else "".join(map(code, t.letters)) for t in images]
+    if codes.cap != cap:  # a new letter laid the codes out again
+        return pair_scan(track, images, accept, rules)
+    fend, iend = codes.fend, codes.iend
+    F = su + (codes.closed[0] if track.right_closed else codes.top)
+    fstarts = codes.starts(track, su, 0)
+    fkeys = list(map(track.key, fstarts)) if track.key else [None] * len(fstarts)
     for h, t in enumerate(images):
-        v = t.letters
-        iafter = _rule_at(t, irule.after)
-        buckets = defaultdict(list)
-        for oi, b, key in _starts(t, _rule_at(t, irule.before)):
-            buckets[key].append((oi, b))
-        for of, a, key in fstarts:
-            for oi, b in buckets.get(key, ()):
-                if t is track and of == oi:
+        I = strs[h] + (codes.closed[1] if t.right_closed else codes.bottom)
+        istarts = codes.starts(t, strs[h], 1)
+        if t.key is None:
+            buckets = {None: istarts} if istarts else {}
+        else:
+            buckets = defaultdict(list)
+            for oi, key in zip(istarts, map(t.key, istarts)):
+                buckets[key].append(oi)
+        best = {}  # per key: the greatest image suffix, once a walk found no pair
+        ident = t is track
+        for of, key in zip(fstarts, fkeys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            m = best.get(key)
+            if m is not None and (F[of] > I[m] or F[of] == I[m] and not _below(F, of, I, m)):
+                continue
+            c, refused = F[of], False
+            for oi in bucket:
+                if ident and of == oi:
                     continue
-                L = 1 + lce(u, of + 1, v, oi + 1) if a is not None and a == b else 0
-                if fafter[of + L + 1] and iafter[oi + L + 1]:
+                L = 1 + lce(F, of + 1, I, oi + 1) if c == I[oi] else 0
+                if F[of + L] <= fend and I[oi + L] >= iend:
                     hit = Hit(h, of, oi, L)
                     if accept is None or accept(hit):
                         return hit
+                    refused = True
+            if m is None and not refused:
+                best[key] = _greatest(I, bucket)
     return None

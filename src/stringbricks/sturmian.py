@@ -13,8 +13,9 @@ both present iff it is unbalanced, which a linear test on the convex hull of
 its a-count profile decides.  Only an unbalanced window is searched for its
 first violation, by the pair scan of `scan` pairing the starts after an a
 with the starts after a b.  The bridge's brick-word search is that pair
-scan on the transported word, quadratic in the window, so the bridge has a
-cap of its own.
+scan on the transported word.  It clears a clean window with about one
+suffix comparison per start, not one per pair of starts, but it still reads
+every letter several times over, so the bridge has a cap of its own.
 """
 from __future__ import annotations
 
@@ -34,9 +35,11 @@ A = Letter("a", False)
 B = Letter("b", False)
 
 PREFIX_CAP = 1 << 20
-# The bridge's brick-word scan is quadratic: a clean window of 2^11 letters
-# takes 1-2 s (CPython 3.11, one core), one of 2^12 letters 5-7 s.
-BRIDGE_CAP = 1 << 11
+# The bridge's brick-word scan clears a clean window with about one suffix
+# comparison per start: `sturmian --check --bridge` on a clean Fibonacci
+# window of 2^16 letters takes 0.5-0.6 s per side, one of 2^17 letters about
+# 1 s (CPython 3.11, one core, plus 0.2 s of imports).
+BRIDGE_CAP = 1 << 16
 
 
 class SturmianError(ValueError):

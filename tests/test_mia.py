@@ -191,6 +191,50 @@ def test_brick_word_periodic(l3):
     assert periodic_witness_3q(m, w) is None          # sound at 3x the bound
 
 
+def test_periodic_words_are_validated_before_the_verdict(l3):
+    """A periodic word never is a brick word, but the verdict is given only
+    for a valid word: a purely periodic one is checked on its host, one with
+    a core (no host) by its basepoint, so an invalid word raises MiaError
+    from is_brick_word as it does from check_word."""
+    phi, md = parity_mia(l3)
+    q = lits("a2' b2")
+    band = transport(phi, string_to_word(l3, Word(q, (), q)))
+    xs = sorted({x.letters for x in l3.enumerate_strings(3)})
+
+    def first_ray(make):
+        """The first valid word make(x, q) whose underlying word has a core."""
+        for b in l3.enumerate_bands(6):
+            for x in xs:
+                try:
+                    w = string_to_word(l3, make(x, b.string.letters))
+                except StringError:
+                    continue
+                if underlying(w).core:
+                    return w
+
+    rays = [first_ray(lambda x, q: Word((), x, q)), first_ray(lambda x, q: Word(q, x))]
+    cases = [(md, band)] + [(mm, w) for w in rays
+                            for mm, w in ((build_mia(l3), w), (md, transport(phi, w)))]
+    raised = valid = 0
+    for mm, w in cases:
+        for base in (*mm.states, "nope"):
+            pw = PointedWord(w.left, base, w.right)
+            try:
+                check_word(mm, pw)
+            except UnsupportedRepresentation:
+                pass  # a word with a core has no host, after its basepoint check
+            except MiaError:
+                for f in (is_brick_word, is_weak_brick_word):
+                    with pytest.raises(MiaError):
+                        f(mm, pw)
+                raised += 1
+                continue
+            report = is_brick_word(mm, pw)
+            assert not report.verdict and report.periodicity != "finite"
+            valid += 1
+    assert raised > len(cases) and valid >= len(cases)
+
+
 def test_brick_and_weak_brick_word_by_kind(l3):
     """The two notions on every kind of word: they differ only in the
     aperiodicity requirement, on uncertified windows and periodic words."""

@@ -13,9 +13,12 @@ from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
 from stringbricks.construct import binary_word, build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
-from stringbricks.scan import FACTOR, IMAGE, Hit, Track, lce, pair_scan, unroll
-from stringbricks.sturmian import (_AFTER_A, _AFTER_B, DirectiveSequence, _balanced,
-                                   characteristic_prefix, sturmian_window_check)
+from stringbricks import scan
+from stringbricks.scan import FACTOR, IMAGE, Hit, Rule, Track, lce, pair_scan, unroll
+from stringbricks.sturmian import (_AFTER_A, _AFTER_B, BI_INFINITE, RIGHT_INFINITE,
+                                   DirectiveSequence, _balanced, bridge,
+                                   characteristic_prefix, lambda3_context,
+                                   sturmian_window_check)
 from stringbricks.words import Letter, Window, Word, inv_seq
 
 OPEN = "open"
@@ -193,6 +196,40 @@ def test_unroll_reaches_span_past_every_start(l3):
         for g in range(starts):
             assert t.boundary(g) == q[(g - 1) % len(q)]
             assert len(t.letters) >= g + 1 + span + 1  # span letters and an after-letter
+
+
+def test_band_first_witness_reads_past_the_last_start(l3):
+    """The first witness of a band's scan can run well past its last start,
+    so the scans need the letters `unroll` adds there.  The enumerated
+    (canonical) bands of at most 16 syllables over Lambda_3 and Gamma, or 12
+    over the corpus, never need them: their first witnesses end at the last
+    start at the latest.  Over every rotation of the Lambda_3 images of the
+    cyclic {a,b} words of at most 13 letters, this band's first witness
+    reads furthest past it: factor at the last gap 23, image at 3, 16
+    letters, so it reads 16 of the 24 letters unrolled past the last start.
+    Both routes must return the brute scanner's first pair."""
+    b, reasons = l3.is_band(l3.parse_literal(
+        "a1' a2' b2 b1 a1' a2' b2 b1 a1' a2' b2 b1 a1' a2' b2 b1 a1' a2' b2 a2' b2 b1 a1' b1"))
+    assert b is not None, reasons
+    phi, md = parity_mia(l3)
+    q = b.string.letters
+    P = len(q)
+    qinv = inv_seq(q)
+
+    def gap_keys(qq):
+        return lambda g: {l3.gap_zero(qq, (g - 1) % P + 1)}
+
+    direct = brute_first_pair(periodic_host(q, P, gap_keys(q)),
+                              periodic_host(qinv, P, gap_keys(qinv)), 3 * P)
+    assert direct == ("x", P - 1, 3, 16)
+    assert _witness_pair(band_brick_direct(l3, b, 1)) == direct
+
+    w = transport(phi, string_to_word(l3, Word(q, (), q)))
+    hosts = [_PeriodicHost(md, w.right.right_period, w.base),
+             _PeriodicHost(md, inv_seq(w.right.right_period), md.inv[w.base])]
+    auto = brute_first_pair(*(periodic_host(h.q, h.T, h.state_at) for h in hosts),
+                            3 * max(h.T for h in hosts))
+    assert _witness_pair(band_brick_automaton(l3, b, 1)) == auto == direct
 
 
 def brute_sturmian_first(u):
@@ -521,3 +558,93 @@ def test_pair_scan_matches_brute_scan_on_all_short_words():
                 open_end += sum((of == n and not rc) or (oi == n and not images[h].right_closed)
                                 for h, of, oi in candidates)
     assert closed_end > 50 and differing > 50 and open_end > 50
+
+
+# ---------------------------------------------------------------------------
+# the order-pruned scan: its code bands, its suffix comparison, and scale
+
+
+def test_pair_scan_rejects_a_letter_allowed_after_both_sides():
+    """The order argument needs every letter allowed after at most one of a
+    factor and an image; both shipped rule pairs satisfy it."""
+    anything = Rule(lambda b: True, lambda a: True)
+    x = Track((A, B))
+    with pytest.raises(ValueError, match="after both"):
+        pair_scan(x, (x,), rules=(anything, anything))
+    empty = Track(())  # no letter, so nothing to refuse
+    assert pair_scan(empty, (empty,), rules=(anything, anything)) is None
+
+
+def test_codes_are_laid_out_again_past_a_full_band():
+    """A band holds 41 codes while the code strings are ASCII; more letters
+    double it and lay every code out again, once while the factor track is
+    encoded and once while a later image track is (past one byte per code
+    then), and the scan still asks `accept` about the brute scan's hits in
+    its order."""
+    rng = random.Random(5)
+    # fresh rules, so that their code table starts empty
+    rules = (Rule(lambda b: FACTOR.before(b), lambda a: FACTOR.after(a)),
+             Rule(lambda b: IMAGE.before(b), lambda a: IMAGE.after(a)))
+    letters = [Letter(f"s{i}", inv) for i in range(200) for inv in (False, True)]
+    x = Track(tuple(rng.choice(letters[:200]) for _ in range(150)))
+    other = Track(tuple(rng.choice(letters[200:]) for _ in range(150)), False, False)
+    assert len({l for l in x.letters if not l.inv}) > 41
+    for images in ((x, x.inverse(), other), (other, x)):
+        _, asked, _ = scan_matches_brute(x, images, lambda hit: False, rules)
+        assert pair_scan(x, images, rules=rules) == asked[0]
+    assert scan._codes(rules).cap > 84
+
+
+class CountingStr(str):
+    """A str that counts the characters its slices copy."""
+    read = 0
+
+    def __getitem__(self, k):
+        out = str.__getitem__(self, k)
+        CountingStr.read += len(out)
+        return out
+
+
+def test_suffix_comparison_reads_o_lce_characters():
+    """Ordering two suffixes (or taking their LCE) reads O(LCE) characters
+    of long strings, never a whole suffix."""
+    rng = random.Random(19)
+    for _ in range(200):
+        ell = rng.choice((0, 1, 2, 7, 100, 1000))
+        common = "".join(rng.choice("ab") for _ in range(ell))
+        tails = rng.sample("cde", 2)
+        u = "".join(rng.choice("ab") for _ in range(rng.randint(0, 50))) + common
+        v = "".join(rng.choice("ab") for _ in range(rng.randint(0, 50))) + common
+        i, j = len(u) - ell, len(v) - ell
+        u = CountingStr(u + tails[0] + "ab" * 50000)
+        v = CountingStr(v + tails[1] + "ba" * 50000)
+        CountingStr.read = 0
+        assert scan._below(u, i, v, j) == (tails[0] < tails[1])
+        assert CountingStr.read <= 8 * (ell + 1)
+        CountingStr.read = 0
+        assert lce(u, i, v, j) == ell
+        assert CountingStr.read <= 8 * (ell + 1)
+
+
+@pytest.mark.parametrize("directive", ["1,(1)", "0,(2,1)"])
+def test_long_windows_scale(directive):
+    """Clean characteristic windows of 2^10 to 2^14 letters: the bridge on
+    both sides finds no witness and agrees with the Sturmian check, and so
+    does the direct route on its string window; the same window with its
+    first letter dropped, read right-infinite, has a witness on both
+    routes."""
+    d = DirectiveSequence.parse(directive)
+    ctx = lambda3_context()
+    for k in range(10, 15):
+        n = 1 << k
+        w = characteristic_prefix(d, n)
+        for side in (RIGHT_INFINITE, BI_INFINITE):
+            res = bridge(w, side)
+            assert res.report.witness is None and res.consistent(), (n, side)
+            assert string_brick_direct(ctx, res.string_window).witness is None, (n, side)
+        longer = characteristic_prefix(d, n + 1)
+        dropped = Window(longer.letters[1:], True, "dropped", left_closed=True,
+                         right_closed=False)
+        res = bridge(dropped, RIGHT_INFINITE)
+        assert res.report.witness is not None, n
+        assert string_brick_direct(ctx, res.string_window).witness is not None, n
