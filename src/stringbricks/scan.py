@@ -17,28 +17,26 @@ predicate for whatever the key does not decide), and takes an LCE only for
 pairs whose first letters agree; the others have L = 0.
 
 Each track is read once into a code string, one character per letter,
-from a code table per rule pair.  The codes go up in five bands: letters
-allowed after a factor, a factor's closed end, letters allowed after
-neither, an image's closed end, letters allowed after an image.  An end the
-rule refuses, or an open edge, gets a code past every letter: above them
-after a factor, below them after an image.  The rules may allow no letter
-after both a factor and an image, so at L a witness's factor code lies
+from one code table shared by every scan.  The codes go up in four bands:
+direct letters, a factor's closed end, an image's closed end, inverse
+letters.  An open edge gets a code past every letter: above them after a
+factor, below them after an image.  A factor ends before a direct letter
+and an image before an inverse one, so at L a witness's factor code lies
 below its image code: a witness's factor suffix sorts below its image
 suffix (the suffix order of Manber and Myers, SIAM J. Comput. 1993, used
 for one comparison per start, with no suffix array).  Hence once a walk
-over the image starts with some key finds no pair that obeys the rules, a
-factor start whose suffix is not below the greatest of their suffixes has
-none either and is skipped; on a clean window that is one comparison per
-start.  The after-rules are two character comparisons, the before-rules
-one translate table per rule.  A suffix comparison and an LCE compare
-slices in C whose length doubles (and, for the LCE, halves again), so they
-read O(LCE) characters and copy no whole suffix.  `witness` turns a hit
-into the one witness record, which every route's `BrickReport` carries.
+over the image starts with some key finds no admissible pair, a factor
+start whose suffix is not below the greatest of their suffixes has none
+either and is skipped; on a clean window that is one comparison per
+start.  The after-boundaries are two character comparisons, the
+before-boundaries one translate table per side.  A suffix comparison and
+an LCE compare slices in C whose length doubles (and, for the LCE, halves
+again), so they read O(LCE) characters and copy no whole suffix.
+`witness` turns a hit into the one witness record, which every route's
+`BrickReport` carries.
 """
 from __future__ import annotations
 
-import functools
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
@@ -47,17 +45,6 @@ from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 from .words import Letter, inv_seq
 
 OPEN = object()  # the boundary past an open edge
-
-
-class Rule(NamedTuple):
-    """Which boundary letters an occurrence admits; None is a closed end."""
-
-    before: Callable[[Optional[Letter]], bool]
-    after: Callable[[Optional[Letter]], bool]
-
-
-FACTOR = Rule(lambda b: b is None or b.inv, lambda a: a is None or not a.inv)
-IMAGE = Rule(lambda b: b is None or not b.inv, lambda a: a is None or a.inv)
 
 
 class Track(NamedTuple):
@@ -187,109 +174,87 @@ def _greatest(v: str, starts: list[int]) -> int:
 
 
 class _Codes(dict):
-    """A rule pair's code for each letter, added on first sight.
+    """Each letter's code, added on first sight.
 
-    The codes go up in five bands: letters allowed after a factor, a
-    factor's closed end (`fend`), letters allowed after neither, an image's
-    closed end (`iend`), letters allowed after an image.  An end the rule
-    refuses, or an open edge, is `top` after a factor and `bottom` after an
-    image.  Each letter band holds `cap` codes, so code strings are ASCII
-    until a band holds more than 41 letters; a letter past that doubles
-    `cap` and lays every code out again.  `before[side]` is the translate
-    table from a code to 1 or 0: whether the factor (side 0) or image
-    (side 1) rule admits that letter before a start; the table reads
-    `bottom` as a closed left edge and `top` as an open one."""
+    The codes go up in four bands: direct letters, a factor's closed end
+    (`fend`), an image's closed end (`iend`), inverse letters.  An open edge
+    is `top` after a factor and `bottom` after an image.  Each letter band
+    holds `cap` codes, so code strings are ASCII until a band holds more
+    than 62 letters; a letter past that doubles `cap` and lays every code
+    out again.  `before[side]` is the translate table from a code to 1 or
+    0: whether a factor (side 0: an inverse letter) or an image (side 1: a
+    direct letter) may start after it; both read `bottom` as a closed left
+    edge and `top` as an open one."""
 
-    def __init__(self, rules: tuple[Rule, Rule]):
+    def __init__(self):
         super().__init__()
-        self.rules = rules
-        self.bands: tuple[list, list, list] = ([], [], [])
-        self.admits = ({}, {})  # per side: letter -> whether its rule admits it before a start
-        self.layout(41)
+        self.bands: tuple[list, list] = ([], [])  # direct, inverse letters
+        self.layout(62)
 
     def layout(self, cap: int) -> None:
-        if 3 * cap + 3 > sys.maxunicode:
-            raise ValueError("too many distinct letters for one rule pair")
         self.cap = cap
-        self.fend, self.iend = chr(cap + 1), chr(2 * cap + 2)
-        self.bottom, self.top = chr(0), chr(3 * cap + 3)
-        fr, ir = self.rules
-        # the code past a closed right edge, on the factor and on the image side
-        self.closed = (self.fend if fr.after(None) else self.top,
-                       self.iend if ir.after(None) else self.bottom)
+        self.fend, self.iend = chr(cap + 1), chr(cap + 2)
+        self.bottom, self.top = chr(0), chr(2 * cap + 3)
         for b, band in enumerate(self.bands):
             for k, l in enumerate(band, 1):
-                self[l] = chr(b * (cap + 1) + k)
-        self.before = tuple({0: int(r.before(None)), 3 * cap + 3: 0,
-                             **{ord(self[l]): ok for l, ok in admits.items()}}
-                            for r, admits in zip(self.rules, self.admits))
+                self[l] = chr(b * (cap + 2) + k)
+        # indexed by code: bottom, direct letters, fend and iend, inverse letters, top
+        no, yes = "\0" * cap, "\1" * cap
+        self.before = ("\1" + no + "\0\0" + yes + "\0", "\1" + yes + "\0\0" + no + "\0")
 
     def __missing__(self, l: Letter) -> str:
-        fa, ia = (r.after(l) for r in self.rules)
-        if fa and ia:
-            raise ValueError(f"the rules allow {l} after both a factor and an image")
-        b = 0 if fa else 2 if ia else 1
-        band = self.bands[b]
+        band = self.bands[l.inv]
         band.append(l)
-        for admits, r in zip(self.admits, self.rules):
-            admits[l] = int(r.before(l))
         if len(band) > self.cap:
             self.layout(2 * self.cap)
             return self[l]
-        code = self[l] = chr(b * (self.cap + 1) + len(band))
-        for table, admits in zip(self.before, self.admits):
-            table[ord(code)] = admits[l]
+        code = self[l] = chr(l.inv * (self.cap + 2) + len(band))
         return code
 
     def starts(self, t: Track, s: str, side: int) -> list[int]:
         """The starts of t, ascending, whose before-letter (or closed left
-        edge) the rule of `side` admits; s is t's code string."""
+        edge) admits a factor (side 0) or an image (side 1); s is t's code
+        string."""
         edge = self.bottom if t.left_closed else self.top
         flags = (edge + s).translate(self.before[side]).encode()
         r = t.starts if t.starts is not None else range(len(flags))
         return list(compress(r, flags[r.start:r.stop:r.step]))
 
 
-@functools.cache
-def _codes(rules: tuple[Rule, Rule]) -> _Codes:
-    """The code table of a rule pair, shared by every scan with those rules:
-    it holds only codes, so sharing it changes no result."""
-    return _Codes(rules)
+_CODES = _Codes()  # it holds only codes, so sharing it changes no result
 
 
 def pair_scan(track: Track, images: Sequence[Track],
-              accept: Optional[Callable[[Hit], bool]] = None,
-              rules: tuple[Rule, Rule] = (FACTOR, IMAGE)) -> Optional[Hit]:
+              accept: Optional[Callable[[Hit], bool]] = None) -> Optional[Hit]:
     """The first pair of a factor occurrence in `track` and an image
     occurrence in one of `images` with the same content.
 
     Pairs are tried image track by image track in the given order (x before
     x^{-1}), then by factor start ascending, then by image start ascending;
     only starts with equal keys are paired, and a pair is returned when both
-    ends obey the rules and `accept` (if any) agrees.  The identity pair (the
-    same start in `track` itself, which the rules admit only as the whole
-    closed word) is excluded.  Once a factor start's walk over the image
-    starts with its key finds no pair that obeys the rules, a later factor
-    start whose suffix does not sort below the greatest of their suffixes is
-    skipped: it has no such pair either.  ValueError when the rules allow
-    one letter after both a factor and an image.
+    ends are admissible and `accept` (if any) agrees.  The identity pair (the
+    same start in `track` itself, admissible only as the whole closed word)
+    is excluded.  Once a factor start's walk over the image starts with its
+    key finds no admissible pair, a later factor start whose suffix does not
+    sort below the greatest of their suffixes is skipped: it has no such
+    pair either.
     """
     if not all(isinstance(t.letters, tuple) for t in (track, *images)):
         # every route builds its tracks from tuples; a list is a caller's slip
         raise TypeError("track letters must be a tuple")
-    codes = _codes(rules)
+    codes = _CODES
     code, cap = codes.__getitem__, codes.cap
     u = track.letters
     su = "".join(map(code, u))  # shared by the factor side and host 0
     strs = [su if t.letters is u else "".join(map(code, t.letters)) for t in images]
     if codes.cap != cap:  # a new letter laid the codes out again
-        return pair_scan(track, images, accept, rules)
+        return pair_scan(track, images, accept)
     fend, iend = codes.fend, codes.iend
-    F = su + (codes.closed[0] if track.right_closed else codes.top)
+    F = su + (fend if track.right_closed else codes.top)
     fstarts = codes.starts(track, su, 0)
     fkeys = list(map(track.key, fstarts)) if track.key else [None] * len(fstarts)
     for h, t in enumerate(images):
-        I = strs[h] + (codes.closed[1] if t.right_closed else codes.bottom)
+        I = strs[h] + (iend if t.right_closed else codes.bottom)
         istarts = codes.starts(t, strs[h], 1)
         if t.key is None:
             buckets = {None: istarts} if istarts else {}

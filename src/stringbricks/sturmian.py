@@ -11,9 +11,10 @@ the windowed brick check next to the Sturmian subword criterion.
 The subword criterion is the balance of the window: a w' a and b w' b are
 both present iff it is unbalanced, which a linear test on the convex hull of
 its a-count profile decides.  Only an unbalanced window is searched for its
-first violation, by the pair scan of `scan` pairing the starts after an a
-with the starts after a b.  The bridge's brick-word search is that pair
-scan on the transported word.  It clears a clean window with about one
+first violation, by the factor/image pair scan of `scan` over the bridge's
+blocks with starts at block boundaries: a factor there reads a w' a and an
+image b w' b.  The bridge's brick-word search is that pair scan on the
+transported word.  It clears a clean window with about one
 suffix comparison per start, not one per pair of starts, but it still reads
 every letter several times over, so the bridge has a cap of its own.
 """
@@ -27,7 +28,7 @@ from typing import Optional
 from .construct import _pointed_word, parity_mia
 from .mia import PointedWord, is_brick_word, transport
 from .presets import lambda3
-from .scan import BrickReport, Rule, Track, pair_scan
+from .scan import BrickReport, Track, pair_scan
 from .strings import CapExceeded, Context
 from .words import Letter, Window, primitive_root
 
@@ -136,9 +137,15 @@ class SturmianViolation:
     b_position: int
 
 
-# factor starts follow an a and end before an a, image starts the same with b
-_AFTER_A = Rule(lambda b: b == A, lambda a: a == A)
-_AFTER_B = Rule(lambda b: b == B, lambda a: a == B)
+_BLOCKS = {
+    A: (Letter("b1", False), Letter("a1", True)),
+    B: (Letter("a2", True), Letter("b2", False)),
+}
+
+
+def _blocks(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The {a,b} letters as a word over Lambda_3: a = b1 a1', b = a2' b2."""
+    return tuple(s for l in letters for s in _BLOCKS[l])
 
 
 def _chain(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
@@ -207,12 +214,18 @@ def sturmian_window_check(w: Window) -> Optional[SturmianViolation]:
 
     Such an infix exists iff the window is unbalanced (Lothaire, Prop.
     2.1.3), so a balanced window is cleared by the linear balance test and
-    only an unbalanced one is scanned for its first violation."""
+    only an unbalanced one is scanned for its first violation: the pair scan
+    of the bridge's blocks, started at block boundaries.  A factor there
+    follows an a1' and ends before a b1, so it reads a w' a; an image
+    follows a b2 and ends before an a2', so it reads b w' b.  Two blocks
+    that differ differ in their first letter, so a hit spans whole blocks."""
     if _balanced(w.letters):
         return None
-    t = Track(w.letters, left_closed=False, right_closed=False)
-    hit = pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))  # unbalanced: a hit exists
-    return SturmianViolation(w.letters[hit.of:hit.of + hit.L], hit.of - 1, hit.oi - 1)
+    blocks = _blocks(w.letters)
+    t = Track(blocks, False, False, range(0, len(blocks) + 1, 2))
+    hit = pair_scan(t, (t,))  # unbalanced: a hit exists
+    of, oi, L = hit.of // 2, hit.oi // 2, hit.L // 2
+    return SturmianViolation(w.letters[of:of + L], of - 1, oi - 1)
 
 
 @dataclass(frozen=True)
@@ -237,11 +250,6 @@ def lambda3_context() -> Context:
 RIGHT_INFINITE = "right-infinite-at-v2"
 BI_INFINITE = "bi-infinite"
 
-_BLOCKS = {
-    A: (Letter("b1", False), Letter("a1", True)),
-    B: (Letter("a2", True), Letter("b2", False)),
-}
-
 
 def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
     """Realize an {a,b} window over Lambda_3, transport it to the binary MIA,
@@ -253,10 +261,11 @@ def bridge(w: Window, side: str = BI_INFINITE) -> BridgeResult:
         raise SturmianError(f"unknown side {side!r}")
     if len(w.letters) > BRIDGE_CAP:
         raise CapExceeded(f"bridge window exceeds cap {BRIDGE_CAP} letters")
+    if not w.letters:
+        raise SturmianError("the bridge needs a nonempty window")
     violation = sturmian_window_check(w)  # rejects letters other than a, b
     ctx = lambda3_context()
-    letters = tuple(s for l in w.letters for s in _BLOCKS[l])
-    string_window = Window(letters, w.certified_aperiodic, w.origin,
+    string_window = Window(_blocks(w.letters), w.certified_aperiodic, w.origin,
                            left_closed=(side == RIGHT_INFINITE),
                            right_closed=False)
     # the blocks always form a string, so the window is not validated: a

@@ -7,9 +7,9 @@ from stringbricks.algebra import (SignError, parse_presentation,
 from stringbricks.presets import gamma, lambda3, lambda_n
 from stringbricks.bricks import _direct_witness
 from stringbricks.mia import _host, _word_witness
-from stringbricks.scan import Track, pair_scan, unroll
+from stringbricks.scan import Hit, Track, pair_scan, unroll
 from stringbricks.strings import CapExceeded, Context, Str, StringError
-from stringbricks.sturmian import _AFTER_A, _AFTER_B
+from stringbricks.sturmian import _blocks
 from stringbricks.words import inv_seq
 
 
@@ -30,11 +30,25 @@ def concat(ctx: Context, x: Str, y: Str) -> Str:
         raise StringError(f"undefined concatenation: {err}")
 
 
+def factor_ok(before, after):
+    """A factor occurrence's boundary: an inverse letter or a closed end
+    before it, a direct letter or a closed end after it."""
+    return (before is None or before.inv) and (after is None or not after.inv)
+
+
+def image_ok(before, after):
+    """An image occurrence's boundary, the mirror of a factor's."""
+    return (before is None or not before.inv) and (after is None or after.inv)
+
+
 def sturmian_pair_scan(u):
     """The first Sturmian violation of an {a,b} window, by the pair scan
-    alone (the reference for the balance test)."""
-    t = Track(u, left_closed=False, right_closed=False)
-    return pair_scan(t, (t,), rules=(_AFTER_A, _AFTER_B))
+    alone (the reference for the balance test): the factor/image scan of
+    the bridge's blocks from block boundaries, as a hit in window gaps."""
+    blocks = _blocks(u)
+    t = Track(blocks, False, False, range(0, len(blocks) + 1, 2))
+    hit = pair_scan(t, (t,))
+    return None if hit is None else Hit(0, hit.of // 2, hit.oi // 2, hit.L // 2)
 
 
 def direct_band_witness_3q(ctx: Context, q):

@@ -9,13 +9,13 @@ from typing import Optional
 
 import pytest
 
+from conftest import factor_ok, image_ok
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
                               _PeriodicHost, _host, check_word,
                               equivalent, finite_word, is_brick_word,
                               is_brick_word_shift_checked, shift_basepoint,
                               transport)
-from stringbricks.scan import FACTOR, IMAGE
 from stringbricks.words import Letter, Word, inv_seq
 
 
@@ -135,10 +135,10 @@ class Occurrence:
     shifted_host: PointedWord
 
     def is_factor(self) -> bool:
-        return FACTOR.before(self.before) and FACTOR.after(self.after)
+        return factor_ok(self.before, self.after)
 
     def is_image(self) -> bool:
-        return IMAGE.before(self.before) and IMAGE.after(self.after)
+        return image_ok(self.before, self.after)
 
 
 def classify_occurrence(occ: Occurrence) -> str:

@@ -8,30 +8,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import direct_band_witness_3q, periodic_witness_3q, sturmian_pair_scan
+from conftest import (direct_band_witness_3q, factor_ok, image_ok, periodic_witness_3q,
+                      sturmian_pair_scan)
 from stringbricks.bricks import (band_brick_automaton, band_brick_direct,
                                  string_brick_automaton, string_brick_direct)
 from stringbricks.construct import binary_word, build_mia, parity_mia, string_to_word
 from stringbricks.mia import _PeriodicHost, transport
 from stringbricks import scan
-from stringbricks.scan import FACTOR, IMAGE, Hit, Rule, Track, lce, pair_scan, unroll
-from stringbricks.sturmian import (_AFTER_A, _AFTER_B, BI_INFINITE, RIGHT_INFINITE,
-                                   DirectiveSequence, _balanced, bridge,
-                                   characteristic_prefix, lambda3_context,
-                                   sturmian_window_check)
+from stringbricks.scan import Hit, Track, lce, pair_scan, unroll
+from stringbricks.sturmian import (BI_INFINITE, RIGHT_INFINITE, DirectiveSequence,
+                                   _balanced, bridge, characteristic_prefix,
+                                   lambda3_context, sturmian_window_check)
 from stringbricks.words import Letter, Window, Word, inv_seq
 
 OPEN = "open"
 A, B = Letter("a"), Letter("b")
 BLOCKS = {"a": (Letter("b1"), Letter("a1", True)), "b": (Letter("a2", True), Letter("b2"))}
-
-
-def factor_ok(before, after):
-    return (before is None or before.inv) and (after is None or not after.inv)
-
-
-def image_ok(before, after):
-    return (before is None or not before.inv) and (after is None or after.inv)
 
 
 def brute_first_pair(x, xinv, max_len):
@@ -433,17 +425,15 @@ def test_long_windows_match_brute_first_pair(l3):
 # pair_scan itself against a scan by definition
 
 
-RULE_PAIRS = ((FACTOR, IMAGE), (_AFTER_A, _AFTER_B))
 ALPHABET = (A, B, A.inverse(), B.inverse())
 
 
-def brute_scan(track, images, accept, rules):
+def brute_scan(track, images, accept):
     """pair_scan by definition: every (host, factor start, image start, L)
     tried letter by letter, with the boundary letters read straight from
     the track.  Returns the candidate pairs (equal keys, admissible
     before-letters), the hits passed to accept in order, and the first hit
     accept agrees to (None if there is none)."""
-    frule, irule = rules
 
     def at(t, i):
         if 0 <= i < len(t.letters):
@@ -451,17 +441,17 @@ def brute_scan(track, images, accept, rules):
         closed = t.left_closed if i < 0 else t.right_closed
         return None if closed else OPEN
 
-    def starts(t, before):
+    def starts(t, ok):
         gaps = t.starts if t.starts is not None else range(len(t.letters) + 1)
-        return [o for o in gaps if at(t, o - 1) != OPEN and before(at(t, o - 1))]
+        return [o for o in gaps if at(t, o - 1) != OPEN and ok(at(t, o - 1), None)]
 
     def key(t, o):
         return t.key(o) if t.key else None
 
     candidates, asked = [], []
     for h, t in enumerate(images):
-        for of in starts(track, frule.before):
-            for oi in starts(t, irule.before):
+        for of in starts(track, factor_ok):
+            for oi in starts(t, image_ok):
                 if key(track, of) != key(t, oi) or (t is track and of == oi):
                     continue
                 candidates.append((h, of, oi))
@@ -469,7 +459,7 @@ def brute_scan(track, images, accept, rules):
                     if L and track.letters[of + L - 1] != t.letters[oi + L - 1]:
                         break
                     fa, ia = at(track, of + L), at(t, oi + L)
-                    if OPEN in (fa, ia) or not (frule.after(fa) and irule.after(ia)):
+                    if OPEN in (fa, ia) or not (factor_ok(None, fa) and image_ok(None, ia)):
                         continue
                     asked.append(Hit(h, of, oi, L))
                     if accept is None or accept(asked[-1]):
@@ -477,7 +467,7 @@ def brute_scan(track, images, accept, rules):
     return candidates, asked, None
 
 
-def scan_matches_brute(track, images, accept, rules):
+def scan_matches_brute(track, images, accept):
     """pair_scan asks accept about the same hits in the same order as the
     brute scan and returns the same hit; returns the brute scan's output."""
     asked = []
@@ -486,8 +476,8 @@ def scan_matches_brute(track, images, accept, rules):
         asked.append(hit)
         return accept(hit)
 
-    want = brute_scan(track, images, accept, rules)
-    got = pair_scan(track, images, None if accept is None else recorded, rules)
+    want = brute_scan(track, images, accept)
+    got = pair_scan(track, images, None if accept is None else recorded)
     assert got == want[2]
     if accept is not None:
         assert asked == want[1]
@@ -498,7 +488,8 @@ def scan_matches_brute(track, images, accept, rules):
 def scan_cases(draw):
     """A factor track and its image tracks (the track itself, its inverse or
     other random tracks) over a mixed direct/inverse alphabet, with random
-    edges, start ranges and, for all tracks or none, random start keys."""
+    edges, start ranges of step 1 or 2 (the Sturmian check starts at every
+    other gap) and, for all tracks or none, random start keys."""
     alphabet = draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=4, unique=True))
     keyed = draw(st.booleans())
 
@@ -511,7 +502,7 @@ def scan_cases(draw):
         starts = None
         if draw(st.booleans()):
             lo = draw(st.integers(0, n + 1))
-            starts = range(lo, draw(st.integers(lo, n + 1)))
+            starts = range(lo, draw(st.integers(lo, n + 1)), draw(st.integers(1, 2)))
         return Track(letters, draw(st.booleans()), draw(st.booleans()), starts,
                      keys(n).__getitem__ if keyed else None)
 
@@ -529,12 +520,11 @@ def scan_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_cases(), st.sampled_from(RULE_PAIRS),
-       st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 3))))
-def test_pair_scan_matches_brute_scan(case, rules, salt):
+@given(scan_cases(), st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 3))))
+def test_pair_scan_matches_brute_scan(case, salt):
     accept = None if salt is None else (
         lambda hit: (hit.host + 3 * hit.of + 5 * hit.oi + 7 * hit.L + salt[1]) % salt[0] == 0)
-    scan_matches_brute(*case, accept, rules)
+    scan_matches_brute(*case, accept)
 
 
 def test_pair_scan_matches_brute_scan_on_all_short_words():
@@ -548,15 +538,14 @@ def test_pair_scan_matches_brute_scan_on_all_short_words():
         for lc, rc in itertools.product((False, True), repeat=2):
             x = Track(w, lc, rc)
             images = (x, x.inverse())
-            for rules in RULE_PAIRS:
-                candidates, asked, _ = scan_matches_brute(x, images, lambda hit: False, rules)
-                assert pair_scan(x, images, rules=rules) == (asked[0] if asked else None)
-                n = len(w)
-                for h, of, oi, L in asked:
-                    closed_end += L == 0 and n in (of, oi)
-                    differing += L == 0 and n not in (of, oi) and w[of] != images[h].letters[oi]
-                open_end += sum((of == n and not rc) or (oi == n and not images[h].right_closed)
-                                for h, of, oi in candidates)
+            candidates, asked, _ = scan_matches_brute(x, images, lambda hit: False)
+            assert pair_scan(x, images) == (asked[0] if asked else None)
+            n = len(w)
+            for h, of, oi, L in asked:
+                closed_end += L == 0 and n in (of, oi)
+                differing += L == 0 and n not in (of, oi) and w[of] != images[h].letters[oi]
+            open_end += sum((of == n and not rc) or (oi == n and not images[h].right_closed)
+                            for h, of, oi in candidates)
     assert closed_end > 50 and differing > 50 and open_end > 50
 
 
@@ -564,35 +553,23 @@ def test_pair_scan_matches_brute_scan_on_all_short_words():
 # the order-pruned scan: its code bands, its suffix comparison, and scale
 
 
-def test_pair_scan_rejects_a_letter_allowed_after_both_sides():
-    """The order argument needs every letter allowed after at most one of a
-    factor and an image; both shipped rule pairs satisfy it."""
-    anything = Rule(lambda b: True, lambda a: True)
-    x = Track((A, B))
-    with pytest.raises(ValueError, match="after both"):
-        pair_scan(x, (x,), rules=(anything, anything))
-    empty = Track(())  # no letter, so nothing to refuse
-    assert pair_scan(empty, (empty,), rules=(anything, anything)) is None
-
-
-def test_codes_are_laid_out_again_past_a_full_band():
-    """A band holds 41 codes while the code strings are ASCII; more letters
+def test_codes_are_laid_out_again_past_a_full_band(monkeypatch):
+    """A band holds 62 codes while the code strings are ASCII; more letters
     double it and lay every code out again, once while the factor track is
     encoded and once while a later image track is (past one byte per code
     then), and the scan still asks `accept` about the brute scan's hits in
     its order."""
+    monkeypatch.setattr(scan, "_CODES", scan._Codes())  # a table that starts empty
     rng = random.Random(5)
-    # fresh rules, so that their code table starts empty
-    rules = (Rule(lambda b: FACTOR.before(b), lambda a: FACTOR.after(a)),
-             Rule(lambda b: IMAGE.before(b), lambda a: IMAGE.after(a)))
-    letters = [Letter(f"s{i}", inv) for i in range(200) for inv in (False, True)]
-    x = Track(tuple(rng.choice(letters[:200]) for _ in range(150)))
-    other = Track(tuple(rng.choice(letters[200:]) for _ in range(150)), False, False)
-    assert len({l for l in x.letters if not l.inv}) > 41
+    sym = [Letter(f"s{i}") for i in range(200)]
+    u = sym[:70] + [rng.choice(sym[:70]).inverse() for _ in range(50)]
+    rng.shuffle(u)
+    x = Track(tuple(u))
+    other = Track(tuple(rng.sample([l.inverse() for l in sym[70:]], 130)), False, False)
     for images in ((x, x.inverse(), other), (other, x)):
-        _, asked, _ = scan_matches_brute(x, images, lambda hit: False, rules)
-        assert pair_scan(x, images, rules=rules) == asked[0]
-    assert scan._codes(rules).cap > 84
+        _, asked, _ = scan_matches_brute(x, images, lambda hit: False)
+        assert pair_scan(x, images) == asked[0]
+    assert scan._CODES.cap > 124
 
 
 class CountingStr(str):

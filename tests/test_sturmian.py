@@ -167,6 +167,13 @@ def test_bridge_rejects_other_alphabets(l3):
         bridge(Window((Letter("c", False),), False, ""), BI_INFINITE)
 
 
+def test_bridge_rejects_an_empty_window():
+    # an empty window has no gap to point the bridge's word at
+    for side in (RIGHT_INFINITE, BI_INFINITE):
+        with pytest.raises(SturmianError, match="nonempty window"):
+            bridge(Window((), False, "empty"), side)
+
+
 def test_bridge_cap():
     # an all-a window is the cheapest to bridge, so the cap itself is checked
     assert bridge(Window((A,) * BRIDGE_CAP, False, "at cap"), BI_INFINITE).violation is None
