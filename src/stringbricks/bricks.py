@@ -36,7 +36,7 @@ def _direct_witness(ctx: Context, x: Track, xinv: Track,
         return t._replace(key=keys.__getitem__)
 
     x, xinv = keyed(x), keyed(xinv)
-    hit = pair_scan(x, (x, xinv))
+    hit = next(pair_scan(x, (x, xinv)), None)
     return None if hit is None else witness(
         x, (x, xinv), hit, Context.format_literal(ctx.gap_zero(x.letters, hit.of)), shift)
 

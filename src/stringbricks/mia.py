@@ -22,10 +22,12 @@ the transitions on the letters the word reads, not |states| x length.
 `_host` maps a pointed word's shape to its host once: a finite word, a
 purely periodic word, or a window word (a window with the basepoint at its
 left edge, whose inverse `PointedWord.inverse` points at the left edge
-again).  Each host carries the track its scan reads, its gap classes and the
-shift from track indices to word gaps, so the (weak) brick-word witness
-search is one pair scan of `scan` over the hosts of a word and its inverse,
-and one report path serves every shape.
+again).  Each host carries the track its scan reads, its gap classes (a
+window's are singletons, which its track also uses as start keys) and the
+shift from track indices to word gaps.  So the (weak) brick-word witness is
+the first hit of one pair scan of `scan`, over the hosts of a word and its
+inverse, whose right ends share a state, and one report path serves every
+shape.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
+from .scan import BrickReport, Track, pair_scan, unroll, witness
 from .words import (Letter, Window, Word, WordRep, classify_periodicity,
                     inverse_of, invert)
 from .words import APERIODIC, FINITE, UNKNOWN
@@ -345,13 +347,15 @@ class _WindowHost:
     """A window with the basepoint at its left edge: a finite view of an
     infinite word.
 
-    The track keys each gap by the state of the single forward gap chain;
+    The gap class at gap g is the singleton of the state of the single
+    forward gap chain there, and the track keys each gap by that state;
     backward determinism along the window is verified so the chain really is
-    the whole ~-class at each gap.
+    the whole ~-class at each gap.  Chain states step deterministically
+    (axiom 3), so two starts with equal keys reach equal states at the ends
+    of equal spans: every hit of the keyed scan has a common state.
     """
 
     shift = 0
-    state_at = None  # no gap classes: the track's start keys are the classes
 
     def __init__(self, m: Mia, window: Window, base: str):
         table, e = m.by_letter, m.e
@@ -362,6 +366,7 @@ class _WindowHost:
             if run is None:
                 raise MiaError(f"window run undefined at position {g}")
             chain.append(e[run])
+        self.chain = chain
         self.track = Track(window.letters, window.left_closed, window.right_closed,
                            key=chain.__getitem__)
         # gap states must be single-valued for the windowed pair scan: each
@@ -375,6 +380,9 @@ class _WindowHost:
                 raise UnsupportedRepresentation(
                     "window gap states are not single-valued; "
                     "use the finite machinery instead")
+
+    def state_at(self, g: int) -> frozenset:
+        return frozenset((self.chain[g],))
 
 
 def _host(m: Mia, w: PointedWord):
@@ -439,39 +447,27 @@ def shift_basepoint(m: Mia, w: PointedWord, steps: int) -> PointedWord:
 # brick words
 
 
-def _word_witness(x: Track, xinv: Track, states=None,
-                  shift: int = 0) -> Optional[BrickWitness]:
-    """The brick-word witness on the pair scan; a zero-length one shows its
-    basepoint state as `<state>`.
-
-    With single-valued gap states the tracks carry them as start keys.
-    Otherwise states(host, g) is the gap class at gap g of x (host 0) or
-    x^{-1} (host 1): forward basepoint shifts are deterministic, so a state
-    common to both classes at some gap of the span carries over to its right
-    end, and only the right end is tested.  `shift` maps track indices back
-    to word gaps.
-    """
-    def common(hit):
-        return (states(0, hit.of + hit.L - shift)
-                & states(hit.host, hit.oi + hit.L - shift))
-
-    hit = pair_scan(x, (x, xinv), None if states is None else common)
-    if hit is None:
-        return None
-    base = x.key(hit.of) if states is None else min(common(hit))
-    return witness(x, (x, xinv), hit, f"<{base}>", shift)
-
-
 def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
     """The report of one scan over the hosts of a word and of its inverse.
-    A word is a weak brick word iff the scan finds no witness; a brick word
+
+    A hit is a witness when the gap classes at the right ends of its factor
+    (in x) and image (in x or x^{-1}) occurrences share a state, shown as
+    `<state>` when the witness is zero-length: forward basepoint shifts are
+    deterministic, so a state common to both classes at some gap of the span
+    carries over to its right end, and only the right end is tested.  A
+    word is a weak brick word iff the scan finds no witness; a brick word
     must also be aperiodic, which a finite word is, and a window only when
     its generator certified it."""
-    x, xinv = (h.track for h in hosts)
-    window = hosts[0].state_at is None
-    found = _word_witness(x, xinv, None if window else lambda h, g: hosts[h].state_at(g),
-                          hosts[0].shift)
-    scope = f"window {len(x.letters)}" if window else "exact"
+    tracks = tuple(h.track for h in hosts)
+    x, shift = tracks[0], hosts[0].shift
+
+    def common(hit):
+        return (hosts[0].state_at(hit.of + hit.L - shift)
+                & hosts[hit.host].state_at(hit.oi + hit.L - shift))
+
+    hit = next((hit for hit in pair_scan(x, tracks) if common(hit)), None)
+    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>", shift)
+    scope = f"window {len(x.letters)}" if isinstance(hosts[0], _WindowHost) else "exact"
     return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
                        found, cls, scope)
 

@@ -71,6 +71,7 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
             relations.append((name, nxt))
 
     # aligned chains with minimal undefined runs
+    cap = len(m.states) + 2
     for v in m.initial:
         if v not in arrow_of:
             continue
@@ -78,18 +79,16 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
         cur = provenance[arrow_of[v]][1]
         run = m.step(v, ZERO)
         k = 1
-        cap = len(m.states) + 2
         while k < cap:
             nxt_arrow = arrow_of.get(cur)
             if nxt_arrow is None:
                 break
             chain.append(nxt_arrow)
             k += 1
-            run = None if run is None else m.step(run, ZERO)
+            run = m.step(run, ZERO)
             if run is None:
                 # minimality: the suffix run of length k-1 must survive
-                suffix_start = provenance[chain[1]][0] if len(chain) > 1 else None
-                if m.run(suffix_start, (ZERO,) * (k - 1)) is not None:
+                if m.run(provenance[chain[1]][0], (ZERO,) * (k - 1)) is not None:
                     relations.append(tuple(chain))
                 break
             cur = provenance[nxt_arrow][1]

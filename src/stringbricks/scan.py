@@ -12,9 +12,9 @@ witness length is L = LCE(of, oi): at any shorter length both after-letters
 are the same letter, which cannot be direct on one side and inverse on the
 other, nor flush with a word end.  So the scan pairs only starts whose
 start keys agree (each route supplies its own notion of gap state, the
-zero-length string at a gap or an automaton state, as the key, and a
-predicate for whatever the key does not decide), and takes an LCE only for
-pairs whose first letters agree; the others have L = 0.
+zero-length string at a gap or an automaton state, as the key, and
+filters the hits for whatever the key does not decide), and takes an LCE
+only for pairs whose first letters agree; the others have L = 0.
 
 Each track is read once into a code string, one character per letter,
 from one code table shared by every scan.  The codes go up in four bands:
@@ -25,22 +25,26 @@ and an image before an inverse one, so at L a witness's factor code lies
 below its image code: a witness's factor suffix sorts below its image
 suffix (the suffix order of Manber and Myers, SIAM J. Comput. 1993, used
 for one comparison per start, with no suffix array).  Hence once a walk
-over the image starts with some key finds no admissible pair, a factor
-start whose suffix is not below the greatest of their suffixes has none
-either and is skipped; on a clean window that is one comparison per
-start.  The after-boundaries are two character comparisons, the
-before-boundaries one translate table per side.  A suffix comparison and
-an LCE compare slices in C whose length doubles (and, for the LCE, halves
-again), so they read O(LCE) characters and copy no whole suffix.
-`witness` turns a hit into the one witness record, which every route's
-`BrickReport` carries.
+over the image starts with some key is done, a factor start whose suffix
+is not below the greatest of their suffixes has no admissible pair with
+them and is skipped; on a clean window that is one comparison per start.
+The after-boundaries are two character comparisons, the before-boundaries
+one translate table per side.  A suffix comparison and an LCE compare
+slices in C whose length doubles (and, for the LCE, halves again), so they
+read O(LCE) characters and copy no whole suffix.
+
+`pair_scan` yields the admissible pairs one by one, in a fixed order, so a
+route's first witness is the first hit it keeps.  On a string's two
+tracks they and the identity are the graph maps, which form a basis of its
+endomorphisms (Crawley-Boevey, J. Algebra 1989).  `witness` turns a hit
+into the one witness record, which every route's `BrickReport` carries.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Hashable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import Letter, inv_seq
 
@@ -68,10 +72,9 @@ class Track(NamedTuple):
             return None if self.right_closed else OPEN
         return self.letters[i]
 
-    def inverse(self, key: Optional[Callable[[int], Hashable]] = None) -> "Track":
-        """The inverse word with all of its gaps as starts."""
-        return Track(inv_seq(self.letters), self.right_closed, self.left_closed,
-                     key=key)
+    def inverse(self) -> "Track":
+        """The inverse word with all of its gaps as starts and no keys."""
+        return Track(inv_seq(self.letters), self.right_closed, self.left_closed)
 
 
 def unroll(q: Sequence[Letter], starts: int, span: int) -> Track:
@@ -224,20 +227,18 @@ class _Codes(dict):
 _CODES = _Codes()  # it holds only codes, so sharing it changes no result
 
 
-def pair_scan(track: Track, images: Sequence[Track],
-              accept: Optional[Callable[[Hit], bool]] = None) -> Optional[Hit]:
-    """The first pair of a factor occurrence in `track` and an image
-    occurrence in one of `images` with the same content.
+def pair_scan(track: Track, images: Sequence[Track]) -> Iterator[Hit]:
+    """Every pair of a factor occurrence in `track` and an image occurrence
+    in one of `images` with the same content, as hits.
 
-    Pairs are tried image track by image track in the given order (x before
+    Pairs come image track by image track in the given order (x before
     x^{-1}), then by factor start ascending, then by image start ascending;
-    only starts with equal keys are paired, and a pair is returned when both
-    ends are admissible and `accept` (if any) agrees.  The identity pair (the
-    same start in `track` itself, admissible only as the whole closed word)
-    is excluded.  Once a factor start's walk over the image starts with its
-    key finds no admissible pair, a later factor start whose suffix does not
-    sort below the greatest of their suffixes is skipped: it has no such
-    pair either.
+    only starts with equal keys are paired, and a pair is yielded when both
+    ends are admissible.  The identity pair (the same start in `track`
+    itself, admissible only as the whole closed word) is excluded.  Once a
+    factor start's walk over the image starts with its key is done, a later
+    factor start whose suffix does not sort below the greatest of their
+    suffixes is skipped: it has no admissible pair.
     """
     if not all(isinstance(t.letters, tuple) for t in (track, *images)):
         # every route builds its tracks from tuples; a list is a caller's slip
@@ -248,7 +249,8 @@ def pair_scan(track: Track, images: Sequence[Track],
     su = "".join(map(code, u))  # shared by the factor side and host 0
     strs = [su if t.letters is u else "".join(map(code, t.letters)) for t in images]
     if codes.cap != cap:  # a new letter laid the codes out again
-        return pair_scan(track, images, accept)
+        yield from pair_scan(track, images)
+        return
     fend, iend = codes.fend, codes.iend
     F = su + (fend if track.right_closed else codes.top)
     fstarts = codes.starts(track, su, 0)
@@ -262,7 +264,7 @@ def pair_scan(track: Track, images: Sequence[Track],
             buckets = defaultdict(list)
             for oi, key in zip(istarts, map(t.key, istarts)):
                 buckets[key].append(oi)
-        best = {}  # per key: the greatest image suffix, once a walk found no pair
+        best = {}  # per key: the greatest image suffix, once a walk is done
         ident = t is track
         for of, key in zip(fstarts, fkeys):
             bucket = buckets.get(key)
@@ -271,16 +273,12 @@ def pair_scan(track: Track, images: Sequence[Track],
             m = best.get(key)
             if m is not None and (F[of] > I[m] or F[of] == I[m] and not _below(F, of, I, m)):
                 continue
-            c, refused = F[of], False
+            c = F[of]
             for oi in bucket:
                 if ident and of == oi:
                     continue
                 L = 1 + lce(F, of + 1, I, oi + 1) if c == I[oi] else 0
                 if F[of + L] <= fend and I[oi + L] >= iend:
-                    hit = Hit(h, of, oi, L)
-                    if accept is None or accept(hit):
-                        return hit
-                    refused = True
-            if m is None and not refused:
+                    yield Hit(h, of, oi, L)
+            if m is None:
                 best[key] = _greatest(I, bucket)
-    return None

@@ -223,7 +223,7 @@ def sturmian_window_check(w: Window) -> Optional[SturmianViolation]:
         return None
     blocks = _blocks(w.letters)
     t = Track(blocks, False, False, range(0, len(blocks) + 1, 2))
-    hit = pair_scan(t, (t,))  # unbalanced: a hit exists
+    hit = next(pair_scan(t, (t,)))  # unbalanced: a hit exists
     of, oi, L = hit.of // 2, hit.oi // 2, hit.L // 2
     return SturmianViolation(w.letters[of:of + L], of - 1, oi - 1)
 

@@ -6,11 +6,11 @@ from stringbricks.algebra import (SignError, parse_presentation,
                                   validate_string_algebra)
 from stringbricks.presets import gamma, lambda3, lambda_n
 from stringbricks.bricks import _direct_witness
-from stringbricks.mia import _host, _word_witness
+from stringbricks.mia import _host, _report
 from stringbricks.scan import Hit, Track, pair_scan, unroll
 from stringbricks.strings import CapExceeded, Context, Str, StringError
 from stringbricks.sturmian import _blocks
-from stringbricks.words import inv_seq
+from stringbricks.words import PERIODIC, inv_seq
 
 
 def concat(ctx: Context, x: Str, y: Str) -> Str:
@@ -47,7 +47,7 @@ def sturmian_pair_scan(u):
     the bridge's blocks from block boundaries, as a hit in window gaps."""
     blocks = _blocks(u)
     t = Track(blocks, False, False, range(0, len(blocks) + 1, 2))
-    hit = pair_scan(t, (t,))
+    hit = next(pair_scan(t, (t,)), None)
     return None if hit is None else Hit(0, hit.of // 2, hit.oi // 2, hit.L // 2)
 
 
@@ -62,8 +62,9 @@ def periodic_witness_3q(m, w):
     """The automaton route's witness for a purely periodic pointed word w,
     scanned 3|q| letters past each start instead of the route's |q|."""
     hosts = (_host(m, w), _host(m, w.inverse(m)))
-    x, xinv = (unroll(h.q, h.T, 3 * h.P) for h in hosts)
-    return _word_witness(x, xinv, lambda h, g: hosts[h].state_at(g), 1)
+    for h in hosts:
+        h.track = unroll(h.q, h.T, 3 * h.P)
+    return _report(hosts, PERIODIC, weak=True).witness
 
 
 def path_quiver_text(n: int) -> str:

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from conftest import path_quiver_text
 from stringbricks import cli
 from stringbricks.cli import main
+from stringbricks.algebra import format_presentation
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
 from stringbricks.strings import Context
 from stringbricks.sturmian import BRIDGE_CAP, PREFIX_CAP
@@ -345,6 +347,18 @@ def text_verdicts(text: str) -> list[bool]:
     return out
 
 
+def text_matches_json(capsys, argv) -> list[bool]:
+    """Text mode and --json give the same exit code and the same three
+    verdicts on a check-*-brick --method all call; returns the verdicts."""
+    text_code = main(argv)
+    verdicts = text_verdicts(capsys.readouterr().out)
+    json_code, doc = run_json(capsys, argv)
+    assert text_code == json_code, argv
+    assert verdicts == [r["verdict"] for r in doc["reports"]], argv
+    assert len(verdicts) == 3 and doc["verdict"] == verdicts[0], argv
+    return verdicts
+
+
 def test_text_and_json_agree_on_every_small_case(lambda3_file, gamma_file, capsys):
     """Text mode and --json give the same exit code and the same verdicts on
     every string of <= 4 syllables and every band of <= 4 at l = 1, 2."""
@@ -357,15 +371,30 @@ def test_text_and_json_agree_on_every_small_case(lambda3_file, gamma_file, capsy
                    "--l", str(l), "--method", "all"]
                   for b in ctx.enumerate_bands(4) for l in (1, 2)]
         for argv in argvs:
-            text_code = main(argv)
-            verdicts = text_verdicts(capsys.readouterr().out)
-            json_code, doc = run_json(capsys, argv)
-            assert text_code == json_code, argv
-            assert verdicts == [r["verdict"] for r in doc["reports"]], argv
-            assert len(verdicts) == 3 and doc["verdict"] == verdicts[0], argv
+            seen.update(text_matches_json(capsys, argv))
             cases += 1
-            seen.update(verdicts)
     assert cases > 100 and seen == {True, False}
+
+
+def test_text_and_json_agree_on_sampled_corpus_cases(corpus, tmp_path, capsys):
+    """The same agreement on a seeded sample of the acceptance corpus's
+    strings of 5-8 syllables, past the small cases above, and on each of
+    its bands of <= 8 syllables at l = 1 or 2."""
+    rng = random.Random(21)
+    strings, argvs = [], []
+    for i, ctx in enumerate(corpus):
+        path = tmp_path / f"corpus{i}.alg"
+        path.write_text(format_presentation(ctx.presentation))
+        strings += [(path, x) for x in ctx.enumerate_strings(8) if len(x) > 4]
+        argvs += [["check-band-brick", str(path), Context.format_literal(b.string),
+                   "--l", str(rng.randint(1, 2)), "--method", "all"]
+                  for b in ctx.enumerate_bands(8)]
+    argvs += [["check-string-brick", str(path), Context.format_literal(x), "--method", "all"]
+              for path, x in rng.sample(strings, 80)]
+    seen = set()
+    for argv in argvs:
+        seen.update(text_matches_json(capsys, argv))
+    assert len(argvs) > 90 and seen == {True, False}
 
 
 def test_signs_declared(gamma_file, capsys):

@@ -343,9 +343,9 @@ def test_pair_scan_rejects_list_letters():
     # a list slice never equals a tuple slice, so a list track would get LCE 0
     u = (A, B, B, A)
     with pytest.raises(TypeError):
-        pair_scan(Track(list(u)), (Track(u),))
+        next(pair_scan(Track(list(u)), (Track(u),)))
     with pytest.raises(TypeError):
-        pair_scan(Track(u), (Track(u), Track(list(u))))
+        next(pair_scan(Track(u), (Track(u), Track(list(u)))))
 
 
 def fibonacci_words(rng, count, lo, hi):
@@ -428,12 +428,11 @@ def test_long_windows_match_brute_first_pair(l3):
 ALPHABET = (A, B, A.inverse(), B.inverse())
 
 
-def brute_scan(track, images, accept):
+def brute_scan(track, images):
     """pair_scan by definition: every (host, factor start, image start, L)
     tried letter by letter, with the boundary letters read straight from
     the track.  Returns the candidate pairs (equal keys, admissible
-    before-letters), the hits passed to accept in order, and the first hit
-    accept agrees to (None if there is none)."""
+    before-letters) and every admissible hit, in order."""
 
     def at(t, i):
         if 0 <= i < len(t.letters):
@@ -448,7 +447,7 @@ def brute_scan(track, images, accept):
     def key(t, o):
         return t.key(o) if t.key else None
 
-    candidates, asked = [], []
+    candidates, hits = [], []
     for h, t in enumerate(images):
         for of in starts(track, factor_ok):
             for oi in starts(t, image_ok):
@@ -461,26 +460,15 @@ def brute_scan(track, images, accept):
                     fa, ia = at(track, of + L), at(t, oi + L)
                     if OPEN in (fa, ia) or not (factor_ok(None, fa) and image_ok(None, ia)):
                         continue
-                    asked.append(Hit(h, of, oi, L))
-                    if accept is None or accept(asked[-1]):
-                        return candidates, asked, asked[-1]
-    return candidates, asked, None
+                    hits.append(Hit(h, of, oi, L))
+    return candidates, hits
 
 
-def scan_matches_brute(track, images, accept):
-    """pair_scan asks accept about the same hits in the same order as the
-    brute scan and returns the same hit; returns the brute scan's output."""
-    asked = []
-
-    def recorded(hit):
-        asked.append(hit)
-        return accept(hit)
-
-    want = brute_scan(track, images, accept)
-    got = pair_scan(track, images, None if accept is None else recorded)
-    assert got == want[2]
-    if accept is not None:
-        assert asked == want[1]
+def scan_matches_brute(track, images):
+    """pair_scan yields the brute scan's hits in the same order; returns
+    the brute scan's output."""
+    want = brute_scan(track, images)
+    assert list(pair_scan(track, images)) == want[1]
     return want
 
 
@@ -513,35 +501,34 @@ def scan_cases(draw):
         if kind == "self":
             images.append(x)
         elif kind == "inverse":
-            images.append(x.inverse(keys(len(x.letters)).__getitem__ if keyed else None))
+            inverse = x.inverse()
+            images.append(inverse._replace(key=keys(len(x.letters)).__getitem__)
+                          if keyed else inverse)
         else:
             images.append(track())
     return x, tuple(images)
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_cases(), st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(0, 3))))
-def test_pair_scan_matches_brute_scan(case, salt):
-    accept = None if salt is None else (
-        lambda hit: (hit.host + 3 * hit.of + 5 * hit.oi + 7 * hit.L + salt[1]) % salt[0] == 0)
-    scan_matches_brute(*case, accept)
+@given(scan_cases())
+def test_pair_scan_matches_brute_scan(case):
+    scan_matches_brute(*case)
 
 
 def test_pair_scan_matches_brute_scan_on_all_short_words():
     """Every word of <= 3 letters over a, a', b with every pair of edges,
-    against itself and its inverse: accept refuses every hit, so both scans
-    run through all their pairs.  The pairs include the ones the scan
-    decides without an LCE: L = 0 at a closed end gap and between differing
-    first letters, and starts at an open end gap."""
+    against itself and its inverse: both scans yield every hit.  The pairs
+    include the ones the scan decides without an LCE: L = 0 at a closed end
+    gap and between differing first letters, and starts at an open end
+    gap."""
     closed_end = differing = open_end = 0
     for w in (w for k in range(4) for w in itertools.product((A, A.inverse(), B), repeat=k)):
         for lc, rc in itertools.product((False, True), repeat=2):
             x = Track(w, lc, rc)
             images = (x, x.inverse())
-            candidates, asked, _ = scan_matches_brute(x, images, lambda hit: False)
-            assert pair_scan(x, images) == (asked[0] if asked else None)
+            candidates, hits = scan_matches_brute(x, images)
             n = len(w)
-            for h, of, oi, L in asked:
+            for h, of, oi, L in hits:
                 closed_end += L == 0 and n in (of, oi)
                 differing += L == 0 and n not in (of, oi) and w[of] != images[h].letters[oi]
             open_end += sum((of == n and not rc) or (oi == n and not images[h].right_closed)
@@ -557,8 +544,7 @@ def test_codes_are_laid_out_again_past_a_full_band(monkeypatch):
     """A band holds 62 codes while the code strings are ASCII; more letters
     double it and lay every code out again, once while the factor track is
     encoded and once while a later image track is (past one byte per code
-    then), and the scan still asks `accept` about the brute scan's hits in
-    its order."""
+    then), and the scan still yields the brute scan's hits in its order."""
     monkeypatch.setattr(scan, "_CODES", scan._Codes())  # a table that starts empty
     rng = random.Random(5)
     sym = [Letter(f"s{i}") for i in range(200)]
@@ -567,8 +553,8 @@ def test_codes_are_laid_out_again_past_a_full_band(monkeypatch):
     x = Track(tuple(u))
     other = Track(tuple(rng.sample([l.inverse() for l in sym[70:]], 130)), False, False)
     for images in ((x, x.inverse(), other), (other, x)):
-        _, asked, _ = scan_matches_brute(x, images, lambda hit: False)
-        assert pair_scan(x, images) == asked[0]
+        _, hits = scan_matches_brute(x, images)
+        assert hits
     assert scan._CODES.cap > 124
 
 
