@@ -255,8 +255,15 @@ def cmd_sturmian(args, out: _Output) -> int:
     out.field("prefix", text if args.prefix <= 200 else text[:200] + "...")
     out.say(f"prefix: {text if args.prefix <= 200 else text[:200] + '...'}")
     failed = False
+    res = refusal = None
+    if args.bridge:
+        try:
+            res = bridge(w, args.side)
+        except (CapExceeded, SturmianError) as err:
+            refusal = err  # raised after the check's lines, which come first
     if args.check:
-        violation = sturmian_window_check(w)
+        # the bridge has checked the window already, unless it refused it
+        violation = sturmian_window_check(w) if res is None else res.violation
         out.field("violation", None if violation is None else {
             "infix": "".join(l.sym for l in violation.infix),
             "a_position": violation.a_position,
@@ -269,8 +276,9 @@ def cmd_sturmian(args, out: _Output) -> int:
             out.say(f"sturmian window check: violation, infix {infix!r} at "
                     f"{violation.a_position}/{violation.b_position}")
             failed = True
-    if args.bridge:
-        res = bridge(w, args.side)
+    if refusal is not None:
+        raise refusal
+    if res is not None:
         out.field("bridge_report", asdict(res.report))
         out.field("bridge_consistent", res.consistent())
         out.say(_brick_line(res.report))

@@ -1,18 +1,20 @@
 """Ground-truth oracle: explicit string/band modules over a prime field and
 exact endomorphism-space dimensions.
 
-Representations are per-vertex dimensions plus per-arrow matrices over F_p
-(default p = 32003).  end_dim ranks phi_{t(a)} M_a = M_a phi_{s(a)} by sparse
-Gaussian elimination over F_p; the modules act by (Jordan-scaled) partial
-permutations, so a row has at most four terms.  tests/test_endo.py keeps the
-dense eliminator as an independent reference.
+A representation is its per-vertex dimensions plus, per arrow, the sparse
+entries {(row, col): nonzero residue mod p} of its matrix (default p =
+32003).  String and band modules act by partial permutations and one Jordan
+block, so an arrow holds a handful of entries; the dense matrices are the
+view `Representation.mats`, the only place numpy is imported.  end_dim
+ranks phi_{t(a)} M_a = M_a phi_{s(a)} by sparse Gaussian elimination over
+F_p, so a row has at most four terms.  tests/test_endo.py keeps the dense
+eliminator as an independent reference.
 """
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 from .strings import Band, CapExceeded, Context, Str
 
@@ -23,43 +25,53 @@ SECOND_PRIME = 65521
 @dataclass
 class Representation:
     dims: dict[str, int]
-    mats: dict[str, np.ndarray]  # arrow -> (dim_target x dim_source) over F_p
+    arrows: tuple[tuple[str, str, str], ...]  # (arrow, source, target)
+    entries: dict[str, dict[tuple[int, int], int]]  # arrow -> {(row, col): m}
     prime: int
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
+    @functools.cached_property
+    def mats(self):
+        """arrow -> its dense (dim_target x dim_source) int64 matrix."""
+        import numpy as np
 
-def _walk_module(ctx: Context, x: Str, l: int, last, prime: int) -> Representation:
+        mats = {}
+        for a, s, t in self.arrows:
+            mats[a] = np.zeros((self.dims[t], self.dims[s]), dtype=np.int64)
+            for rc, m in self.entries[a].items():
+                mats[a][rc] = m
+        return mats
+
+
+def _walk_module(ctx: Context, x: Str, l: int, lam, prime: int) -> Representation:
     """The module of a walk along x: an l-dimensional block per position,
     each syllable acting by the identity from the block it leaves to the one
-    it enters, direct syllables forward, inverse ones backward.  With `last`
+    it enters, direct syllables forward, inverse ones backward.  With `lam`
     None the walk is open (len(x) + 1 positions); otherwise its last syllable
-    returns to the first position and acts by the block `last`."""
+    returns to the first position and acts by the Jordan block J_l(lam)."""
     p = ctx.presentation
     positions = [x.src, *map(ctx.letter_dst, x.letters)]
-    if last is not None:
+    if lam is not None:
         positions.pop()
     dims = dict.fromkeys(p.vertices, 0)
     index = []  # index[i] = first row of position i's block inside its vertex
     for v in positions:
         index.append(dims[v])
         dims[v] += l
-    if last is not None:
+    if lam is not None:
         index.append(index[0])  # the closed walk ends on its first block
-    mats = {a: np.zeros((dims[t], dims[s]), dtype=np.int64)
-            for a, s, t in p.arrows}
+    entries = {a: {} for a, _, _ in p.arrows}
     for lt, j, k in zip(x.letters, index, index[1:]):
         if lt.inv:
             j, k = k, j  # an inverse syllable acts from the later block back
-        if l == 1:
-            mats[lt.sym][k, j] = 1
-        else:
-            for d in range(l):
-                mats[lt.sym][k + d, j + d] = 1
-    if last is not None:  # the last syllable's block, over its identity
-        mats[lt.sym][k:k + l, j:j + l] = last
-    return Representation(dims, mats, prime)
+        for d in range(l):
+            entries[lt.sym][k + d, j + d] = 1
+    if lam is not None:  # the last syllable's block J_l(lam), over its identity
+        entries[lt.sym].update({(k + d, j + d): lam for d in range(l)})
+        entries[lt.sym].update({(k + d, j + d + 1): 1 for d in range(l - 1)})
+    return Representation(dims, p.arrows, entries, prime)
 
 
 def string_module(ctx: Context, x: Str, prime: int = DEFAULT_PRIME) -> Representation:
@@ -75,8 +87,7 @@ def band_module(ctx: Context, b: Band, l: int, lam: int,
         raise ValueError("lambda must be nonzero")
     if l < 1:
         raise ValueError("l must be >= 1")
-    jordan = (lam * np.eye(l, dtype=np.int64) + np.eye(l, k=1, dtype=np.int64)) % prime
-    return _walk_module(ctx, b.string, l, jordan, prime)
+    return _walk_module(ctx, b.string, l, lam % prime, prime)
 
 
 def _check_cap(total: int, cap: int) -> None:
@@ -117,11 +128,8 @@ def end_dim(ctx: Context, rep: Representation, cap: int = 400) -> int:
         offs[v], n_unknowns = n_unknowns, n_unknowns + rep.dims[v] ** 2
     eqs: dict[tuple, dict[int, int]] = defaultdict(dict)  # (a, i, j) -> row
     for a, s, t in ctx.presentation.arrows:
-        M = rep.mats[a] % p
         dt, ds = rep.dims[t], rep.dims[s]
-        ks, js = np.nonzero(M)
-        for k, j in zip(ks.tolist(), js.tolist()):
-            m = int(M[k, j])
+        for (k, j), m in rep.entries[a].items():
             for i in range(dt):
                 e, c = eqs[a, i, j], offs[t] + i * dt + k
                 e[c] = (e.get(c, 0) + m) % p

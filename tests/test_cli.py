@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import path_quiver_text
-from stringbricks import cli
+from stringbricks import cli, sturmian
 from stringbricks.cli import main
 from stringbricks.algebra import format_presentation
 from stringbricks.presets import GAMMA_TEXT, lambda_n_text
@@ -189,6 +189,28 @@ def test_sturmian_bridge_past_its_cap_exits_3(capsys):
                                   str(BRIDGE_CAP + 1), "--check", "--bridge"])
     assert code == 3 and f"cap {BRIDGE_CAP} " in doc["error"]
     assert doc["violation"] is None
+
+
+@pytest.mark.parametrize("prefix", [120, BRIDGE_CAP + 1])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_sturmian_check_and_bridge_test_balance_once(prefix, as_json,
+                                                     monkeypatch, capsys):
+    # the CLI reports the bridge's own window check; a window the bridge
+    # refuses at its cap is checked once by the CLI, before the cap error
+    calls = []
+    balanced = sturmian._balanced
+    monkeypatch.setattr(sturmian, "_balanced",
+                        lambda u: calls.append(len(u)) or balanced(u))
+    argv = ["sturmian", "--directive", "1,(1)", "--prefix", str(prefix),
+            "--check", "--bridge"] + ["--json"] * as_json
+    code = main(argv)
+    assert calls == [prefix]
+    assert code == (0 if prefix <= BRIDGE_CAP else 3)
+    if not as_json:
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "sturmian window check: ok"
+        assert lines[-1].startswith("bridge cross-check" if code == 0
+                                    else "cap exceeded")
 
 
 def test_sturmian_prefix_past_its_cap_exits_3(capsys):

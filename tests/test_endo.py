@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stringbricks
 import stringbricks.endo as endo
 from stringbricks.endo import (DEFAULT_PRIME, SECOND_PRIME, band_module,
                                end_dim, end_dim_band, end_dim_string,
                                string_module)
+from stringbricks.presets import lambda_n_text
 from stringbricks.strings import CapExceeded
 from stringbricks.sturmian import DirectiveSequence, characteristic_prefix
 
@@ -130,6 +136,69 @@ def test_band_module_dims(l3):
     # b2 acts by the Jordan block J_2(5)
     assert np.array_equal(rep2.mats["b2"], np.array([[5, 1], [0, 5]]))
     assert end_dim(l3, rep2) >= 2
+
+
+def test_band_entries_are_residues_mod_p(l3):
+    b, _ = l3.is_band(l3.parse_literal("a2' b2"))
+    p = DEFAULT_PRIME
+    with pytest.raises(ValueError):
+        band_module(l3, b, 2, p)
+    for l in (1, 2, 3):
+        rep, ref = band_module(l3, b, l, p + 2), band_module(l3, b, l, 2)
+        assert rep.entries == ref.entries
+        assert all(0 < m < p for e in rep.entries.values() for m in e.values())
+        for a, s, t in l3.presentation.arrows:
+            assert rep.mats[a].dtype == np.int64
+            assert rep.mats[a].shape == (rep.dims[t], rep.dims[s])
+            assert np.array_equal(rep.mats[a], ref.mats[a])
+        assert end_dim(l3, rep) == end_dim(l3, ref)
+
+
+def test_end_dim_builds_no_dense_matrix(l3):
+    b, _ = l3.is_band(l3.parse_literal("a2' b2"))
+    for rep in (string_module(l3, l3.parse_literal("b1 a1' a2' b2")),
+                band_module(l3, b, 3, 2)):
+        end_dim(l3, rep)
+        assert "mats" not in rep.__dict__
+        assert rep.mats is rep.mats  # the view is built once, then cached
+
+
+def test_no_numpy_on_the_checking_routes(tmp_path):
+    # this module imports numpy, so a fresh interpreter runs every route and
+    # reports whether any of them imported it
+    alg = tmp_path / "lambda3.alg"
+    alg.write_text(lambda_n_text(3))
+    script = f"""
+import contextlib, io, sys
+from stringbricks import bricks, cli
+from stringbricks.presets import lambda3
+from stringbricks.strings import Context
+
+ctx = Context(lambda3())
+x = ctx.parse_literal("b1 a1'")
+b, _ = ctx.is_band(ctx.parse_literal("a2' b2"))
+verdicts = [bricks.string_brick_direct(ctx, x).verdict,
+            bricks.string_brick_automaton(ctx, x).verdict,
+            bricks.string_brick_endo(ctx, x).verdict,
+            bricks.band_brick_direct(ctx, b, 2).verdict,
+            bricks.band_brick_automaton(ctx, b, 2).verdict,
+            bricks.band_brick_endo(ctx, b, 2).verdict]
+assert verdicts == [True] * 3 + [False] * 3, verdicts
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["check-string-brick", {str(alg)!r}, "b1 a1'",
+                       "--method", "all", "--json"]),
+             cli.main(["check-band-brick", {str(alg)!r}, "a2' b2", "--l", "2",
+                       "--method", "all", "--json"]),
+             cli.main(["sturmian", "--directive", "1,(1)", "--prefix", "120",
+                       "--check", "--bridge"])]
+assert codes == [0, 1, 0], codes
+print("numpy" in sys.modules)
+"""
+    src = str(Path(stringbricks.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_band_lambda_zero_rejected(l3):
