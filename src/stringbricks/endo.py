@@ -6,9 +6,12 @@ entries {(row, col): nonzero residue mod p} of its matrix (default p =
 32003).  String and band modules act by partial permutations and one Jordan
 block, so an arrow holds a handful of entries; the dense matrices are the
 view `Representation.mats`, the only place numpy is imported.  end_dim
-ranks phi_{t(a)} M_a = M_a phi_{s(a)} by sparse Gaussian elimination over
-F_p, so a row has at most four terms.  tests/test_endo.py keeps the dense
-eliminator as an independent reference.
+ranks phi_{t(a)} M_a = M_a phi_{s(a)} exactly over F_p.  Almost every row
+has one or two terms (a column forced to zero, or one column a multiple of
+another), and those go to a weighted union-find; the few longer rows, from
+the superdiagonal of J_l(lambda) at l >= 2, are then rewritten in its root
+coordinates and reduced by sparse Gaussian elimination.  tests/test_endo.py
+keeps the dense eliminator as an independent reference.
 """
 from __future__ import annotations
 
@@ -96,11 +99,75 @@ def _check_cap(total: int, cap: int) -> None:
 
 
 def _rank_sparse(rows, p: int) -> int:
-    """Rank over F_p of sparse rows {column: coeff}: each row, shortest first
-    (forced zeros pivot early), is reduced against the normalised pivot rows,
-    keyed by leading column, until it vanishes or becomes a new pivot."""
+    """Rank over F_p of sparse rows {column: coeff}, in two phases.
+
+    Phase 1 takes the rows of one or two nonzero terms into a weighted
+    union-find (Tarjan 1975): each column links to its parent with
+    x_col = w * x_parent, and a root may be flagged as forced to zero.  A
+    one-term row flags its root.  A two-term row unites two roots under the
+    multiplier it implies; on two columns of one root it flags the root if
+    the cycle's weight disagrees, and it is redundant on a consistent cycle
+    or two flagged roots.  Each union and each new flag is one pivot.
+
+    Phase 2 rewrites every other row in root coordinates, dropping flagged
+    roots and summing repeated ones, and reduces it, shortest first, against
+    the normalised pivot rows keyed by leading column until it vanishes or
+    becomes a new pivot."""
+    link: dict[int, tuple[int, int]] = {}  # column -> (parent, w): x_col = w * x_parent
+    size: dict[int, int] = {}  # root -> columns in its tree, once above one
+    zero: set[int] = set()  # roots forced to zero (a merged root's flag is stale)
+    rank, rest = 0, []
+
+    def find(c):
+        """(root, w) with x_c = w * x_root; the path is pointed at the root."""
+        path = []
+        while (up := link.get(c)) is not None:
+            path.append(c)
+            c = up[0]
+        w = 1
+        for d in reversed(path):
+            w = w * link[d][1] % p
+            link[d] = (c, w)
+        return c, w
+
+    for row in rows:
+        n = len(row) if all(row.values()) else 0  # a zero coefficient goes to phase 2
+        if n == 1:
+            (r,) = row
+            if r in link:
+                r = find(r)[0]
+            if r not in zero:
+                zero.add(r)
+                rank += 1
+        elif n == 2:
+            (x, a), (y, b) = row.items()
+            rx, wx = find(x) if x in link else (x, 1)
+            ry, wy = find(y) if y in link else (y, 1)
+            a, b = a * wx, b * wy  # the row in root coordinates: a*x_rx + b*x_ry
+            if rx == ry:
+                if (a + b) % p and rx not in zero:  # a cycle whose weights disagree
+                    zero.add(rx)
+                    rank += 1
+            elif rx not in zero or ry not in zero:
+                if size.get(rx, 1) > size.get(ry, 1):
+                    rx, ry, a, b = ry, rx, b, a
+                link[rx] = (ry, -b * pow(a, -1, p) % p)
+                size[ry] = size.get(rx, 1) + size.get(ry, 1)
+                if rx in zero:
+                    zero.add(ry)
+                rank += 1
+        else:
+            rest.append(row)
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
+    reduced = []
+    for row in rest:
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            r, w = find(c) if c in link else (c, 1)
+            if r not in zero:
+                acc[r] = (acc.get(r, 0) + v * w) % p
+        reduced.append({c: v for c, v in acc.items() if v})
+    for row in sorted(reduced, key=len):
         while row:
             c = min(row)
             piv = pivots.get(c)
@@ -111,7 +178,7 @@ def _rank_sparse(rows, p: int) -> int:
             f = row[c]
             row = {k: v for k in row.keys() | piv.keys()
                    if (v := (row.get(k, 0) - f * piv.get(k, 0)) % p)}
-    return len(pivots)
+    return rank + len(pivots)
 
 
 def end_dim(ctx: Context, rep: Representation, cap: int = 400) -> int:
@@ -119,8 +186,9 @@ def end_dim(ctx: Context, rep: Representation, cap: int = 400) -> int:
 
     Unknown phi_v[i,k] is column offs[v] + i*dim_v + k; a nonzero M_a[k,j]
     enters equations (i,j) and (k,i) of arrow a for every i.  At the default
-    cap the slowest solves measured (Xeon, CPython 3.11) take ~0.5 s (399-dim
-    string, 400-dim bands at l <= 4), ~0.7 s for one l = 200 Jordan block."""
+    cap the slowest solves measured (Xeon, CPython 3.11, median of 7) take
+    ~0.35 s (399-dim string, 400-dim bands at l <= 4), ~0.55 s for one
+    l = 200 Jordan block."""
     _check_cap(rep.total_dim(), cap)
     p = rep.prime
     offs, n_unknowns = {}, 0
@@ -136,8 +204,7 @@ def end_dim(ctx: Context, rep: Representation, cap: int = 400) -> int:
             for i in range(ds):
                 e, c = eqs[a, k, i], offs[s] + j * ds + i
                 e[c] = (e.get(c, 0) - m) % p
-    return n_unknowns - _rank_sparse(
-        [{c: v for c, v in e.items() if v} for e in eqs.values()], p)
+    return n_unknowns - _rank_sparse(eqs.values(), p)
 
 
 def end_dim_string(ctx: Context, x: Str, prime: int = DEFAULT_PRIME, cap: int = 400) -> int:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -303,3 +304,99 @@ def test_long_band_matches_dense_reference(l3):
     rep = band_module(l3, b, 3, 2)
     assert rep.total_dim() == 30
     assert end_dim(l3, rep) == dense_end_dim(l3, rep)
+
+
+def _dense_rank(rows, n, p):
+    mat = np.zeros((len(rows), n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            mat[i, c] = v
+    return _rank_mod_p(mat, p)
+
+
+def synthetic_system(rng, p):
+    """Sparse rows over a few columns, built from the shapes the union-find
+    phase tells apart and shuffled, so flags, unions and longer rows arrive
+    in any order: one- and two-term rows, weighted cycles closed with
+    product 1 or not, rescaled repeats, 3-4-term combinations of earlier
+    two-term rows plus extra terms (which shrink or vanish once earlier
+    rows are substituted), and zero coefficients, which end_dim passes on."""
+    n = rng.randint(2, 8)
+    cols = range(n)
+
+    def unit():
+        return rng.randrange(1, p)
+
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append({rng.randrange(n): unit()})
+        elif kind == 1:
+            x, y = rng.sample(cols, 2)
+            rows.append({x: unit(), y: unit()})
+        elif kind == 2:  # x_0 = w_0 x_1, ..., so x_0 = prod * x_k
+            cycle = rng.sample(cols, rng.randint(2, n))
+            prod = 1
+            for x, y in zip(cycle, cycle[1:]):
+                w = unit()
+                prod = prod * w % p
+                rows.append({x: 1, y: -w % p})
+            # closed by x_k = v x_0: consistent exactly when prod * v = 1
+            v = pow(prod, -1, p) if rng.random() < 0.5 else unit()
+            rows.append({cycle[-1]: 1, cycle[0]: -v % p})
+        elif kind == 3 and rows:
+            s = unit()
+            rows.append({c: v * s % p for c, v in rng.choice(rows).items()})
+        elif kind == 4:
+            pairs = [r for r in rows if len(r) == 2]
+            row: dict[int, int] = {}
+            for r in rng.sample(pairs, min(len(pairs), rng.randint(1, 2))):
+                s = unit()
+                for c, v in r.items():
+                    row[c] = (row.get(c, 0) + s * v) % p
+            for c in rng.sample(cols, rng.randint(0, 2)):
+                row[c] = (row.get(c, 0) + unit()) % p
+            rows.append(row)
+        else:
+            x, y = rng.sample(cols, 2)
+            rows.append({x: 0, y: unit()} if rng.random() < 0.5 else {x: 0})
+    rng.shuffle(rows)
+    return rows, n
+
+
+# (rows, rank): each shape of the union-find phase on its own
+RANK_CASES = [
+    ([{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 6, 0: -1}], 2),  # x0 = 2 x1 = 6 x2, closed consistently
+    ([{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 5, 0: -1}], 3),  # ... and by x0 = 5 x2
+    ([{0: 1, 1: 1}, {1: 1, 0: 1}], 1),  # a cycle of length two, consistent
+    ([{0: 3}, {0: 1, 1: 4}, {1: 1}], 2),  # a flagged root joins a free one
+    ([{1: 3}, {0: 1, 1: 4}, {0: 1}], 2),  # ... as the parent
+    ([{0: 1, 1: 4}, {1: 1, 2: 1}, {3: 2}, {3: 1, 0: 1}, {1: 1}], 4),  # ... by size
+    ([{0: 3}, {1: 2}, {0: 1, 1: 4}], 2),  # two flagged roots join
+    ([{0: 1, 1: 4}, {0: 2, 1: 8}, {1: 4, 0: 1}], 1),  # repeated rows
+    ([{0: 1, 1: -1}, {1: 2, 2: 1}, {2: 5}, {0: 7}, {1: 1}], 3),  # one-term rows on merged columns
+    ([{0: 1, 1: -1}, {0: 1, 1: 1, 2: 1}], 2),  # 3 terms shrink to 2
+    ([{0: 1, 1: -1}, {0: 1, 1: -1, 2: 1}], 2),  # ... and to 1
+    ([{0: 1, 1: -1}, {2: 1, 3: -1}, {0: 1, 1: -1, 2: 2, 3: -2}], 2),  # 4 terms vanish
+    ([{1: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, 2: 1}], 2),  # ... on a flagged root
+    ([{0: 0, 1: 3}, {0: 0}, {0: 2, 1: 0, 2: 1}], 2),  # zero coefficients are skipped
+    ([{}, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}], 1),  # an empty row, a repeated long one
+]
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, SECOND_PRIME))
+@pytest.mark.parametrize("rows, rank", RANK_CASES)
+def test_rank_sparse_cases(rows, rank, p):
+    rows = [{c: v % p for c, v in r.items()} for r in rows]
+    n = 1 + max(c for r in rows for c in r)
+    assert _dense_rank(rows, n, p) == rank
+    assert endo._rank_sparse(rows, p) == rank
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, SECOND_PRIME))
+def test_rank_sparse_matches_dense_on_synthetic_systems(p):
+    rng = random.Random(2026)
+    for _ in range(400):
+        rows, n = synthetic_system(rng, p)
+        assert endo._rank_sparse(rows, p) == _dense_rank(rows, n, p), rows
