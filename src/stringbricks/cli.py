@@ -25,6 +25,7 @@ from .bricks import (BrickReport, band_brick_automaton, band_brick_direct,
                      band_brick_endo, string_brick_automaton,
                      string_brick_direct, string_brick_endo)
 from .construct import build_mia, parity_mia, to_dot
+from .endo import DEFAULT_PRIME
 from .mia import MiaError, format_mia, parse_mia
 from .recover import presentations_isomorphic, recover_presentation
 from .strings import CapExceeded, Context, StringError
@@ -162,63 +163,56 @@ def cmd_build_mia(args, out: _Output) -> int:
     return out.emit(OK)
 
 
-def cmd_strings(args, out: _Output) -> int:
-    ctx = _load_context(args.file)
-    xs = ctx.enumerate_strings(args.max_len)
-    out.field("count", len(xs))
-    out.field("strings", [Context.format_literal(x) for x in xs])
-    for x in xs:
-        out.say(Context.format_literal(x))
-    out.say(f"total {len(xs)}")
+def _listing(out: _Output, key: str, xs: list) -> int:
+    """The literals of an enumeration under `key`, one per line, and their count."""
+    lits = list(map(Context.format_literal, xs))
+    out.field("count", len(lits))
+    out.field(key, lits)
+    for lit in lits:
+        out.say(lit)
+    out.say(f"total {len(lits)}")
     return out.emit(OK)
+
+
+def cmd_strings(args, out: _Output) -> int:
+    return _listing(out, "strings", _load_context(args.file).enumerate_strings(args.max_len))
 
 
 def cmd_bands(args, out: _Output) -> int:
-    ctx = _load_context(args.file)
-    bs = ctx.enumerate_bands(args.max_len)
-    out.field("count", len(bs))
-    out.field("bands", [Context.format_literal(b.string) for b in bs])
-    for b in bs:
-        out.say(Context.format_literal(b.string))
-    out.say(f"total {len(bs)}")
-    return out.emit(OK)
+    bs = _load_context(args.file).enumerate_bands(args.max_len)
+    return _listing(out, "bands", [b.string for b in bs])
 
 
-def _methods(name: str) -> list[str]:
-    return ["direct", "automaton", "endo"] if name == "all" else [name]
+METHODS = ("direct", "automaton", "endo")
+
+
+def _reports(kind: str, method: str, *operands) -> list[BrickReport]:
+    """The reports of the `kind` brick routes that `method` names, every one
+    for "all", on `operands`; the band automaton route takes no lambda.
+    Each route is looked up when it is called, so a patched route runs."""
+    reports = []
+    for name in METHODS if method == "all" else (method,):
+        route = globals()[f"{kind}_brick_{name}"]
+        takes = 3 if (kind, name) == ("band", "automaton") else len(operands)
+        reports.append(route(*operands[:takes]))
+    return reports
 
 
 def cmd_check_string_brick(args, out: _Output) -> int:
     ctx = _load_context(args.file)
-    x = ctx.parse_literal(args.string)
-    reports = []
-    for method in _methods(args.method):
-        if method == "direct":
-            reports.append(string_brick_direct(ctx, x))
-        elif method == "automaton":
-            reports.append(string_brick_automaton(ctx, x))
-        else:
-            reports.append(string_brick_endo(ctx, x))
+    reports = _reports("string", args.method, ctx, ctx.parse_literal(args.string))
     out.field("string", args.string)
     return _emit_reports(out, reports)
 
 
 def cmd_check_band_brick(args, out: _Output) -> int:
     ctx = _load_context(args.file)
-    x = ctx.parse_literal(args.string)
-    band, reasons = ctx.is_band(x)
+    band, reasons = ctx.is_band(ctx.parse_literal(args.string))
     if band is None:
         raise StringError("not a band: " + "; ".join(reasons))
-    if args.lam == 0:
+    if args.lam % DEFAULT_PRIME == 0:  # lambda is read in the field endo solves over
         raise ValueError("lambda must be nonzero")
-    reports = []
-    for method in _methods(args.method):
-        if method == "direct":
-            reports.append(band_brick_direct(ctx, band, args.l, args.lam))
-        elif method == "automaton":
-            reports.append(band_brick_automaton(ctx, band, args.l))
-        else:
-            reports.append(band_brick_endo(ctx, band, args.l, args.lam))
+    reports = _reports("band", args.method, ctx, band, args.l, args.lam)
     out.field("band", args.string)
     out.field("l", args.l)
     out.field("lambda", args.lam)
@@ -367,8 +361,7 @@ def _parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-string-brick", help="decide brickness of a string module")
     s.add_argument("file")
     s.add_argument("string", help="string literal, e.g. \"b1 a1'\"")
-    s.add_argument("--method", choices=["direct", "automaton", "endo", "all"],
-                   default="all")
+    s.add_argument("--method", choices=[*METHODS, "all"], default="all")
     s.set_defaults(fn=cmd_check_string_brick)
 
     s = sub.add_parser("check-band-brick", help="decide brickness of a band module")
@@ -376,8 +369,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("string", help="band literal, e.g. \"a2' b2\"")
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--lambda", dest="lam", type=int, default=1)
-    s.add_argument("--method", choices=["direct", "automaton", "endo", "all"],
-                   default="all")
+    s.add_argument("--method", choices=[*METHODS, "all"], default="all")
     s.set_defaults(fn=cmd_check_band_brick)
 
     s = sub.add_parser("enumerate-bricks", help="list brick strings and bands")

@@ -38,7 +38,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .scan import BrickReport, Track, pair_scan, unroll, witness
 from .words import (Letter, Window, Word, WordRep, classify_periodicity,
-                    inverse_of, invert)
+                    inverse_of, invert, parse_letter)
 from .words import APERIODIC, FINITE, UNKNOWN
 
 
@@ -529,16 +529,22 @@ def is_brick_word_shift_checked(m: Mia, w: PointedWord) -> BrickReport:
 # local bijections, relabeling, transport
 
 
+def _preimages(m: Mia, phi: Mapping[str, str]) -> Optional[dict[tuple[str, Letter], Letter]]:
+    """{(state, image letter): preimage} over the transitions on phi's
+    domain, or None when two letters defined at one state share an image."""
+    if set(phi) != set(m.alphabet):
+        raise MiaError("phi must be defined on exactly the alphabet")
+    table: dict[tuple[str, Letter], Letter] = {}
+    for x, l in m.trans:
+        if l.sym in phi and table.setdefault((x, Letter(phi[l.sym], l.inv)), l) != l:
+            return None
+    return table
+
+
 def check_local_bijection(m: Mia, phi: Mapping[str, str]) -> bool:
     """phi: A -> A' surjective; true iff the induced map on signed letters is
     injective on each state's set of defined letters."""
-    if set(phi) != set(m.alphabet):
-        raise MiaError("phi must be defined on exactly the alphabet")
-    seen = {}  # (state, image symbol, inverse) -> the symbol mapped there
-    for x, l in m.trans:
-        if l.sym in phi and seen.setdefault((x, phi[l.sym], l.inv), l.sym) != l.sym:
-            return False
-    return True
+    return _preimages(m, phi) is not None
 
 
 def relabel(m: Mia, phi: Mapping[str, str]) -> Mia:
@@ -569,38 +575,32 @@ def transport(phi: Mapping[str, str], w: PointedWord) -> PointedWord:
     return PointedWord(_map_rep(phi, w.left), w.base, _map_rep(phi, w.right))
 
 
-def _preimage_letter(m: Mia, phi: Mapping[str, str], x: str, target: Letter) -> Letter:
-    cands = [l for l in m.letters()
-             if Letter(phi[l.sym], l.inv) == target and m.step(x, l) is not None]
-    if len(cands) != 1:
-        raise MiaError(f"no unique preimage of {target} at state {x}")
-    return cands[0]
-
-
-def _walk_back_finite(m, phi, state, seq):
+def _walk_back_finite(m, pre, state, seq):
     out = []
     for tl in seq:
-        l = _preimage_letter(m, phi, state, tl)
+        l = pre.get((state, tl))
+        if l is None:
+            raise MiaError(f"no preimage of {tl} at state {state}")
         out.append(l)
         state = m.step(state, l)
     return tuple(out), state
 
 
-def _walk_back_right(m, phi, state, rep: WordRep) -> WordRep:
+def _walk_back_right(m, pre, state, rep: WordRep) -> WordRep:
     """The preimage of a right part read from `state`: the core, then the
     period until the state repeats, which closes the preimage's period."""
     if isinstance(rep, Window):
-        letters, _ = _walk_back_finite(m, phi, state, rep.letters)
+        letters, _ = _walk_back_finite(m, pre, state, rep.letters)
         return Window(letters, rep.certified_aperiodic, rep.origin,
                       rep.left_closed, rep.right_closed)
-    core, state = _walk_back_finite(m, phi, state, rep.core)
+    core, state = _walk_back_finite(m, pre, state, rep.core)
     if not rep.right_period:
         return Word(core=core)
     seen: dict[str, int] = {}
     rounds = []
     while state not in seen:
         seen[state] = len(rounds)
-        letters, state = _walk_back_finite(m, phi, state, rep.right_period)
+        letters, state = _walk_back_finite(m, pre, state, rep.right_period)
         rounds.append(letters)
     i = seen[state]
     return Word((), core + tuple(l for r in rounds[:i] for l in r),
@@ -608,14 +608,17 @@ def _walk_back_right(m, phi, state, rep: WordRep) -> WordRep:
 
 
 def transport_back(m: Mia, phi: Mapping[str, str], w: PointedWord) -> PointedWord:
-    """Backward transport: the unique per-state preimage walk (the inverse of
-    the forward bijection on words).  The right part walks forward from the
-    basepoint, the left part forward from the involuted basepoint over its
-    inverse.  The shape is checked first, as every pointed-word operation
-    does."""
+    """Backward transport: the per-state preimage walk (the inverse of the
+    forward bijection on words), each step one lookup in the preimage table.
+    The right part walks forward from the basepoint, the left part forward
+    from the involuted basepoint over its inverse.  The shape is checked
+    first, as every pointed-word operation does."""
     underlying(w)
-    right = _walk_back_right(m, phi, w.base, w.right)
-    left = invert(_walk_back_right(m, phi, m.inv[w.base], invert(w.left)))
+    pre = _preimages(m, phi)
+    if pre is None:
+        raise MiaError("phi is not a local bijection for this MIA")
+    right = _walk_back_right(m, pre, w.base, w.right)
+    left = invert(_walk_back_right(m, pre, m.inv[w.base], invert(w.left)))
     return PointedWord(left, w.base, right)
 
 
@@ -663,17 +666,10 @@ def parse_mia(text: str) -> Mia:
     toks = {t for _, t, _ in raw_trans}
     binary = toks <= {"0", "1"} and not any(t.endswith("'") for t in toks)
 
-    def decode(tok: str) -> Letter:
-        if binary:
-            return Letter("0", tok == "1")
-        if tok.endswith("'"):
-            return Letter(tok[:-1], True)
-        return Letter(tok, False)
-
     trans = {}
     alphabet = set()
     for src, tok, dst in raw_trans:
-        l = decode(tok)
+        l = Letter("0", tok == "1") if binary else parse_letter(tok)
         alphabet.add(l.sym)
         key = (src, l)
         if key in trans and trans[key] != dst:

@@ -70,28 +70,21 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
         if nxt is not None:
             relations.append((name, nxt))
 
-    # aligned chains with minimal undefined runs
-    cap = len(m.states) + 2
-    for v in m.initial:
-        if v not in arrow_of:
-            continue
-        chain = [arrow_of[v]]
-        cur = provenance[arrow_of[v]][1]
-        run = m.step(v, ZERO)
-        k = 1
-        while k < cap:
-            nxt_arrow = arrow_of.get(cur)
-            if nxt_arrow is None:
-                break
-            chain.append(nxt_arrow)
-            k += 1
+    # aligned chains with minimal undefined runs: axiom 3 (validated above)
+    # makes each arrow of an aligned chain leave e of the 0-run read so far,
+    # so the chain follows the run, which dies or repeats a state
+    for v, name in arrow_of.items():
+        chain, run, seen = [name], m.step(v, ZERO), set()
+        while run not in seen and m.e[run] in arrow_of:
+            seen.add(run)
+            chain.append(arrow_of[m.e[run]])
             run = m.step(run, ZERO)
             if run is None:
-                # minimality: the suffix run of length k-1 must survive
-                if m.run(provenance[chain[1]][0], (ZERO,) * (k - 1)) is not None:
+                # minimality: the run one arrow shorter, from the second
+                # arrow's start, must survive
+                if m.run(provenance[chain[1]][0], (ZERO,) * (len(chain) - 1)) is not None:
                     relations.append(tuple(chain))
                 break
-            cur = provenance[nxt_arrow][1]
 
     pres = Presentation(
         vertices=tuple(vertices),

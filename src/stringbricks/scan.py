@@ -48,8 +48,6 @@ from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import Letter, inv_seq
 
-OPEN = object()  # the boundary past an open edge
-
 
 class Track(NamedTuple):
     """A scanned letter sequence.
@@ -65,12 +63,9 @@ class Track(NamedTuple):
     key: Optional[Callable[[int], Hashable]] = None
 
     def boundary(self, i: int):
-        """The letter at index i; None past a closed edge, OPEN past an open one."""
-        if i < 0:
-            return None if self.left_closed else OPEN
-        if i >= len(self.letters):
-            return None if self.right_closed else OPEN
-        return self.letters[i]
+        """The letter at index i, None past either edge: an admissible
+        occurrence never touches an open one."""
+        return self.letters[i] if 0 <= i < len(self.letters) else None
 
     def inverse(self) -> "Track":
         """The inverse word with all of its gaps as starts and no keys."""

@@ -12,8 +12,8 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (Presentation, SignError, SignMaps, solve_sign_maps,
                       verify_sign_conditions)
-from .words import (Letter, Window, Word, WordRep, inv_seq, primitive_root,
-                    unfold_left, unfold_right)
+from .words import (Letter, Window, Word, WordRep, inv_seq, parse_letter,
+                    primitive_root, unfold_left, unfold_right)
 
 
 class StringError(ValueError):
@@ -176,13 +176,7 @@ class Context:
         toks = text.split()
         if not toks:
             raise StringError("empty string literal")
-        seq = []
-        for tok in toks:
-            if tok.endswith("'"):
-                seq.append(Letter(tok[:-1], True))
-            else:
-                seq.append(Letter(tok, False))
-        return self.make_string(seq)
+        return self.make_string(map(parse_letter, toks))
 
     @staticmethod
     def format_literal(x: Str) -> str:

@@ -44,6 +44,12 @@ class _Inverses(dict):
 
 inverse_of = _Inverses().__getitem__
 
+
+def parse_letter(tok: str) -> Letter:
+    """The letter whose text is tok, the inverse of `Letter.__str__`:
+    b' is the inverse of b."""
+    return Letter(tok[:-1], True) if tok.endswith("'") else Letter(tok)
+
 Letters = tuple  # tuple[Letter, ...]
 
 

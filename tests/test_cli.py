@@ -119,13 +119,16 @@ def test_check_band_brick(lambda3_file, capsys):
 
 @pytest.mark.parametrize("method", ["direct", "automaton", "endo", "all"])
 def test_check_band_brick_lambda_zero_is_input_error(method, lambda3_file, capsys):
-    argv = ["check-band-brick", lambda3_file, "a2' b2", "--l", "1",
-            "--lambda", "0", "--method", method]
-    assert main(argv) == 2
-    assert capsys.readouterr().out == "error: lambda must be nonzero\n"
-    code, doc = run_json(capsys, argv)
-    assert code == 2 and doc["error"] == "lambda must be nonzero"
-    assert "reports" not in doc and "verdict" not in doc
+    """lambda is read in F_32003, where endo solves: a multiple of 32003 is
+    zero there, and every route refuses it."""
+    for lam in ("0", "32003", "-32003"):
+        argv = ["check-band-brick", lambda3_file, "a2' b2", "--l", "1",
+                "--lambda", lam, "--method", method]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == "error: lambda must be nonzero\n"
+        code, doc = run_json(capsys, argv)
+        assert code == 2 and doc["error"] == "lambda must be nonzero"
+        assert "reports" not in doc and "verdict" not in doc
 
 
 def test_check_band_brick_not_a_band(lambda3_file, capsys):

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from conftest import periodic_witness_3q
+from conftest import path_quiver_text, periodic_witness_3q
+from stringbricks.algebra import parse_presentation
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord,
                               UnsupportedRepresentation, check_local_bijection,
@@ -12,7 +13,7 @@ from stringbricks.mia import (Mia, MiaError, PointedWord,
                               is_brick_word, is_weak_brick_word, parse_mia,
                               relabel, shift_basepoint, transport,
                               transport_back, underlying, validate_mia)
-from stringbricks.strings import StringError
+from stringbricks.strings import Context, StringError
 from stringbricks.words import Letter, Window, Word, inv_seq
 
 
@@ -405,6 +406,14 @@ def test_transport_roundtrip_corpus(l3, gam):
         for x in ctx.enumerate_strings(6):
             w = string_to_word(ctx, x)
             assert transport_back(m, phi, transport(phi, w)) == w
+    # the full string of a 300-arrow path quiver: each step back is one
+    # lookup, not a scan of the alphabet
+    n = 300
+    ctx = Context(parse_presentation(path_quiver_text(n)))
+    w = string_to_word(ctx, ctx.parse_literal(" ".join(f"a{i}" for i in range(n))))
+    m, phi = build_mia(ctx), parity_mia(ctx)[0]
+    assert len(underlying(w).core) == n
+    assert transport_back(m, phi, transport(phi, w)) == w
 
 
 def test_transport_periodic_roundtrip(l3):

@@ -1,10 +1,13 @@
 import pytest
 
-from stringbricks.algebra import parse_presentation
+from conftest import path_quiver_text
+from stringbricks.algebra import _normalize_relations, parse_presentation
 from stringbricks.construct import parity_mia, zero_label
 from stringbricks.mia import MiaError, parse_mia
-from stringbricks.recover import presentations_isomorphic, recover_presentation
-from stringbricks.strings import CapExceeded
+from stringbricks.presets import lambda_n
+from stringbricks.recover import (ZERO, presentations_isomorphic,
+                                  recover_presentation)
+from stringbricks.strings import CapExceeded, Context
 from stringbricks.words import Letter
 
 
@@ -70,6 +73,61 @@ def test_ideal_equality_via_canonical_arrow_map(l3, gam, corpus):
             canon[a] = by_source[v1]
         mapped = {tuple(canon[a] for a in r) for r in ctx.presentation.relations}
         assert mapped == set(rec.presentation.relations)
+
+
+def reference_relations(m, rec):
+    """The relations by the earlier walk: misaligned composable pairs, and
+    aligned chains stepped arrow by arrow from where each arrow lands, with
+    the 0-run carried alongside and a cap of |states| + 2 arrows."""
+    arrow_of = {v1: name for name, (v1, _) in rec.arrow_provenance.items()}
+    provenance = rec.arrow_provenance
+    relations = []
+    for v, name in arrow_of.items():
+        nxt = arrow_of.get(m.inv[provenance[name][1]])
+        if nxt is not None:
+            relations.append((name, nxt))
+    cap = len(m.states) + 2
+    for v in m.initial:
+        if v not in arrow_of:
+            continue
+        chain = [arrow_of[v]]
+        cur = provenance[arrow_of[v]][1]
+        run = m.step(v, ZERO)
+        k = 1
+        while k < cap:
+            nxt_arrow = arrow_of.get(cur)
+            if nxt_arrow is None:
+                break
+            chain.append(nxt_arrow)
+            k += 1
+            run = m.step(run, ZERO)
+            if run is None:
+                if m.run(provenance[chain[1]][0], (ZERO,) * (k - 1)) is not None:
+                    relations.append(tuple(chain))
+                break
+            cur = provenance[nxt_arrow][1]
+    return set(_normalize_relations(relations))
+
+
+def test_relations_match_reference_walk(gam, corpus):
+    """Each aligned chain follows its 0-run alone; the earlier walk, which
+    stepped the chain and the run side by side under a cap, finds the same
+    relations on Lambda_N, Gamma, the corpus, path quivers with and without
+    relations of length 2 to 4, and a MIA whose 0-run cycles."""
+    n = 40
+    rels = "".join(f"relation {' '.join(f'a{j}' for j in range(i, i + k))}\n"
+                   for i, k in ((0, 2), (5, 3), (12, 4), (20, 2), (21, 3), (30, 3)))
+    paths = [Context(parse_presentation(path_quiver_text(n) + extra)) for extra in ("", rels)]
+    ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, *corpus, *paths]
+    mias = [parity_mia(ctx)[1] for ctx in ctxs]
+    mias.append(parse_mia("state u initial inv=u' e=u\nstate u' initial inv=u e=u'\n"
+                          "state s e=u\ntrans u 0 s\ntrans s 0 u\n"))
+    lengths = set()
+    for m in mias:
+        rec = recover_presentation(m)
+        assert set(rec.presentation.relations) == reference_relations(m, rec)
+        lengths |= {len(r) for r in rec.presentation.relations}
+    assert lengths == {2, 3, 4}
 
 
 def test_recover_requires_binary(gam):
