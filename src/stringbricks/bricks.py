@@ -65,8 +65,9 @@ def string_brick_direct(ctx: Context, x) -> BrickReport:
 
 def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
     """Band criterion: brick iff l = 1 and the doubly infinite band word has
-    no finite common factor/image substring (lambda never matters)."""
-    if lam == 0:
+    no finite common factor/image substring (lambda never matters, but is
+    refused as endo refuses it: when it is 0 in F_p)."""
+    if lam % endo.DEFAULT_PRIME == 0:
         raise ValueError("lambda must be nonzero")
     if l < 1:
         raise ValueError("l must be >= 1")

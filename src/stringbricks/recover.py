@@ -7,7 +7,8 @@ is *misaligned* when the second arrow starts at the involution partner of
 where the first one lands; misaligned pairs are exactly the length-2
 relations (the sign condition forces alignment for every allowed
 composition).  Longer relations appear as aligned arrow chains whose 0-run
-dies at the last step while both length-(k-1) sub-runs survive.
+dies at the last step; a chain that contains a shorter one is dropped when
+the relations are normalized.
 """
 from __future__ import annotations
 
@@ -70,9 +71,14 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
         if nxt is not None:
             relations.append((name, nxt))
 
-    # aligned chains with minimal undefined runs: axiom 3 (validated above)
-    # makes each arrow of an aligned chain leave e of the 0-run read so far,
-    # so the chain follows the run, which dies or repeats a state
+    # aligned chains whose 0-run dies: axiom 3 (validated above) makes each
+    # arrow of an aligned chain leave e of the 0-run read so far, so the
+    # chain follows the run, which dies or repeats a state.  No minimality
+    # test is needed.  Let a chain of k arrows have its run die at the k-th.
+    # Axiom 3 (t(e(x), 0) is defined when t(x, 0) is, with the same e) lets
+    # the run from chain[1]'s start read k - 2 zeros through the same e's;
+    # if it cannot read k - 1, the walk from there records chain[1:], which
+    # the chain contains, so `_normalize_relations` drops the chain.
     for v, name in arrow_of.items():
         chain, run, seen = [name], m.step(v, ZERO), set()
         while run not in seen and m.e[run] in arrow_of:
@@ -80,10 +86,7 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
             chain.append(arrow_of[m.e[run]])
             run = m.step(run, ZERO)
             if run is None:
-                # minimality: the run one arrow shorter, from the second
-                # arrow's start, must survive
-                if m.run(provenance[chain[1]][0], (ZERO,) * (len(chain) - 1)) is not None:
-                    relations.append(tuple(chain))
+                relations.append(tuple(chain))
                 break
 
     pres = Presentation(

@@ -58,6 +58,16 @@ def test_band_brick_named(l3):
     assert end_dim_band(l3, b, 2, 1) >= 2
 
 
+def test_band_routes_refuse_lambda_zero_in_the_field(l3):
+    """lambda is read in F_32003, where endo solves: the direct route refuses
+    what endo refuses, 32003 and its negative as well as 0."""
+    b, _ = l3.is_band(l3.parse_literal("a2' b2"))
+    for lam in (0, 32003, -32003):
+        for route in (band_brick_direct, band_brick_endo):
+            with pytest.raises(ValueError, match="lambda must be nonzero"):
+                route(l3, b, 1, lam)
+
+
 def test_rotated_aabb_band_not_brick(l3):
     b, _ = l3.is_band(l3.parse_literal("a1' b1 a1' a2' b2 a2' b2 b1"))
     assert b is not None

@@ -2,6 +2,7 @@
 definitional oracles: the basepoint equivalence classes, anchored
 occurrences in finite hosts, the witness scans, and the periodic gap
 classes."""
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -9,14 +10,16 @@ from typing import Optional
 
 import pytest
 
-from conftest import factor_ok, image_ok
+from conftest import factor_ok, image_ok, path_quiver_text
+from stringbricks.algebra import parse_presentation
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
                               _PeriodicHost, _host, check_word,
                               equivalent, finite_word, is_brick_word,
                               is_brick_word_shift_checked, shift_basepoint,
-                              transport)
-from stringbricks.words import Letter, Word, inv_seq
+                              transport, validate_mia)
+from stringbricks.strings import Context
+from stringbricks.words import Letter, Word, inverse_of, inv_seq
 
 
 def L(tok):
@@ -39,6 +42,26 @@ def multivalued_mia():
         e={"p": "p", "p'": "p'", "q": "q", "q'": "q'", "s": "p", "r": "q'"},
         alphabet=("b",),
         trans={("p", b): "s", ("q", b): "s", ("p'", bi): "r"},
+    )
+
+
+def dying_runs_mia():
+    """Placements that shift into a class but are not valid: p reads b into
+    y, which reads nothing more, and q' reads nothing, so p's run to the
+    right dies past one letter and q's involution reads no letter to the
+    left, though both shift by b onto t, whose runs read b to the right and
+    b' to the left."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    initial = ("t", "t'", "p", "p'", "q", "q'")
+    return Mia(
+        states=(*initial, "x", "y"),
+        initial=initial,
+        inv={"t": "t'", "t'": "t", "p": "p'", "p'": "p", "q": "q'", "q'": "q"},
+        e={**{s: s for s in initial}, "x": "t", "y": "t"},
+        alphabet=("b",),
+        trans={("t", b): "t", ("t'", bi): "t'", ("p", b): "y", ("p'", bi): "p'",
+               ("q", b): "x"},
     )
 
 
@@ -87,7 +110,6 @@ def brute_class(m, u, bpos, base):
 
 def test_multivalued_gap_class():
     m = multivalued_mia()
-    from stringbricks.mia import validate_mia
     assert validate_mia(m) == []
     b = Letter("b", False)
     w = finite_word((b,), "p", ())
@@ -112,6 +134,104 @@ def test_finite_class_matches_brute_force(l3, gam, corpus):
             ud = wd.left.core + wd.right.core
             host_d = _FiniteHost(md, ud, bpos, wd.base)
             assert host_d.G == brute_class(md, ud, bpos, wd.base)
+
+
+def reference_classes(m, u):
+    """The finite gap classes by all-states tables, independent of the
+    host's backward walk from the end state: for every state, its run over
+    u[g:] (with its end) and over u[:g]^{-1} at every gap, then the triple
+    condition chained along rightward shifts.  Returns classes(bpos, base),
+    the host's G for that basepoint, or MiaError."""
+    n = len(u)
+    table = m.by_letter
+    fwd = [table.get(l, {}) for l in u]
+    back = [table.get(l, {}) for l in map(inverse_of, u)]
+    rfin = [None] * n + [dict(zip(m.states, m.states))]
+    for g in range(n - 1, -1, -1):
+        nxt = rfin[g + 1]
+        rfin[g] = {x: nxt[y] for x, y in fwd[g].items() if y in nxt}
+    ldef = [set(m.states)]
+    for g in range(n):
+        prev = ldef[g]
+        ldef.append({x for x, y in back[g].items() if y in prev})
+    inv, e = m.inv, m.e
+    tchain = [None] * n + [{s for s in m.initial if inv[s] in ldef[n]}]
+    for g in range(n - 1, -1, -1):
+        step, nxt, left = fwd[g], tchain[g + 1], ldef[g]
+        tchain[g] = {s for s in m.initial if inv[s] in left
+                     and (s not in step or e[step[s]] in nxt)}
+    # the valid placements at each gap, grouped by the end state they reach
+    by_end = [{} for _ in range(n + 1)]
+    for g in range(n + 1):
+        for s in tchain[g]:
+            if s in rfin[g]:
+                by_end[g].setdefault(e[rfin[g][s]], set()).add(s)
+
+    def classes(bpos, base):
+        if base not in rfin[bpos] or base not in tchain[bpos]:
+            raise MiaError("not a valid pointed word")
+        end = e[rfin[bpos][base]]
+        return [frozenset(by_end[g].get(end, ())) for g in range(n + 1)]
+
+    return classes
+
+
+def assert_classes_match_reference(m, u):
+    """Every (gap, initial state) as basepoint: the host's G is the
+    reference's, or both refuse the placement.  Returns how many were
+    valid."""
+    classes, valid = reference_classes(m, u), 0
+    for bpos in range(len(u) + 1):
+        for base in m.initial:
+            try:
+                expected = classes(bpos, base)
+            except MiaError:
+                with pytest.raises(MiaError):
+                    _FiniteHost(m, u, bpos, base)
+                continue
+            assert _FiniteHost(m, u, bpos, base).G == expected, (u, bpos, base)
+            valid += 1
+    return valid
+
+
+def test_finite_class_matches_all_states_reference(l3, gam, corpus):
+    """The class walked back from its end state equals the all-states
+    tables' on the strings of <= 4 syllables under the arrow and the binary
+    MIA, on every word of <= 4 letters over the two synthetic MIAs (the
+    dying-runs MIA is the only input here where a run test turns a
+    candidate away, so it catches a missing one), and on the maximal
+    strings of a 60-arrow path quiver with relations and its full arrow
+    sequence, which has no valid placement."""
+    valid = 0
+    for ctx in (l3, gam, *corpus[:5]):
+        m = build_mia(ctx)
+        phi, md = parity_mia(ctx)
+        for x in ctx.enumerate_strings(4):
+            w = string_to_word(ctx, x)
+            valid += assert_classes_match_reference(m, w.left.core + w.right.core)
+            wd = transport(phi, w)
+            valid += assert_classes_match_reference(md, wd.left.core + wd.right.core)
+    b = Letter("b", False)
+    for m in (multivalued_mia(), dying_runs_mia()):
+        assert validate_mia(m) == []
+        for k in range(5):
+            for u in itertools.product((b, b.inverse()), repeat=k):
+                valid += assert_classes_match_reference(m, u)
+    n = 60
+    rels = ((0, 2), (5, 3), (12, 4), (29, 3), (30, 2), (47, 4))
+    ctx = Context(parse_presentation(path_quiver_text(n) + "".join(
+        f"relation {' '.join(f'a{j}' for j in range(i, i + k))}\n" for i, k in rels)))
+    m = build_mia(ctx)
+    phi, md = parity_mia(ctx)
+    # a maximal string starts at gap 0 or inside a relation and stops before
+    # the last arrow of the next relation
+    spans = [(0, n)] + [(c, min((i + k - 1 for i, k in rels if i >= c), default=n))
+                        for c in (0, *(i + 1 for i, _ in rels))]
+    for c, d in spans:
+        u = tuple(Letter(f"a{i}", False) for i in range(c, d))
+        valid += assert_classes_match_reference(m, u)
+        valid += assert_classes_match_reference(md, tuple(Letter(phi[l.sym], l.inv) for l in u))
+    assert valid > 1000
 
 
 # --- anchored occurrences in a finite host ---------------------------------------
@@ -456,7 +576,6 @@ def test_periodic_multivalued_class():
         trans={("p", b): "p", ("q", b): "p", ("r", b): "p",
                ("p'", bi): "p'", ("q'", bi): "p'"},
     )
-    from stringbricks.mia import validate_mia
     assert validate_mia(m) == []
     host = _PeriodicHost(m, (b,), "q")
     assert (host.T, host.G) == (1, [frozenset({"p", "q"})])

@@ -1,7 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
-from conftest import path_quiver_text
-from stringbricks.algebra import _normalize_relations, parse_presentation
+from conftest import path_quiver_text, random_presentation
+from stringbricks.algebra import (SignError, _normalize_relations, parse_presentation,
+                                  validate_string_algebra)
 from stringbricks.construct import parity_mia, zero_label
 from stringbricks.mia import MiaError, parse_mia
 from stringbricks.presets import lambda_n
@@ -109,25 +113,43 @@ def reference_relations(m, rec):
     return set(_normalize_relations(relations))
 
 
+def seeded_string_algebras(seed, attempts):
+    """The random presentations among `attempts` draws that validate as
+    string algebras with solvable signs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(attempts):
+        p = random_presentation(rng)
+        if validate_string_algebra(p).is_string_algebra:
+            try:
+                out.append(Context(p))
+            except SignError:
+                pass
+    return out
+
+
 def test_relations_match_reference_walk(gam, corpus):
-    """Each aligned chain follows its 0-run alone; the earlier walk, which
-    stepped the chain and the run side by side under a cap, finds the same
-    relations on Lambda_N, Gamma, the corpus, path quivers with and without
-    relations of length 2 to 4, and a MIA whose 0-run cycles."""
+    """Each aligned chain follows its 0-run alone and needs no minimality
+    test; the earlier walk, which stepped the chain and the run side by side
+    under a cap and tested minimality, finds the same relations on Lambda_N,
+    Gamma, the corpus, path quivers with and without relations of length 2
+    to 4, seeded random string algebras, and a MIA whose 0-run cycles."""
     n = 40
     rels = "".join(f"relation {' '.join(f'a{j}' for j in range(i, i + k))}\n"
                    for i, k in ((0, 2), (5, 3), (12, 4), (20, 2), (21, 3), (30, 3)))
     paths = [Context(parse_presentation(path_quiver_text(n) + extra)) for extra in ("", rels)]
-    ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, *corpus, *paths]
+    randoms = seeded_string_algebras(7, 3000)
+    assert len(randoms) > 1000
+    ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, *corpus, *paths, *randoms]
     mias = [parity_mia(ctx)[1] for ctx in ctxs]
     mias.append(parse_mia("state u initial inv=u' e=u\nstate u' initial inv=u e=u'\n"
                           "state s e=u\ntrans u 0 s\ntrans s 0 u\n"))
-    lengths = set()
+    lengths = Counter()
     for m in mias:
         rec = recover_presentation(m)
         assert set(rec.presentation.relations) == reference_relations(m, rec)
-        lengths |= {len(r) for r in rec.presentation.relations}
-    assert lengths == {2, 3, 4}
+        lengths.update(len(r) for r in rec.presentation.relations)
+    assert set(lengths) == {2, 3, 4} and lengths[3] > 200
 
 
 def test_recover_requires_binary(gam):
