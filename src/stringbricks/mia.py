@@ -14,13 +14,15 @@ Key facts the implementation leans on (checked by the test suite):
   * for purely periodic words the shift is a function on (gap mod T,
     initial state), where T is the period of the base chain's cycle, so a
     valid placement is in the class iff its forward path reaches that
-    cycle: one reverse-reachability pass from the cycle finds the class.
+    cycle.
 
 Every host reads the MIA through its per-letter tables.  Over a binary MIA
 one letter's row holds nearly every state, so no host tabulates every state
-at every gap: the finite host walks its class back from the end state
-through the shift's preimages (`Mia.pre`) and walks only candidate runs,
-each (gap, state) once, so it is about linear in the word there.
+at every gap: both class-computing hosts walk their class back through the
+shift's preimages (`Mia.pre`) by one rule, `_walk_back`, the finite host
+from its end state and the periodic host from its base chain's cycle, gaps
+read mod T.  Only candidate runs are walked, each (gap, state) once, so
+the walk is about linear in the word there.
 
 `_host` maps a pointed word's shape to its host once: a finite word, a
 purely periodic word, or a window word (a window with the basepoint at its
@@ -34,10 +36,10 @@ shape.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .scan import BrickReport, Track, pair_scan, unroll, witness
 from .words import (Letter, Window, Word, WordRep, classify_periodicity,
@@ -200,12 +202,15 @@ def underlying(w: PointedWord) -> WordRep:
 # gap classes state_at(g) and the shift from track indices to word gaps
 
 
-def _runs(steps: list, stop: int, d: int) -> Callable[[int, str], bool]:
-    """defined(g, x): whether x's run from gap g reaches gap `stop`, where
-    gap g steps by `steps[g]` to gap g + d.  A walk stops at the first
-    decided (gap, state) and its path takes that verdict, as in `_forever`,
-    so each (gap, state) is walked once, by a loop, not by recursion."""
+def _runs(steps: list, d: int, stop: Optional[int] = None) -> Callable[[int, str], bool]:
+    """defined(g, x): whether x's run from gap g reaches gap `stop`, or,
+    with no stop, is defined forever, where gap g steps by `steps[g]` to gap
+    g + d, read mod len(steps).  A walk stops at the first decided (gap,
+    state) and its path takes that verdict; a walk that meets its own path
+    has closed a cycle of defined steps, so its verdict is True.  Each
+    (gap, state) is walked once, by a loop, not by recursion."""
     memo: list[dict[str, bool]] = [{} for _ in steps]
+    P = len(steps)
 
     def defined(g: int, x: str) -> bool:
         g0, path, ok = g, [], True
@@ -214,18 +219,44 @@ def _runs(steps: list, stop: int, d: int) -> Callable[[int, str], bool]:
             if known is not None:
                 ok = known
                 break
+            memo[g][x] = True  # on the path: meeting it again closes a cycle
             path.append(x)
             x = steps[g].get(x)
             if x is None:
                 ok = False
                 break
-            g += d
-        for y in path:
-            memo[g0][y] = ok
-            g0 += d
+            g = (g + d) % P
+        if not ok:
+            for y in path:
+                memo[g0][y] = False
+                g0 = (g0 + d) % P
         return ok
 
     return defined
+
+
+def _walk_back(h: int, seed: str, fwd: list, into: list, inv: Mapping[str, str],
+               left: Callable[[int, str], bool],
+               right: Callable[[int, str], bool]) -> list[frozenset]:
+    """The gap classes G[g], gaps read mod len(fwd), of the valid
+    placements whose forward paths reach `seed` at gap h.
+
+    Gap g shifts to gap g + 1 by `fwd[g]`, whose preimages `into[g]` are a
+    row of `Mia.pre`.  p at gap g joins G[g] when it shifts into G[g + 1],
+    its involution's left run, left(g, inv p), is defined and its right
+    run, right(g + 1, fwd[g][p]), is defined; the seed is tested as well.
+    The walk stops at the first gap that gains nothing.  Each (gap, state)
+    joins once, and only the preimages of joined states are tested."""
+    T = len(fwd)
+    G = [frozenset()] * T
+    new = frozenset((seed,)) if left(h, inv[seed]) and right(h, seed) else ()
+    while new:
+        G[h] = G[h] | new if G[h] else new
+        h = (h - 1) % T
+        step = fwd[h]
+        new = frozenset(p for t in new for p in into[h].get(t, ()) if p not in G[h]
+                        and left(h, inv[p]) and right((h + 1) % T, step[p]))
+    return G
 
 
 class _FiniteHost:
@@ -235,12 +266,12 @@ class _FiniteHost:
     placements equivalent to the given one.  Valid placements are closed
     under the rightward shift, which is a function (axiom 3), so the class
     is the set of valid placements whose forward path reaches the base
-    chain's state at the last gap.  It is walked back from there: p at gap
-    g joins when it shifts into G[g + 1] (read off `Mia.pre`), its run over
-    u[g:] is defined and its involution's run over u[:g]^{-1} is defined.
-    Only candidates' runs are walked, each (gap, state) once, so the cost
-    is O(n) plus those runs: never more than n x |states|, and about 2n on
-    a binary MIA, where runs merge after a step.
+    chain's state at the last gap.  `_walk_back` finds it from there: p at
+    gap g joins when it shifts into G[g + 1], its run over u[g:] is defined
+    and its involution's run over u[:g]^{-1} is defined.  The base is valid
+    iff it joins.  Only candidates' runs are walked, each (gap, state)
+    once, so the cost is O(n) plus those runs: never more than n x |states|,
+    and about 2n on a binary MIA, where runs merge after a step.
     """
 
     shift = 0
@@ -250,53 +281,25 @@ class _FiniteHost:
         self.bpos = bpos
         self.track = Track(u)
         n = len(u)
-        table, pre, inv, e = m.by_letter, m.pre, m.inv, m.e
+        table, e = m.by_letter, m.e
         fwd = [table.get(l, {}) for l in u]  # gap g to g + 1 reads u[g]
-        # right(g, x): x's run over u[g:] is defined; left(g, x): x's run
-        # over u[:g]^{-1} is defined (gap g to g - 1 reads u[g - 1]^{-1})
-        right = _runs(fwd, n, 1)
-        left = _runs([{}, *(table.get(l, {}) for l in map(inverse_of, u))], 0, -1)
-
-        # the base is valid iff its run is defined and every placement on its
-        # forward chain has a defined left run
-        if not right(bpos, base):
-            raise MiaError("not a valid pointed word")
-        chain = [base]
+        s = base
         for g in range(bpos, n):
-            chain.append(e[fwd[g][chain[-1]]])
-        if not all(left(g, inv[s]) for g, s in enumerate(chain, bpos)):
+            s = fwd[g].get(s)
+            if s is None:
+                raise MiaError("not a valid pointed word")
+            s = e[s]
+        # gap n reads no letter, so the walk back stops at gap 0; the left
+        # run steps from gap g to g - 1 over u[g - 1]^{-1}
+        fwd.append({})
+        self.G = _walk_back(n, s, fwd, [*(m.pre.get(l, {}) for l in u), {}], m.inv,
+                            _runs([{}, *(table.get(l, {}) for l in map(inverse_of, u))], -1, 0),
+                            _runs(fwd, 1, n))
+        if base not in self.G[bpos]:
             raise MiaError("not a valid pointed word")
-
-        G = [frozenset()] * n + [frozenset(chain[-1:])]
-        for g in range(n - 1, -1, -1):
-            step, into = fwd[g], pre.get(u[g], {})
-            G[g] = frozenset(p for t in G[g + 1] for p in into.get(t, ())
-                             if left(g, inv[p]) and right(g + 1, step[p]))
-        self.G = G
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g]
-
-
-def _forever(nodes: Iterable[Hashable],
-             step: Callable[[Hashable], Optional[Hashable]]) -> set:
-    """The nodes among (and reachable from) `nodes` whose walks under `step`
-    never reach None.
-
-    The walk graph is functional, so each walk either reaches an undefined
-    step (everything on the path fails) or closes a cycle of defined steps
-    (everything on the path succeeds).  Each node is walked once."""
-    verdict: dict = {}
-    for cur in nodes:
-        path = []
-        while cur is not None and cur not in verdict:
-            verdict[cur] = None  # on the current path
-            path.append(cur)
-            cur = step(cur)
-        ok = cur is not None and verdict[cur] is not False
-        for node in path:
-            verdict[node] = ok
-    return {node for node, ok in verdict.items() if ok}
 
 
 class _PeriodicHost:
@@ -311,79 +314,42 @@ class _PeriodicHost:
     The rightward shift is a function on placements (gap mod T, initial
     state), and the base chain ends in a cycle of T placements.  Two chains
     merge iff they meet on that cycle at the same gap, so a valid placement
-    is in the class iff its forward path reaches the cycle.  Validity is
-    closed under the shift, hence one reverse-reachability pass from the
-    cycle over valid placements finds every class: O(T |I|) work after the
-    validity pass, which walks each (gap mod |q|, state) at most once.
+    is in the class iff its forward path reaches the cycle: `_walk_back`
+    finds the class from the chain's last placement before it repeats,
+    with runs read mod T that must be defined forever, as the finite host
+    finds its class from its end state.  The base is valid iff it joins.
     """
 
     shift = 1  # gap g sits at track index g + 1 (see `unroll`)
 
     def __init__(self, m: Mia, q: tuple[Letter, ...], base: str):
         self.q = q
-        P = len(q)
-        self.P = P
-        table = m.by_letter
+        P = self.P = len(q)
+        table, e = m.by_letter, m.e
         fwd = [table.get(l, {}) for l in q]  # gap r to r + 1 reads q[r]
-        back = [table.get(l, {}) for l in map(inverse_of, q[-1:] + q[:-1])]
-        inv, e = m.inv, m.e
-
-        def walk(steps, d):
-            def step(node):
-                r, x = node
-                y = steps[r].get(x)
-                return None if y is None else ((r + d) % P, y)
-            return step
-
-        starts = [(r, s) for r in range(P) for s in m.initial]
-        # runs defined forever to the right, and from the involuted
-        # basepoint to the left
-        rforever = _forever(starts, walk(fwd, 1))
-        lforever = _forever(((r, inv[s]) for r, s in starts), walk(back, -1))
-
-        def shift(node):
-            r, s = node
-            y = fwd[r].get(s)
-            if y is None or (r, inv[s]) not in lforever:
-                return None
-            return ((r + 1) % P, e[y])
-
-        # triple condition: every forward placement must be left-valid
-        valid = rforever & _forever(starts, shift)
-        if (0, base) not in valid:
-            raise MiaError("not a valid pointed word")
-
         # walk the base chain until (gap mod P, state) repeats; the distance
         # between repeats is the gap period T of the whole class
         seen: dict[tuple[int, str], int] = {}
-        chain = []
-        node = (0, base)
-        while node not in seen:
-            seen[node] = len(chain)
-            chain.append(node[1])
-            node = shift(node)
-        entry = seen[node]
-        T = self.T = len(chain) - entry
+        r, s = 0, base
+        while (r, s) not in seen:
+            seen[r, s] = len(seen)
+            last = s
+            s = fwd[r].get(s)
+            if s is None:
+                raise MiaError("not a valid pointed word")
+            r, s = (r + 1) % P, e[s]
+        T = self.T = len(seen) - seen[r, s]
         # anchors range over the gap period, which may be a proper multiple of
         # the letter period; every witness is shorter than the letter period
         self.track = unroll(q, T, P)
-
-        # pred[r][t]: the valid placements at gaps r - 1 (mod P) that shift to t
-        pred = [defaultdict(list) for _ in range(P)]
-        for r, s in valid:
-            pred[(r + 1) % P][e[fwd[r][s]]].append(s)
-        G = [set() for _ in range(T)]
-        todo = [((entry + k) % T, chain[entry + k]) for k in range(T)]
-        for r, s in todo:
-            G[r].add(s)
-        while todo:
-            r, t = todo.pop()
-            r0 = (r - 1) % T
-            for s in pred[r % P].get(t, ()):
-                if s not in G[r0]:
-                    G[r0].add(s)
-                    todo.append((r0, s))
-        self.G = [frozenset(c) for c in G]
+        k = T // P  # the tables unrolled to gaps mod T
+        fwd *= k
+        back = [table.get(l, {}) for l in map(inverse_of, q[-1:] + q[:-1])]
+        self.G = _walk_back((len(seen) - 1) % T, last, fwd,
+                            [m.pre.get(l, {}) for l in q] * k, m.inv,
+                            _runs(back * k, -1), _runs(fwd, 1))
+        if base not in self.G[0]:
+            raise MiaError("not a valid pointed word")
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g % self.T]
@@ -417,15 +383,11 @@ class _WindowHost:
                            key=chain.__getitem__)
         # gap states must be single-valued for the windowed pair scan: each
         # gap state has a unique initial-state predecessor across its letter
-        preds: dict[Letter, Counter] = {}
-        for g, l in enumerate(window.letters):
-            if l not in preds:
-                step = table.get(l, {})
-                preds[l] = Counter(e[step[s]] for s in m.initial if s in step)
-            if preds[l][chain[g + 1]] != 1:
-                raise UnsupportedRepresentation(
-                    "window gap states are not single-valued; "
-                    "use the finite machinery instead")
+        pre = m.pre
+        if any(len(pre[l].get(chain[g + 1], ())) != 1 for g, l in enumerate(window.letters)):
+            raise UnsupportedRepresentation(
+                "window gap states are not single-valued; "
+                "use the finite machinery instead")
 
     def state_at(self, g: int) -> frozenset:
         return frozenset((self.chain[g],))

@@ -13,13 +13,13 @@ import pytest
 from conftest import factor_ok, image_ok, path_quiver_text
 from stringbricks.algebra import parse_presentation
 from stringbricks.construct import build_mia, parity_mia, string_to_word
-from stringbricks.mia import (Mia, MiaError, PointedWord, _FiniteHost,
-                              _PeriodicHost, _host, check_word,
+from stringbricks.mia import (Mia, MiaError, PointedWord, UnsupportedRepresentation,
+                              _FiniteHost, _PeriodicHost, _host, check_word,
                               equivalent, finite_word, is_brick_word,
                               is_brick_word_shift_checked, shift_basepoint,
                               transport, validate_mia)
 from stringbricks.strings import Context
-from stringbricks.words import Letter, Word, inverse_of, inv_seq
+from stringbricks.words import Letter, Window, Word, inverse_of, inv_seq
 
 
 def L(tok):
@@ -416,7 +416,8 @@ def burnin_classes(m, q, base):
     at gap r < T is in the class iff its chain agrees with the base chain at
     a gap past the burn-in bound, where any two mergeable chains started
     inside [0, T) have met (the product walk cycles within |q| |I|^2 steps).
-    The shift-graph reachability of _PeriodicHost must give the same."""
+    _PeriodicHost's walk back from the base chain's cycle through `Mia.pre`
+    must give the same."""
     P = len(q)
 
     def forever(start, step):
@@ -492,6 +493,12 @@ def test_periodic_class_matches_burnin_walk(l3, gam, corpus):
                 assert (host.T, host.G) == burnin_classes(m, qq, base), ctx.presentation
                 checked += 1
     assert checked > 50
+    # placements that shift by b onto t but are not valid: p's run to the
+    # right dies, and q's involution reads no letter to the left
+    b = Letter("b", False)
+    for qq, base in (((b,), "t"), ((b.inverse(),), "t'")):
+        host = _PeriodicHost(dying_runs_mia(), qq, base)
+        assert (host.T, host.G) == burnin_classes(dying_runs_mia(), qq, base), qq
 
 
 def burnin_margin(m, host):
@@ -583,6 +590,18 @@ def test_periodic_multivalued_class():
     host = _PeriodicHost(m, (bi,), "p'")
     assert (host.T, host.G) == (1, [frozenset({"p'", "q'"})])
     assert (host.T, host.G) == burnin_classes(m, (bi,), "p'")
+
+
+def test_window_refuses_multivalued_gap_states():
+    """A window's chain is its whole class only when each gap state has one
+    predecessor across its letter: over multivalued_mia p and q both read b
+    into s, so the window b at p is refused, while b' at p', whose gap state
+    q' only p' reaches, is kept."""
+    m = multivalued_mia()
+    b = Letter("b", False)
+    with pytest.raises(UnsupportedRepresentation, match="not single-valued"):
+        check_word(m, PointedWord(Word(), "p", Window((b,), False, "b")))
+    check_word(m, PointedWord(Word(), "p'", Window((b.inverse(),), False, "b'")))
 
 
 def test_shift_check_compares_classes_not_verdicts():
