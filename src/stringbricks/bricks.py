@@ -91,9 +91,11 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
     return is_brick_word(mdelta, w)
 
 
-def band_brick_automaton(ctx: Context, b: Band, l: int) -> BrickReport:
+def band_brick_automaton(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
     """l = 1 plus the weak brick word property of the transported doubly
-    infinite band word."""
+    infinite band word (lambda is refused as `band_brick_direct` does)."""
+    if lam % endo.DEFAULT_PRIME == 0:
+        raise ValueError("lambda must be nonzero")
     if l < 1:
         raise ValueError("l must be >= 1")
     if l > 1:
@@ -112,6 +114,8 @@ def string_brick_endo(ctx: Context, x: Str, prime: int = endo.DEFAULT_PRIME) -> 
 
 def band_brick_endo(ctx: Context, b: Band, l: int, lam: int = 1,
                     prime: int = endo.DEFAULT_PRIME) -> BrickReport:
+    if lam % prime == 0:  # refused before endo's cap, which a large l trips
+        raise ValueError("lambda must be nonzero")
     dim = endo.end_dim_band(ctx, b, l, lam, prime)
     return BrickReport(dim == 1, "endo", None, "periodic", "exact",
                        reason=f"end_dim={dim}")

@@ -25,7 +25,6 @@ from .bricks import (BrickReport, band_brick_automaton, band_brick_direct,
                      band_brick_endo, string_brick_automaton,
                      string_brick_direct, string_brick_endo)
 from .construct import build_mia, parity_mia, to_dot
-from .endo import DEFAULT_PRIME
 from .mia import MiaError, format_mia, parse_mia
 from .recover import presentations_isomorphic, recover_presentation
 from .strings import CapExceeded, Context, StringError
@@ -187,15 +186,10 @@ METHODS = ("direct", "automaton", "endo")
 
 
 def _reports(kind: str, method: str, *operands) -> list[BrickReport]:
-    """The reports of the `kind` brick routes that `method` names, every one
-    for "all", on `operands`; the band automaton route takes no lambda.
-    Each route is looked up when it is called, so a patched route runs."""
-    reports = []
-    for name in METHODS if method == "all" else (method,):
-        route = globals()[f"{kind}_brick_{name}"]
-        takes = 3 if (kind, name) == ("band", "automaton") else len(operands)
-        reports.append(route(*operands[:takes]))
-    return reports
+    """The reports of the `kind` brick routes that `method` names (all for
+    "all") on `operands`, each route looked up when called, so patches run."""
+    return [globals()[f"{kind}_brick_{name}"](*operands)
+            for name in (METHODS if method == "all" else (method,))]
 
 
 def cmd_check_string_brick(args, out: _Output) -> int:
@@ -210,8 +204,6 @@ def cmd_check_band_brick(args, out: _Output) -> int:
     band, reasons = ctx.is_band(ctx.parse_literal(args.string))
     if band is None:
         raise StringError("not a band: " + "; ".join(reasons))
-    if args.lam % DEFAULT_PRIME == 0:  # lambda is read in the field endo solves over
-        raise ValueError("lambda must be nonzero")
     reports = _reports("band", args.method, ctx, band, args.l, args.lam)
     out.field("band", args.string)
     out.field("l", args.l)

@@ -27,12 +27,12 @@ the walk is about linear in the word there.
 `_host` maps a pointed word's shape to its host once: a finite word, a
 purely periodic word, or a window word (a window with the basepoint at its
 left edge, whose inverse `PointedWord.inverse` points at the left edge
-again).  Each host carries the track its scan reads, its gap classes (a
-window's are singletons, which its track also uses as start keys) and the
-shift from track indices to word gaps.  So the (weak) brick-word witness is
-the first hit of one pair scan of `scan`, over the hosts of a word and its
-inverse, whose right ends share a state, and one report path serves every
-shape.
+again).  Each host carries the track its scan reads, keyed by the one
+state of each gap class (a window's chain; `_keyed` for the others), its
+gap classes and the shift from track indices to word gaps.  So the (weak)
+brick-word witness is the first hit of one pair scan of `scan`, over the
+hosts of a word and its inverse, whose right ends share a state, and one
+report path serves every shape.
 """
 from __future__ import annotations
 
@@ -86,6 +86,11 @@ class Mia:
             if x in initial:
                 table.setdefault(l, {}).setdefault(self.e[y], []).append(x)
         return table
+
+    @cached_property
+    def single(self) -> bool:
+        """Whether every row of `pre` holds one state (see `_keyed`)."""
+        return all(len(ps) == 1 for row in self.pre.values() for ps in row.values())
 
     def run(self, state: str, word: Sequence[Letter]) -> Optional[str]:
         """Extended transition; undefined propagates as None."""
@@ -259,6 +264,19 @@ def _walk_back(h: int, seed: str, fwd: list, into: list, inv: Mapping[str, str],
     return G
 
 
+def _keyed(m: Mia, G: list, track: Track, pad: int) -> Track:
+    """The track keyed at index i by the one state of class G[i - pad] when m
+    has single preimages and no class is empty, else one key for all.  Equal
+    keys pair exactly the starts whose right ends share a state: shifts are
+    deterministic, and a common end state walks back to one start state, its
+    only preimage per letter.  On M_Lambda a letter is one arrow; on
+    M_Lambda-delta 0 maps (s(b), -sigma(b)) to (t(b), eps(b)), and sign
+    condition (b) makes b unique, as (a) does for letter 1."""
+    if not (m.single and all(G)):
+        return track
+    return track._replace(key=([None] * pad + [s for s, in G]).__getitem__)
+
+
 class _FiniteHost:
     """A finite pointed word with its full ~-class.
 
@@ -279,7 +297,6 @@ class _FiniteHost:
     def __init__(self, m: Mia, u: tuple[Letter, ...], bpos: int, base: str):
         self.u = u
         self.bpos = bpos
-        self.track = Track(u)
         n = len(u)
         table, e = m.by_letter, m.e
         fwd = [table.get(l, {}) for l in u]  # gap g to g + 1 reads u[g]
@@ -297,6 +314,7 @@ class _FiniteHost:
                             _runs(fwd, 1, n))
         if base not in self.G[bpos]:
             raise MiaError("not a valid pointed word")
+        self.track = _keyed(m, self.G, Track(u), self.shift)
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g]
@@ -339,9 +357,6 @@ class _PeriodicHost:
                 raise MiaError("not a valid pointed word")
             r, s = (r + 1) % P, e[s]
         T = self.T = len(seen) - seen[r, s]
-        # anchors range over the gap period, which may be a proper multiple of
-        # the letter period; every witness is shorter than the letter period
-        self.track = unroll(q, T, P)
         k = T // P  # the tables unrolled to gaps mod T
         fwd *= k
         back = [table.get(l, {}) for l in map(inverse_of, q[-1:] + q[:-1])]
@@ -350,6 +365,9 @@ class _PeriodicHost:
                             _runs(back * k, -1), _runs(fwd, 1))
         if base not in self.G[0]:
             raise MiaError("not a valid pointed word")
+        # anchors range over the gap period, which may be a proper multiple of
+        # the letter period; every witness is shorter than the letter period
+        self.track = _keyed(m, self.G, unroll(q, T, P), self.shift)
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g % self.T]
@@ -360,11 +378,10 @@ class _WindowHost:
     infinite word.
 
     The gap class at gap g is the singleton of the state of the single
-    forward gap chain there, and the track keys each gap by that state;
-    backward determinism along the window is verified so the chain really is
-    the whole ~-class at each gap.  Chain states step deterministically
-    (axiom 3), so two starts with equal keys reach equal states at the ends
-    of equal spans: every hit of the keyed scan has a common state.
+    forward gap chain there, and the track keys each gap by that state, so
+    every hit of the keyed scan has a common state (see `_keyed`); backward
+    determinism along the window, implied by single preimages, is verified
+    so the chain really is the whole ~-class at each gap.
     """
 
     shift = 0
@@ -384,7 +401,8 @@ class _WindowHost:
         # gap states must be single-valued for the windowed pair scan: each
         # gap state has a unique initial-state predecessor across its letter
         pre = m.pre
-        if any(len(pre[l].get(chain[g + 1], ())) != 1 for g, l in enumerate(window.letters)):
+        if not m.single and any(len(pre[l].get(chain[g + 1], ())) != 1
+                                for g, l in enumerate(window.letters)):
             raise UnsupportedRepresentation(
                 "window gap states are not single-valued; "
                 "use the finite machinery instead")
@@ -462,11 +480,13 @@ def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
     (in x) and image (in x or x^{-1}) occurrences share a state, shown as
     `<state>` when the witness is zero-length: forward basepoint shifts are
     deterministic, so a state common to both classes at some gap of the span
-    carries over to its right end, and only the right end is tested.  A
-    word is a weak brick word iff the scan finds no witness; a brick word
-    must also be aperiodic, which a finite word is, and a window only when
-    its generator certified it."""
+    carries over to its right end, and only that is tested (start keys, when
+    every track has them, pair only starts that pass).  A word is a weak
+    brick word iff the scan finds no witness; a brick word must also be
+    aperiodic, which a finite word is, and a window if it is certified."""
     tracks = tuple(h.track for h in hosts)
+    if not all(t.key for t in tracks):
+        tracks = tuple(t._replace(key=None) for t in tracks)
     x, shift = tracks[0], hosts[0].shift
 
     def common(hit):

@@ -79,14 +79,18 @@ def recover_presentation(m: Mia) -> RecoveredPresentation:
     # the run from chain[1]'s start read k - 2 zeros through the same e's;
     # if it cannot read k - 1, the walk from there records chain[1:], which
     # the chain contains, so `_normalize_relations` drops the chain.
+    # A walk whose run enters t(u, 0), u the arrow just appended, stops: the
+    # rest is u's own walk, so what it would record contains what u's walk
+    # records (or hands on, later on the same run), and would be dropped.
     for v, name in arrow_of.items():
         chain, run, seen = [name], m.step(v, ZERO), set()
-        while run not in seen and m.e[run] in arrow_of:
+        while run not in seen and (u := m.e[run]) in arrow_of:
             seen.add(run)
-            chain.append(arrow_of[m.e[run]])
+            chain.append(arrow_of[u])
             run = m.step(run, ZERO)
             if run is None:
                 relations.append(tuple(chain))
+            if run in (None, m.step(u, ZERO)):
                 break
 
     pres = Presentation(

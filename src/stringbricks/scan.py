@@ -12,9 +12,9 @@ witness length is L = LCE(of, oi): at any shorter length both after-letters
 are the same letter, which cannot be direct on one side and inverse on the
 other, nor flush with a word end.  So the scan pairs only starts whose
 start keys agree (each route supplies its own notion of gap state, the
-zero-length string at a gap or an automaton state, as the key, and
-filters the hits for whatever the key does not decide), and takes an LCE
-only for pairs whose first letters agree; the others have L = 0.
+zero-length string at a gap or a gap class's one automaton state, as the
+key, and filters the hits for whatever the key does not decide), and takes
+an LCE only for pairs whose first letters agree; the others have L = 0.
 
 Each track is read once into a code string, one character per letter,
 from one code table shared by every scan.  The codes go up in four bands:

@@ -59,13 +59,16 @@ def test_band_brick_named(l3):
 
 
 def test_band_routes_refuse_lambda_zero_in_the_field(l3):
-    """lambda is read in F_32003, where endo solves: the direct route refuses
-    what endo refuses, 32003 and its negative as well as 0."""
+    """lambda is read in F_32003, where endo solves: the direct and automaton
+    routes refuse what endo refuses, 32003 and its negative as well as 0,
+    and endo refuses it before its cap, at any l."""
     b, _ = l3.is_band(l3.parse_literal("a2' b2"))
     for lam in (0, 32003, -32003):
-        for route in (band_brick_direct, band_brick_endo):
-            with pytest.raises(ValueError, match="lambda must be nonzero"):
-                route(l3, b, 1, lam)
+        for route in (band_brick_direct, band_brick_automaton, band_brick_endo):
+            for l in (1, 2, 500):
+                with pytest.raises(ValueError, match="lambda must be nonzero"):
+                    route(l3, b, l, lam)
+    assert band_brick_automaton(l3, b, 1, 2) == band_brick_automaton(l3, b, 1)
 
 
 def test_rotated_aabb_band_not_brick(l3):

@@ -131,6 +131,18 @@ def test_check_band_brick_lambda_zero_is_input_error(method, lambda3_file, capsy
         assert "reports" not in doc and "verdict" not in doc
 
 
+@pytest.mark.parametrize("method", ["endo", "all"])
+def test_check_band_brick_lambda_zero_is_refused_before_the_cap(method, lambda3_file,
+                                                                capsys):
+    """Endo's cap would trip at l = 500; lambda is refused first, as the
+    other routes refuse it."""
+    for lam in ("0", "32003"):
+        argv = ["check-band-brick", lambda3_file, "a2' b2", "--l", "500",
+                "--lambda", lam, "--method", method]
+        code, doc = run_json(capsys, argv)
+        assert code == 2 and doc["error"] == "lambda must be nonzero"
+
+
 def test_check_band_brick_not_a_band(lambda3_file, capsys):
     code, doc = run_json(capsys, ["check-band-brick", lambda3_file, "b1 a1'",
                                   "--l", "1"])

@@ -14,12 +14,15 @@ from conftest import factor_ok, image_ok, path_quiver_text
 from stringbricks.algebra import parse_presentation
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord, UnsupportedRepresentation,
-                              _FiniteHost, _PeriodicHost, _host, check_word,
-                              equivalent, finite_word, is_brick_word,
-                              is_brick_word_shift_checked, shift_basepoint,
-                              transport, validate_mia)
+                              _FiniteHost, _PeriodicHost, _WindowHost, _host,
+                              _report, check_word, equivalent, finite_word,
+                              is_brick_word, is_brick_word_shift_checked,
+                              shift_basepoint, transport, underlying, validate_mia)
+from stringbricks.presets import lambda_n
+from stringbricks.scan import BrickReport, pair_scan, witness
 from stringbricks.strings import Context
-from stringbricks.words import Letter, Window, Word, inverse_of, inv_seq
+from stringbricks.words import (UNKNOWN, Letter, Window, Word, classify_periodicity,
+                                inverse_of, inv_seq)
 
 
 def L(tok):
@@ -617,3 +620,185 @@ def test_shift_check_compares_classes_not_verdicts():
     assert is_brick_word(m, shifted).verdict == is_brick_word(m, w).verdict
     with pytest.raises(RuntimeError, match="basepoint shift"):
         is_brick_word_shift_checked(m, w)
+
+
+# ---------------------------------------------------------------------------
+# start keys: a host's track is keyed by the one state of each gap class
+
+
+def keyless_report(hosts, cls, weak):
+    """The reference automaton report, as it was before start keys: every
+    track scanned with one key for all starts, and every yielded hit
+    filtered by whether the classes at its right ends share a state."""
+    tracks = tuple(h.track._replace(key=None) for h in hosts)
+    x, shift = tracks[0], hosts[0].shift
+
+    def common(hit):
+        return (hosts[0].state_at(hit.of + hit.L - shift)
+                & hosts[hit.host].state_at(hit.oi + hit.L - shift))
+
+    hit = next((hit for hit in pair_scan(x, tracks) if common(hit)), None)
+    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>", shift)
+    scope = f"window {len(x.letters)}" if isinstance(hosts[0], _WindowHost) else "exact"
+    return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
+                       found, cls, scope)
+
+
+def keyed_and_keyless(m, w, weak=False):
+    """The report of w's two hosts, and the keyless reference's."""
+    hosts = (_host(m, w), _host(m, w.inverse(m)))
+    cls = classify_periodicity(underlying(w))
+    return _report(hosts, cls, weak), keyless_report(hosts, cls, weak)
+
+
+def single_state_miss_mia():
+    """Single classes over a multi-valued pre row: p and q' both shift by b
+    onto p.  In the word b' b b pointed at p' at gap 0 the classes are
+    single, q' at gap 1 and p at gap 2, so the factor b at gap 1 and the
+    image b at gap 2 start on different states, yet share p at their ends."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    initial = ("p", "p'", "q", "q'")
+    return Mia(
+        states=initial, initial=initial,
+        inv={"p": "p'", "p'": "p", "q": "q'", "q'": "q"},
+        e={s: s for s in initial}, alphabet=("b",),
+        trans={("p'", bi): "q'", ("q'", b): "p", ("q", b): "q'", ("p", b): "p",
+               ("p", bi): "p'", ("q'", bi): "q"},
+    )
+
+
+def empty_class_mia():
+    """Single preimages and an empty class: p reads b into x, which reads
+    nothing, so in the word b b pointed at p at gap 1 no state sits at gap
+    0, while the factor b from gap 0 and the image b from gap 1 share p at
+    their ends."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    initial = ("p", "p'", "q", "q'")
+    return Mia(
+        states=(*initial, "x"), initial=initial,
+        inv={"p": "p'", "p'": "p", "q": "q'", "q'": "q"},
+        e={**{s: s for s in initial}, "x": "p"}, alphabet=("b",),
+        trans={("p", b): "x", ("p'", bi): "q", ("q", bi): "p", ("q'", b): "q'"},
+    )
+
+
+def half_keyed_mia():
+    """Single preimages, and a word whose host has an empty class while its
+    inverse's host has none: in b' pointed at p' at gap 1 nothing shifts by
+    b' onto p', so gap 0 is empty, while the inverse b pointed at p at gap 0
+    has p and p'; the zero-length witness <p'> at gap 1 has its image in
+    x^{-1}, so it is lost if only one of the two tracks is keyed."""
+    b = Letter("b", False)
+    return Mia(
+        states=("p", "p'"), initial=("p", "p'"), inv={"p": "p'", "p'": "p"},
+        e={"p": "p", "p'": "p'"}, alphabet=("b",),
+        trans={("p", b): "p'", ("p", b.inverse()): "p"},
+    )
+
+
+def test_string_algebra_mias_have_single_preimages(gam, corpus):
+    """Sign conditions (a) and (b) give every row of `Mia.pre` one state on
+    M_Lambda and M_Lambda-delta, and no gap class of a string or band word is
+    empty, so every finite and periodic host's track is keyed."""
+    paths = [Context(parse_presentation(path_quiver_text(n))) for n in (1, 2, 7, 40)]
+    ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, *corpus, *paths]
+    for ctx in ctxs:
+        assert build_mia(ctx).single and parity_mia(ctx)[1].single, ctx.presentation
+    hosts = 0
+    for ctx in ctxs[:3] + [gam, *corpus[:6], paths[2]]:
+        phi, md = parity_mia(ctx)
+        words = [(m, w) for x in ctx.enumerate_strings(5)
+                 for m, w in ((build_mia(ctx), string_to_word(ctx, x)),
+                              (md, transport(phi, string_to_word(ctx, x))))]
+        for m, w in words + list(band_words(ctx, 8)):
+            for h in (_host(m, w), _host(m, w.inverse(m))):
+                assert isinstance(h, (_FiniteHost, _PeriodicHost))
+                assert h.track.key is not None and all(len(c) == 1 for c in h.G)
+                hosts += 1
+    assert hosts > 3000
+
+
+def test_keyed_report_matches_keyless_reference(l3, gam, corpus):
+    """Keyed and keyless scans give the same report, witness and `<state>`
+    label included, on strings and bands under both MIAs, on windows, and on
+    every valid short word over the synthetic MIAs, where the keyless scan
+    runs."""
+    checked = 0
+    for ctx in (l3, gam, *corpus):
+        phi, md = parity_mia(ctx)
+        for x in ctx.enumerate_strings(7):
+            w = string_to_word(ctx, x)
+            for m, ww in ((build_mia(ctx), w), (md, transport(phi, w))):
+                keyed, ref = keyed_and_keyless(m, ww)
+                assert keyed == ref, (ctx.presentation, x)
+                checked += 1
+        for m, w in band_words(ctx, 8):
+            keyed, ref = keyed_and_keyless(m, w, weak=True)
+            assert keyed == ref, (ctx.presentation, w)
+            checked += 1
+    for x in l3.enumerate_strings(6):
+        if x.letters:
+            w = string_to_word(l3, Window(x.letters, False, "w"))
+            keyed, ref = keyed_and_keyless(build_mia(l3), w)
+            assert keyed == ref
+    witnesses = 0
+    for m in (multivalued_mia(), dying_runs_mia(), single_state_miss_mia(),
+              empty_class_mia(), half_keyed_mia()):
+        letters = m.letters()
+        for n in range(4):
+            for u in itertools.product(letters, repeat=n):
+                for bpos, base in itertools.product(range(n + 1), m.initial):
+                    w = finite_word(u[:bpos], base, u[bpos:])
+                    try:
+                        keyed, ref = keyed_and_keyless(m, w)
+                    except MiaError:
+                        continue
+                    assert keyed == ref, (m, w)
+                    witnesses += ref.witness is not None
+        for q in letters:
+            for base in m.initial:
+                w = PointedWord(Word(left_period=(q,)), base, Word(right_period=(q,)))
+                try:
+                    keyed, ref = keyed_and_keyless(m, w, weak=True)
+                except MiaError:
+                    continue
+                assert keyed == ref, (m, w)
+    assert checked > 2000 and witnesses > 40
+
+
+def test_keys_need_single_preimages_and_nonempty_classes():
+    """Keying by start state would lose a witness in two cases, so those
+    hosts stay keyless: a multi-valued pre row, where two single classes
+    shift onto one state, and an empty class, where a hit starts on no
+    state."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    for m, w, factor, image in (
+            (single_state_miss_mia(), finite_word((), "p'", (bi, b, b)), 1, 2),
+            (empty_class_mia(), finite_word((b,), "p", (b,)), 0, 1)):
+        assert validate_mia(m) == []
+        keyed, ref = keyed_and_keyless(m, w)
+        assert keyed == ref and not keyed.verdict
+        assert (keyed.witness.content, keyed.witness.factor.start,
+                keyed.witness.image.start) == ("b", factor, image)
+        # a scan keyed by each gap's class never pairs the witness's starts
+        hosts = (_host(m, w), _host(m, w.inverse(m)))
+        tracks = tuple(h.track._replace(key=h.G.__getitem__) for h in hosts)
+        assert all(hit[:3] != (0, factor, image) for hit in pair_scan(tracks[0], tracks))
+        assert all(h.track.key is None for h in hosts)
+    assert not single_state_miss_mia().single and empty_class_mia().single
+
+
+def test_report_scans_keyless_unless_every_track_is_keyed():
+    """One host keyed and the other not: `_report` scans both with one key,
+    so the witness with its image in x^{-1} is found."""
+    m = half_keyed_mia()
+    assert validate_mia(m) == [] and m.single
+    w = finite_word((Letter("b", True),), "p'", ())
+    hosts = (_host(m, w), _host(m, w.inverse(m)))
+    assert [h.track.key is not None for h in hosts] == [False, True]
+    keyed, ref = keyed_and_keyless(m, w)
+    assert keyed == ref
+    assert (keyed.witness.content, keyed.witness.image_host) == ("<p'>", "x-inverse")
