@@ -6,9 +6,10 @@ brickness) and the automaton criterion (transport the pointed word to the
 binary MIA and test the (weak) brick word property).  Both witness searches
 are the pair scan of `scan`, which also builds the one witness and report
 record: the direct route keys each gap by the (vertex, side) of its
-zero-length string, the automaton route is the one in `mia` and returns its
-report as it is.  The endo module gives a third, linear-algebra route; the
-test suite keeps all three in agreement.
+zero-length string, the automaton route is `mia.is_brick_word` (or
+`is_weak_brick_word`) for every shape, inversion check included, and returns
+its report as it is.  The endo module gives a third, linear-algebra route;
+the test suite keeps all three in agreement.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 from . import endo
 from .construct import binary_word, parity_mia
-from .mia import is_brick_word, is_brick_word_shift_checked, is_weak_brick_word
+from .mia import is_brick_word, is_weak_brick_word
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .strings import Band, Context, Str
 from .words import Window, Word, classify_periodicity, inv_seq
@@ -83,12 +84,7 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickRepor
 def string_brick_automaton(ctx: Context, x) -> BrickReport:
     """Automaton criterion: transport the pointed word to the binary MIA and
     test the brick word property."""
-    w = binary_word(ctx, x)
-    mdelta = parity_mia(ctx)[1]
-    if isinstance(x, Str):
-        # check that inversion maps the class of w into the class of w^{-1}
-        return is_brick_word_shift_checked(mdelta, w)
-    return is_brick_word(mdelta, w)
+    return is_brick_word(parity_mia(ctx)[1], binary_word(ctx, x))
 
 
 def band_brick_automaton(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
@@ -105,17 +101,16 @@ def band_brick_automaton(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickRe
     return is_weak_brick_word(parity_mia(ctx)[1], binary_word(ctx, Word(q, (), q)))
 
 
-def string_brick_endo(ctx: Context, x: Str, prime: int = endo.DEFAULT_PRIME) -> BrickReport:
+def string_brick_endo(ctx: Context, x: Str) -> BrickReport:
     """Ground truth: brick iff the endomorphism space is one-dimensional."""
-    dim = endo.end_dim_string(ctx, x, prime)
+    dim = endo.end_dim_string(ctx, x)
     return BrickReport(dim == 1, "endo", None, FINITE, "exact",
                        reason=f"end_dim={dim}")
 
 
-def band_brick_endo(ctx: Context, b: Band, l: int, lam: int = 1,
-                    prime: int = endo.DEFAULT_PRIME) -> BrickReport:
-    if lam % prime == 0:  # refused before endo's cap, which a large l trips
+def band_brick_endo(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
+    if lam % endo.DEFAULT_PRIME == 0:  # refused before endo's cap, which a large l trips
         raise ValueError("lambda must be nonzero")
-    dim = endo.end_dim_band(ctx, b, l, lam, prime)
+    dim = endo.end_dim_band(ctx, b, l, lam)
     return BrickReport(dim == 1, "endo", None, "periodic", "exact",
                        reason=f"end_dim={dim}")

@@ -14,7 +14,11 @@ Key facts the implementation leans on (checked by the test suite):
   * for purely periodic words the shift is a function on (gap mod T,
     initial state), where T is the period of the base chain's cycle, so a
     valid placement is in the class iff its forward path reaches that
-    cycle.
+    cycle;
+  * on a reversible MIA (`Mia.reversible`; every string algebra's is) each
+    gap class holds one state, which keys the tracks (`_keyed`), and
+    inversion carries the class of a finite word onto its inverse's, which
+    `_brick_word` checks.
 
 Every host reads the MIA through its per-letter tables.  Over a binary MIA
 one letter's row holds nearly every state, so no host tabulates every state
@@ -27,12 +31,11 @@ the walk is about linear in the word there.
 `_host` maps a pointed word's shape to its host once: a finite word, a
 purely periodic word, or a window word (a window with the basepoint at its
 left edge, whose inverse `PointedWord.inverse` points at the left edge
-again).  Each host carries the track its scan reads, keyed by the one
-state of each gap class (a window's chain; `_keyed` for the others), its
-gap classes and the shift from track indices to word gaps.  So the (weak)
-brick-word witness is the first hit of one pair scan of `scan`, over the
-hosts of a word and its inverse, whose right ends share a state, and one
-report path serves every shape.
+again).  Each host carries the track its scan reads, its gap classes and
+the shift from track indices to word gaps.  So the (weak) brick-word
+witness is the first hit of one pair scan of `scan`, over the hosts of a
+word and its inverse, whose right ends share a state, and one report path
+serves every shape.
 """
 from __future__ import annotations
 
@@ -79,7 +82,7 @@ class Mia:
     def pre(self) -> dict[Letter, dict[str, list[str]]]:
         """The shift's preimages as {letter: {initial t: initial states s
         with e(t(s, letter)) = t}}, keyed like `by_letter` and built on
-        first use."""
+        first use; each row holds one state when the MIA is `reversible`."""
         table: dict[Letter, dict[str, list[str]]] = {}
         initial = set(self.initial)
         for (x, l), y in self.trans.items():
@@ -88,9 +91,27 @@ class Mia:
         return table
 
     @cached_property
-    def single(self) -> bool:
-        """Whether every row of `pre` holds one state (see `_keyed`)."""
-        return all(len(ps) == 1 for row in self.pre.values() for ps in row.values())
+    def reversible(self) -> bool:
+        """Whether every shift can be inverted: for each initial s and letter
+        l with y = t(s, l), t(inv e(y), l^{-1}) is defined and its e is inv s.
+        With axiom 3, which every host assumes:
+          * every row of `pre` holds one state: if s1 and s2 shift by l onto
+            t, inv s1 = e(t(inv t, l^{-1})) = inv s2, and inv is injective;
+          * inversion maps the ~-class of a finite word w onto that of w^{-1}
+            (`_check_inversion`): a placement is valid iff its inverse is,
+            and a shift edge (g, s) -> (g + 1, s') of w is the edge
+            (n - g - 1, inv s') -> (n - g, inv s) of w^{-1};
+          * so a class is one path of placements, one state a gap: a periodic
+            word's base cycle, or a finite word's base chain and, left of the
+            base, the inverse of w^{-1}'s when w^{-1} is valid (else the left
+            shift of p, which shifts onto p, may have a right run that dies).
+        Every string algebra passes: in M_Lambda a syllable l leaves 1(v, i)
+        for e = 1(t(l), eps(l)), and l^{-1} leaves 1(t(l), -eps(l)), as
+        sigma(l^{-1}) = eps(l), for 1(s(l), sigma(l)) = inv 1(v, i); and
+        relabelling by phi commutes with inversion, so M_Lambda-delta passes."""
+        initial, trans, e, inv = set(self.initial), self.trans, self.e, self.inv
+        return all(e.get(trans.get((inv.get(e.get(y)), inverse_of(l)))) == inv.get(s)
+                   for (s, l), y in trans.items() if s in initial)
 
     def run(self, state: str, word: Sequence[Letter]) -> Optional[str]:
         """Extended transition; undefined propagates as None."""
@@ -266,15 +287,13 @@ def _walk_back(h: int, seed: str, fwd: list, into: list, inv: Mapping[str, str],
 
 def _keyed(m: Mia, G: list, track: Track, pad: int) -> Track:
     """The track keyed at index i by the one state of class G[i - pad] when m
-    has single preimages and no class is empty, else one key for all.  Equal
-    keys pair exactly the starts whose right ends share a state: shifts are
-    deterministic, and a common end state walks back to one start state, its
-    only preimage per letter.  On M_Lambda a letter is one arrow; on
-    M_Lambda-delta 0 maps (s(b), -sigma(b)) to (t(b), eps(b)), and sign
-    condition (b) makes b unique, as (a) does for letter 1."""
-    if not (m.single and all(G)):
+    is reversible (an empty class, key None, means an invalid inverse word,
+    which `_brick_word` refuses before any scan), else one key for all.
+    Equal keys pair exactly the starts whose right ends share a state: shifts
+    are deterministic, and a common end state walks back to one start state."""
+    if not m.reversible:
         return track
-    return track._replace(key=([None] * pad + [s for s, in G]).__getitem__)
+    return track._replace(key=([None] * pad + [next(iter(c), None) for c in G]).__getitem__)
 
 
 class _FiniteHost:
@@ -379,9 +398,9 @@ class _WindowHost:
 
     The gap class at gap g is the singleton of the state of the single
     forward gap chain there, and the track keys each gap by that state, so
-    every hit of the keyed scan has a common state (see `_keyed`); backward
-    determinism along the window, implied by single preimages, is verified
-    so the chain really is the whole ~-class at each gap.
+    every hit of the keyed scan has a common state (see `_keyed`).  The
+    chain is the whole ~-class when each chain state has one preimage across
+    its letter, which a reversible MIA gives and any other must show.
     """
 
     shift = 0
@@ -398,11 +417,8 @@ class _WindowHost:
         self.chain = chain
         self.track = Track(window.letters, window.left_closed, window.right_closed,
                            key=chain.__getitem__)
-        # gap states must be single-valued for the windowed pair scan: each
-        # gap state has a unique initial-state predecessor across its letter
-        pre = m.pre
-        if not m.single and any(len(pre[l].get(chain[g + 1], ())) != 1
-                                for g, l in enumerate(window.letters)):
+        if not m.reversible and any(len(m.pre[l].get(chain[g + 1], ())) != 1
+                                    for g, l in enumerate(window.letters)):
             raise UnsupportedRepresentation(
                 "window gap states are not single-valued; "
                 "use the finite machinery instead")
@@ -480,13 +496,12 @@ def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
     (in x) and image (in x or x^{-1}) occurrences share a state, shown as
     `<state>` when the witness is zero-length: forward basepoint shifts are
     deterministic, so a state common to both classes at some gap of the span
-    carries over to its right end, and only that is tested (start keys, when
-    every track has them, pair only starts that pass).  A word is a weak
-    brick word iff the scan finds no witness; a brick word must also be
-    aperiodic, which a finite word is, and a window if it is certified."""
+    carries over to its right end, and only that is tested.  A word and its
+    inverse share one MIA, so their tracks are keyed together (`_keyed`),
+    and start keys pair only starts that pass.  A word is a weak brick word
+    iff the scan finds no witness; a brick word must also be aperiodic,
+    which a finite word is, and a window if it is certified."""
     tracks = tuple(h.track for h in hosts)
-    if not all(t.key for t in tracks):
-        tracks = tuple(t._replace(key=None) for t in tracks)
     x, shift = tracks[0], hosts[0].shift
 
     def common(hit):
@@ -498,6 +513,16 @@ def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
     scope = f"window {len(x.letters)}" if isinstance(hosts[0], _WindowHost) else "exact"
     return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
                        found, cls, scope)
+
+
+def _check_inversion(m: Mia, host: _FiniteHost, inverse: _FiniteHost) -> None:
+    """RuntimeError unless inversion maps the ~-class of a finite word w into
+    that of w^{-1}, gap g to n - g, as a reversible MIA guarantees.  Each
+    placement in a class ends on one state, so it has the same classes: the
+    check covers every representative and the verdict."""
+    n, inv, Ginv = len(host.u), m.inv, inverse.G
+    if any(inv[s] not in Ginv[n - g] for g, cls in enumerate(host.G) for s in cls):
+        raise RuntimeError("gap classes not invariant under basepoint shift")
 
 
 def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
@@ -513,7 +538,10 @@ def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
         except UnsupportedRepresentation:
             pass
         return BrickReport(False, "automaton", None, cls, "exact")
-    return _report((_host(m, w), _host(m, w.inverse(m))), cls, weak)
+    hosts = _host(m, w), _host(m, w.inverse(m))
+    if m.reversible and isinstance(hosts[0], _FiniteHost):
+        _check_inversion(m, *hosts)
+    return _report(hosts, cls, weak)
 
 
 def is_brick_word(m: Mia, w: PointedWord) -> BrickReport:
@@ -527,30 +555,6 @@ def is_weak_brick_word(m: Mia, w: PointedWord) -> BrickReport:
     """Weak brick word: no finite common factor/image pointed subword; no
     aperiodicity requirement."""
     return _brick_word(m, w, weak=True)
-
-
-def is_brick_word_shift_checked(m: Mia, w: PointedWord) -> BrickReport:
-    """is_brick_word for a finite w, checking that inversion maps the ~-class
-    of w into that of w^{-1}, else RuntimeError: two host builds and one scan.
-
-    The check covers every representative of the class.  A host's tables
-    depend only on the letters, and every placement in G[g] has the end
-    state of w, so each representative has the gap classes of w.  Its
-    inverse has those of w^{-1} iff the inverse of its basepoint lies in the
-    class of w^{-1} at the mirrored gap; that is tested for every gap g and
-    every state of G[g].  The verdict is a function of the letters and these
-    classes, so the check covers it too.
-
-    The MIA of a string algebra passes this check; a generic MIA need not,
-    since the inverses of two ~-equivalent placements may be inequivalent."""
-    host = _host(m, w)
-    if not isinstance(host, _FiniteHost):
-        raise UnsupportedRepresentation("the shift check expects a finite word")
-    hosts = host, _host(m, w.inverse(m))
-    n, inv, Ginv = len(host.u), m.inv, hosts[1].G
-    if any(inv[s] not in Ginv[n - g] for g, cls in enumerate(host.G) for s in cls):
-        raise RuntimeError("gap classes not invariant under basepoint shift")
-    return _report(hosts, FINITE, weak=False)
 
 
 # ---------------------------------------------------------------------------

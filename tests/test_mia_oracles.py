@@ -10,13 +10,14 @@ from typing import Optional
 
 import pytest
 
-from conftest import factor_ok, image_ok, path_quiver_text
+from conftest import (CORPUS_SEED, corpus_algebras, factor_ok, image_ok,
+                      path_quiver_text)
 from stringbricks.algebra import parse_presentation
 from stringbricks.construct import build_mia, parity_mia, string_to_word
 from stringbricks.mia import (Mia, MiaError, PointedWord, UnsupportedRepresentation,
-                              _FiniteHost, _PeriodicHost, _WindowHost, _host,
-                              _report, check_word, equivalent, finite_word,
-                              is_brick_word, is_brick_word_shift_checked,
+                              _FiniteHost, _PeriodicHost, _WindowHost,
+                              _check_inversion, _host, _report, check_word,
+                              equivalent, finite_word, is_brick_word,
                               shift_basepoint, transport, underlying, validate_mia)
 from stringbricks.presets import lambda_n
 from stringbricks.scan import BrickReport, pair_scan, witness
@@ -608,18 +609,20 @@ def test_window_refuses_multivalued_gap_states():
 
 
 def test_shift_check_compares_classes_not_verdicts():
-    """The spot-check compares gap classes, which is stronger than comparing
-    verdicts: in the synthetic MIA the gap-0 representative of b.p has the
-    same verdict, but its inverse p'.b' lies in another class than the
-    inverse of b.p (p' reads b' into r, whose e is q', not p')."""
+    """The inversion check compares gap classes, which is stronger than
+    comparing verdicts: in the synthetic MIA the gap-0 representative of b.p
+    has the same verdict, but its inverse p'.b' lies in another class than
+    the inverse of b.p (p' reads b' into r, whose e is q', not p').  The MIA
+    is not reversible, so `is_brick_word` does not run the check."""
     m = multivalued_mia()
     b = Letter("b", False)
     w = finite_word((b,), "p", ())
     shifted = shift_basepoint(m, w, -1)
     assert shifted == finite_word((), "p", (b,))
     assert is_brick_word(m, shifted).verdict == is_brick_word(m, w).verdict
+    assert not m.reversible
     with pytest.raises(RuntimeError, match="basepoint shift"):
-        is_brick_word_shift_checked(m, w)
+        _check_inversion(m, _host(m, w), _host(m, w.inverse(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +702,22 @@ def half_keyed_mia():
 
 
 def test_string_algebra_mias_have_single_preimages(gam, corpus):
-    """Sign conditions (a) and (b) give every row of `Mia.pre` one state on
-    M_Lambda and M_Lambda-delta, and no gap class of a string or band word is
-    empty, so every finite and periodic host's track is keyed."""
+    """M_Lambda and M_Lambda-delta are reversible for every string algebra,
+    here Lambda_2..Lambda_8, Gamma, the corpus, further seeded random string
+    algebras and path quivers up to 4000 arrows, so every row of `Mia.pre`
+    holds one state, and no gap class of a string or band word is empty, so
+    every finite and periodic host's track is keyed.  None of the synthetic
+    MIAs is reversible."""
     paths = [Context(parse_presentation(path_quiver_text(n))) for n in (1, 2, 7, 40)]
     ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, *corpus, *paths]
-    for ctx in ctxs:
-        assert build_mia(ctx).single and parity_mia(ctx)[1].single, ctx.presentation
+    more = corpus_algebras(30, seed=CORPUS_SEED + 1)
+    for ctx in ctxs + more + [Context(parse_presentation(path_quiver_text(4000)))]:
+        for m in (build_mia(ctx), parity_mia(ctx)[1]):
+            assert m.reversible, ctx.presentation
+            assert all(len(ps) == 1 for row in m.pre.values() for ps in row.values())
+    for m in (multivalued_mia(), dying_runs_mia(), single_state_miss_mia(),
+              empty_class_mia(), half_keyed_mia()):
+        assert validate_mia(m) == [] and not m.reversible
     hosts = 0
     for ctx in ctxs[:3] + [gam, *corpus[:6], paths[2]]:
         phi, md = parity_mia(ctx)
@@ -768,11 +780,11 @@ def test_keyed_report_matches_keyless_reference(l3, gam, corpus):
     assert checked > 2000 and witnesses > 40
 
 
-def test_keys_need_single_preimages_and_nonempty_classes():
-    """Keying by start state would lose a witness in two cases, so those
-    hosts stay keyless: a multi-valued pre row, where two single classes
-    shift onto one state, and an empty class, where a hit starts on no
-    state."""
+def test_keys_need_a_reversible_mia():
+    """Keying by start state would lose a witness over an MIA that is not
+    reversible, so its hosts stay keyless: a multi-valued pre row, where two
+    single classes shift onto one state, and an empty class, where a hit
+    starts on no state."""
     b = Letter("b", False)
     bi = b.inverse()
     for m, w, factor, image in (
@@ -788,17 +800,114 @@ def test_keys_need_single_preimages_and_nonempty_classes():
         tracks = tuple(h.track._replace(key=h.G.__getitem__) for h in hosts)
         assert all(hit[:3] != (0, factor, image) for hit in pair_scan(tracks[0], tracks))
         assert all(h.track.key is None for h in hosts)
-    assert not single_state_miss_mia().single and empty_class_mia().single
+        assert not m.reversible
 
 
-def test_report_scans_keyless_unless_every_track_is_keyed():
-    """One host keyed and the other not: `_report` scans both with one key,
-    so the witness with its image in x^{-1} is found."""
+def test_report_keys_a_word_and_its_inverse_together():
+    """A word whose class is empty at a gap while its inverse's classes are
+    not: both hosts stay keyless, since they share one MIA and it is not
+    reversible, so the witness with its image in x^{-1} is found."""
     m = half_keyed_mia()
-    assert validate_mia(m) == [] and m.single
+    assert validate_mia(m) == [] and not m.reversible
     w = finite_word((Letter("b", True),), "p'", ())
     hosts = (_host(m, w), _host(m, w.inverse(m)))
-    assert [h.track.key is not None for h in hosts] == [False, True]
+    assert [h.track.key is not None for h in hosts] == [False, False]
+    assert [all(h.G) for h in hosts] == [False, True]
     keyed, ref = keyed_and_keyless(m, w)
     assert keyed == ref
     assert (keyed.witness.content, keyed.witness.image_host) == ("<p'>", "x-inverse")
+
+
+def random_mia(rng):
+    """A small valid MIA: k involution pairs of initial states, e the
+    identity on them, and random transitions between them, most with their
+    mirror (inv y, l^{-1}) -> inv s, so many draws are reversible.  Some
+    transitions are redirected to a fresh non-initial state x with e(x) = y
+    that reads a random part of y's letters into y's targets (axiom 3), so
+    some runs die where their e's runs go on."""
+    k = rng.randint(1, 3)
+    initial = [f"p{i}" for i in range(k)] + [f"p{i}'" for i in range(k)]
+    inv = {f"p{i}": f"p{i}'" for i in range(k)}
+    inv.update({v: u for u, v in inv.items()})
+    letters = [Letter(a, i) for a in "ab"[:rng.choice((1, 1, 2))] for i in (False, True)]
+    trans = {}
+    for _ in range(rng.randint(1, 3 * k)):
+        s, l, y = rng.choice(initial), rng.choice(letters), rng.choice(initial)
+        trans.setdefault((s, l), y)
+        if rng.random() < 0.9:
+            trans.setdefault((inv[y], l.inverse()), inv[s])
+    e = {s: s for s in initial}
+    states = list(initial)
+    for (s, l), y in list(trans.items()):
+        if rng.random() < 0.3:
+            x = f"x{len(states)}"
+            states.append(x)
+            e[x] = y
+            trans[s, l] = x
+            for (t, l2), z in list(trans.items()):
+                if t == y and rng.random() < 0.5:
+                    trans[x, l2] = z
+    return Mia(tuple(states), tuple(initial), inv, e,
+               tuple(sorted({l.sym for l in letters})), trans)
+
+
+def test_reversible_mias_have_one_state_classes_that_invert():
+    """On seeded small valid MIAs: every reversible one has one-state `pre`
+    rows; every finite word of up to 4 letters that is valid with its
+    inverse has one state in every gap class of both hosts and passes the
+    inversion check, while a word whose class is empty somewhere has an
+    invalid inverse, which `is_brick_word` refuses; every valid purely
+    periodic word of period up to 3 has one state in every gap class.  The
+    keyed report equals the keyless reference on every word of every draw,
+    reversible or not."""
+    rng = random.Random(28)
+    reversible = words = empty = periodic = 0
+    for _ in range(150):
+        m = random_mia(rng)
+        assert validate_mia(m) == []
+        letters = m.letters()
+        rev = m.reversible
+        if rev:
+            reversible += 1
+            assert all(len(ps) == 1 for row in m.pre.values() for ps in row.values())
+        for n in range(5):
+            for u in itertools.product(letters, repeat=n):
+                for bpos, base in itertools.product(range(n + 1), m.initial):
+                    if (m.run(base, u[bpos:]) is None
+                            or m.run(m.inv[base], inv_seq(u[:bpos])) is None):
+                        continue  # the base's own runs die: not a valid word
+                    w = finite_word(u[:bpos], base, u[bpos:])
+                    try:
+                        h = _host(m, w)
+                    except MiaError:
+                        continue
+                    try:
+                        hosts = (h, _host(m, w.inverse(m)))
+                    except MiaError:
+                        if rev and not all(h.G):
+                            with pytest.raises(MiaError):
+                                is_brick_word(m, w)
+                            empty += 1
+                        continue
+                    if rev:
+                        assert all(len(c) == 1 for x in hosts for c in x.G), (m, w)
+                        _check_inversion(m, *hosts)
+                        words += 1
+                    keyed, ref = keyed_and_keyless(m, w)
+                    assert keyed == ref, (m, w)
+        for q in (q for p in range(1, 4) for q in itertools.product(letters, repeat=p)):
+            for base in m.initial:
+                w = PointedWord(Word(left_period=q), base, Word(right_period=q))
+                try:
+                    h = _host(m, w)
+                except MiaError:
+                    continue
+                if rev:
+                    assert all(len(c) == 1 for c in h.G), (m, w)
+                    periodic += 1
+                try:
+                    keyed, ref = keyed_and_keyless(m, w, weak=True)
+                except MiaError:
+                    continue
+                assert keyed == ref, (m, w)
+    assert reversible > 50 and words > 1000 and empty > 0 and periodic > 100
