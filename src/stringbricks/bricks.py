@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Optional
 
 from . import endo
-from .construct import binary_word, parity_mia
-from .mia import is_brick_word, is_weak_brick_word
+from .construct import _pointed_word, binary_word, parity_mia
+from .mia import is_brick_word, is_weak_brick_word, transport
 from .scan import BrickReport, BrickWitness, Track, pair_scan, unroll, witness
 from .strings import Band, Context, Str
 from .words import Window, Word, classify_periodicity, inv_seq
@@ -97,8 +97,11 @@ def band_brick_automaton(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickRe
     if l > 1:
         return BrickReport(False, "automaton", None, "periodic", "exact",
                            reason="l must be 1")
+    # is_band validated the word: q is a string that continues with its own
+    # first letter, and no relation window, all one direction, spans a join
     q = b.string.letters
-    return is_weak_brick_word(parity_mia(ctx)[1], binary_word(ctx, Word(q, (), q)))
+    phi, delta = parity_mia(ctx)
+    return is_weak_brick_word(delta, transport(phi, _pointed_word(ctx, Word(q, (), q))))
 
 
 def string_brick_endo(ctx: Context, x: Str) -> BrickReport:

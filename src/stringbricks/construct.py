@@ -12,7 +12,7 @@ from typing import Optional
 
 from .mia import Mia, PointedWord, transport, underlying
 from .strings import Context, Str, StringError
-from .words import Letter, Window, Word, inv_seq
+from .words import Letter, Window, Word
 
 
 def zero_label(vertex: str, side: int) -> str:
@@ -34,47 +34,33 @@ def state_label(x: Str) -> str:
 
 
 def build_mia(ctx: Context) -> Mia:
-    """The MIA associated with the string algebra (cached on the context)."""
+    """The MIA associated with the string algebra (cached on the context).
+    States are keyed by gap state (v, i) or letters, in `Str.key` order; a
+    state's e is the gap state at its right end, inv flips the side."""
     if "mia" in ctx.cache:
         return ctx.cache["mia"]
-    p = ctx.presentation
-
-    state_strs = [ctx.zero(v, i) for v in p.vertices for i in (1, -1)]
-    state_strs += (ctx.make_string((l,)) for l in ctx.syllables())
-    for r in p.relations:
-        word = tuple(Letter(a, False) for a in r)
-        for x in (word, inv_seq(word)):
-            for k in range(2, len(x)):
-                state_strs.append(ctx.make_string(x[:k]))
-    state_strs = sorted({s.key(): s for s in state_strs}.values(), key=Str.key)
-
-    labels = {s.key(): state_label(s) for s in state_strs}
-    nonzero_keys = {s.letters: labels[s.key()] for s in state_strs if s.letters}
-
-    def max_right_state(letters: tuple[Letter, ...]) -> str:
-        for k in range(len(letters)):
-            lab = nonzero_keys.get(letters[k:])
-            if lab is not None:
-                return lab
-        raise AssertionError("single syllables are always states")
+    zeros = {z: zero_label(*z)
+             for z in sorted({(v, i) for v in ctx.presentation.vertices for i in (1, -1)})}
+    words = {(l,) for l in ctx.syllables()}
+    for r in sorted(ctx.forbidden):
+        words.update(ctx.make_string(r[:k]).letters for k in range(2, len(r)))
+    labels = {w: ".".join(map(str, w)) for w in sorted(words)}
 
     trans: dict[tuple[str, Letter], str] = {}
-    for s in state_strs:
-        lab = labels[s.key()]
-        nxt = ctx.continuations(s.letters) if s.letters else ctx.leaving.get((s.dst, s.eps), ())
+    rows = [(lab, (), ctx.leaving.get(z, ())) for z, lab in zeros.items()]
+    rows += ((lab, w, ctx.continuations(w)) for w, lab in labels.items())
+    for lab, w, nxt in rows:
         for b in nxt:
-            trans[(lab, b)] = max_right_state(s.letters + (b,))
+            # the longest suffix of w.b that is a state; b alone is one
+            x = w + (b,)
+            trans[lab, b] = next(labels[x[k:]] for k in range(len(x)) if x[k:] in labels)
 
-    # every state's e is the zero-length string at its right end; the zero
-    # states are the initial ones, each its own e, paired with its inverse
-    e = {labels[s.key()]: zero_label(s.dst, s.eps) for s in state_strs}
-    initial = [labels[s.key()] for s in state_strs if not s.letters]
-    inv = {labels[s.key()]: state_label(s.inverse()) for s in state_strs if not s.letters}
-
+    e = {lab: lab for lab in zeros.values()}
+    e.update((lab, zeros[ctx.gap_key(w, len(w))]) for w, lab in labels.items())
     mia = Mia(
-        states=tuple(labels[s.key()] for s in state_strs),
-        initial=tuple(initial),
-        inv=inv,
+        states=(*zeros.values(), *labels.values()),
+        initial=tuple(zeros.values()),
+        inv={lab: zeros[v, -i] for (v, i), lab in zeros.items()},
         e=e,
         alphabet=tuple(sorted(ctx.amap)),
         trans=trans,

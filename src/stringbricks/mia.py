@@ -538,8 +538,14 @@ def _brick_word(m: Mia, w: PointedWord, weak: bool) -> BrickReport:
         except UnsupportedRepresentation:
             pass
         return BrickReport(False, "automaton", None, cls, "exact")
-    hosts = _host(m, w), _host(m, w.inverse(m))
-    if m.reversible and isinstance(hosts[0], _FiniteHost):
+    host = _host(m, w)
+    try:
+        hosts = host, _host(m, w.inverse(m))
+    except UnsupportedRepresentation:
+        raise
+    except MiaError as err:
+        raise MiaError(f"the inverse word is not valid: {err}") from err
+    if m.reversible and isinstance(host, _FiniteHost):
         _check_inversion(m, *hosts)
     return _report(hosts, cls, weak)
 
@@ -566,9 +572,10 @@ def _preimages(m: Mia, phi: Mapping[str, str]) -> Optional[dict[tuple[str, Lette
     domain, or None when two letters defined at one state share an image."""
     if set(phi) != set(m.alphabet):
         raise MiaError("phi must be defined on exactly the alphabet")
+    image = {l: Letter(phi[l.sym], l.inv) for l in {l for _, l in m.trans} if l.sym in phi}
     table: dict[tuple[str, Letter], Letter] = {}
     for x, l in m.trans:
-        if l.sym in phi and table.setdefault((x, Letter(phi[l.sym], l.inv)), l) != l:
+        if l in image and table.setdefault((x, image[l]), l) != l:
             return None
     return table
 
@@ -581,13 +588,13 @@ def check_local_bijection(m: Mia, phi: Mapping[str, str]) -> bool:
 
 def relabel(m: Mia, phi: Mapping[str, str]) -> Mia:
     """The MIA over the image alphabet; t'(v, phi(b)) = t(v, b)."""
-    if not check_local_bijection(m, phi):
+    pre = _preimages(m, phi)
+    if pre is None:
         raise MiaError("phi is not a local bijection for this MIA")
-    alphabet = tuple(sorted(set(phi.values())))
-    trans = {}
-    for (x, l), y in m.trans.items():
-        trans[(x, Letter(phi[l.sym], l.inv))] = y
-    return Mia(m.states, m.initial, m.inv, m.e, alphabet, trans)
+    if len(pre) != len(m.trans):
+        raise MiaError("a transition letter lies outside the alphabet")
+    trans = {(x, il): m.trans[x, l] for (x, il), l in pre.items()}
+    return Mia(m.states, m.initial, m.inv, m.e, tuple(sorted(set(phi.values()))), trans)
 
 
 def _phi_letters(phi: Mapping[str, str], seq: Sequence[Letter]) -> tuple[Letter, ...]:

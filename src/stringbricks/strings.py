@@ -8,12 +8,13 @@ presentation with its sign maps and is the factory for all string values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (Presentation, SignError, SignMaps, solve_sign_maps,
                       verify_sign_conditions)
-from .words import (Letter, Window, Word, WordRep, inv_seq, parse_letter,
-                    primitive_root, unfold_left, unfold_right)
+from .words import (Letter, Window, Word, WordRep, inv_seq, inverse_of,
+                    parse_letter, primitive_root, unfold_left, unfold_right)
 
 
 class StringError(ValueError):
@@ -74,8 +75,11 @@ class Context:
         self.amap = presentation.arrow_map()
         self.rels = set(presentation.relations)
         self.maxrel = max((len(r) for r in presentation.relations), default=2)
-        self._syllables = tuple(Letter(a, inv) for a in sorted(self.amap)
-                                for inv in (False, True))
+        direct = {a: Letter(a) for a in sorted(self.amap)}
+        self._syllables = tuple(x for l in direct.values() for x in (l, inverse_of(l)))
+        # each relation and its inverse as letters: no window of a string
+        words = [tuple(map(direct.__getitem__, r)) for r in presentation.relations]
+        self.forbidden = {*words, *map(inv_seq, words)}
         self._vertices = frozenset(presentation.vertices)
         # each syllable under the gap state it leaves, at most two per key
         self.leaving: dict[tuple[str, int], list[Letter]] = {}
@@ -111,23 +115,22 @@ class Context:
             raise StringError("side must be +1 or -1")
         return Str((), vertex, vertex, -side, side)
 
-    def _relation_violation(self, seq: Sequence[Letter]) -> Optional[StringError]:
-        """The error for the first relation (or inverse of one) in seq, by
-        end index, then length, or None.  A relation window lies inside one
-        run of same-direction syllables, so only windows within the current
-        run are looked at."""
-        run = 0
-        for i, l in enumerate(seq):
-            run = run + 1 if i and l.inv == seq[i - 1].inv else 1
-            for L in range(2, min(run, self.maxrel) + 1):
-                syms = tuple(x.sym for x in seq[i - L + 1:i + 1])
-                if not l.inv:
-                    if syms in self.rels:
-                        return StringError(f"relation {' '.join(syms)} violated", i)
-                elif syms[::-1] in self.rels:
-                    return StringError(
-                        f"inverse of relation {' '.join(syms[::-1])} violated", i)
-        return None
+    def _relation_violation(self, seq: tuple[Letter, ...]) -> Optional[StringError]:
+        """The error for the first forbidden window of seq, by end index,
+        then length, or None.  A forbidden word is all direct (a relation)
+        or all inverse (the inverse of one)."""
+        first = None
+        for L in range(2, self.maxrel + 1):
+            windows = zip(*(seq[k:] for k in range(L)))
+            end = next(compress(count(L - 1), map(self.forbidden.__contains__, windows)), None)
+            if end is not None and (first is None or end < first):
+                first = end
+                syms = [l.sym for l in seq[end - L + 1:end + 1]]
+        if first is None:
+            return None
+        if seq[first].inv:
+            return StringError(f"inverse of relation {' '.join(reversed(syms))} violated", first)
+        return StringError(f"relation {' '.join(syms)} violated", first)
 
     def make_string(self, syllables: Iterable[Letter]) -> Str:
         """Validate a syllable sequence; raises StringError naming the violated
@@ -241,10 +244,11 @@ class Context:
         needs no composition or backtrack test: a syllable b with
         s(b) = t(last) that is no backtrack and closes no length-2 relation
         has sigma(b) = -eps(last) ((a) or (b) when the directions differ,
-        (c) when they agree), while sigma(last^-1) = eps(last)."""
-        tail = tuple(seq[-(self.maxrel - 1):])
+        (c) when they agree), while sigma(last^-1) = eps(last).  seq is a
+        string, so only the windows ending at b can be forbidden."""
+        tail, forbidden = tuple(seq[-(self.maxrel - 1):]), self.forbidden
         return [b for b in self.leaving.get(self.gap_key(seq, len(seq)), ())
-                if self._relation_violation(tail + (b,)) is None]
+                if not any(tail[k:] + (b,) in forbidden for k in range(len(tail)))]
 
     def _walk(self, seeds: Iterable[Letter], max_len: int, cap: int, found: int = 0):
         """Every string of 1..max_len syllables starting with one of seeds,

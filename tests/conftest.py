@@ -73,6 +73,33 @@ def path_quiver_text(n: int) -> str:
                     *(f"arrow a{i} v{i} v{i + 1}\n" for i in range(n))])
 
 
+def tilde_a_text(n: int) -> str:
+    """Two relation-free n-arrow paths a1 .. an and b1 .. bn from u0 to un,
+    the first through u1 .. u(n-1), the second through w1 .. w(n-1)."""
+    p = ["u0", *(f"w{i}" for i in range(1, n)), f"u{n}"]
+    return "".join([*(f"vertex u{i}\n" for i in range(n + 1)),
+                    *(f"vertex {v}\n" for v in p[1:-1]),
+                    *(f"arrow a{i} u{i - 1} u{i}\n" for i in range(1, n + 1)),
+                    *(f"arrow b{i} {p[i - 1]} {p[i]}\n" for i in range(1, n + 1))])
+
+
+# a loop a with a^4 = 0, and a cycle b, c, d through it cut by c d b: the
+# relations have lengths 2, 3 and 4
+LONG_RELATIONS_TEXT = """\
+vertex v1
+vertex v2
+vertex v3
+arrow a v1 v1
+arrow b v2 v1
+arrow c v1 v3
+arrow d v3 v2
+relation a a a a
+relation a c
+relation b a
+relation c d b
+"""
+
+
 CORPUS_SEED = 20240809
 CORPUS_SIZE = 20
 CORPUS_MAX_STRINGS = 600
@@ -91,6 +118,11 @@ def gam():
 @pytest.fixture(scope="session")
 def l6():
     return Context(lambda_n(6))
+
+
+@pytest.fixture(scope="session")
+def long_rels():
+    return Context(parse_presentation(LONG_RELATIONS_TEXT))
 
 
 def random_presentation(rng: random.Random):

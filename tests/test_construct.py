@@ -2,15 +2,18 @@ import hashlib
 
 import pytest
 
-from conftest import concat
-from stringbricks.algebra import validate_string_algebra
+from conftest import CORPUS_SEED, concat, corpus_algebras, path_quiver_text
+from stringbricks.algebra import parse_presentation, validate_string_algebra
 from stringbricks.construct import (binary_word, build_mia, parity_mia,
                                     parse_zero_label, state_label,
                                     string_to_word, to_dot, word_to_string,
                                     zero_label)
-from stringbricks.mia import equivalent, parse_mia, validate_mia
-from stringbricks.strings import Context, StringError
-from stringbricks.words import Letter, Window, Word, unfold_left, unfold_right
+from stringbricks.mia import Mia, equivalent, parse_mia, relabel, validate_mia
+from stringbricks.presets import lambda_n
+from stringbricks.strings import Context, Str, StringError
+from stringbricks.words import (Letter, Window, Word, inv_seq, unfold_left,
+                                unfold_right)
+from test_strings import reference_continuations, reference_make_string
 
 
 def L(tok):
@@ -229,6 +232,84 @@ def test_exports_are_pinned(l3, gam):
             for export in (format_mia, to_dot):
                 digest = hashlib.sha256(export(m).encode()).hexdigest()[:16]
                 assert digest == PINNED_EXPORTS[name, kind, export.__name__]
+
+
+def reference_build_mia(ctx: Context) -> Mia:
+    """M_Lambda built through Str values: every state validated by the
+    per-index reference, sorted by Str.key and labelled, and its
+    transitions found by the brute continuation rule."""
+    p = ctx.presentation
+
+    state_strs = [ctx.zero(v, i) for v in p.vertices for i in (1, -1)]
+    state_strs += (reference_make_string(ctx, (l,)) for l in ctx.syllables())
+    for r in p.relations:
+        word = tuple(Letter(a, False) for a in r)
+        for x in (word, inv_seq(word)):
+            for k in range(2, len(x)):
+                state_strs.append(reference_make_string(ctx, x[:k]))
+    state_strs = sorted({s.key(): s for s in state_strs}.values(), key=Str.key)
+
+    labels = {s.key(): state_label(s) for s in state_strs}
+    nonzero_keys = {s.letters: labels[s.key()] for s in state_strs if s.letters}
+
+    def max_right_state(letters: tuple[Letter, ...]) -> str:
+        for k in range(len(letters)):
+            lab = nonzero_keys.get(letters[k:])
+            if lab is not None:
+                return lab
+        raise AssertionError("single syllables are always states")
+
+    trans: dict[tuple[str, Letter], str] = {}
+    for s in state_strs:
+        lab = labels[s.key()]
+        nxt = (reference_continuations(ctx, s.letters) if s.letters
+               else ctx.leaving.get((s.dst, s.eps), ()))
+        for b in nxt:
+            trans[(lab, b)] = max_right_state(s.letters + (b,))
+
+    e = {labels[s.key()]: zero_label(s.dst, s.eps) for s in state_strs}
+    initial = [labels[s.key()] for s in state_strs if not s.letters]
+    inv = {labels[s.key()]: state_label(s.inverse()) for s in state_strs if not s.letters}
+    return Mia(
+        states=tuple(labels[s.key()] for s in state_strs),
+        initial=tuple(initial),
+        inv=inv,
+        e=e,
+        alphabet=tuple(sorted(ctx.amap)),
+        trans=trans,
+    )
+
+
+def reference_relabel(m: Mia, phi) -> Mia:
+    """The relabelled MIA built letter by letter, two Letters per transition."""
+    trans = {(x, Letter(phi[l.sym], l.inv)): y for (x, l), y in m.trans.items()}
+    return Mia(m.states, m.initial, m.inv, m.e, tuple(sorted(set(phi.values()))), trans)
+
+
+def test_build_mia_matches_reference(gam, long_rels, corpus):
+    """The automaton built from the forbidden words by suffix lookup, and its
+    parity relabelling, equal the Str-based reference field for field, in
+    the same state, transition and e order, on Lambda_2-Lambda_8, Gamma,
+    the corpus, 30 further seeded string algebras, and path quivers and an
+    algebra with relations of length 3 and 4."""
+    paths = [path_quiver_text(n) + "".join(
+        f"relation {' '.join(f'a{j}' for j in range(i, i + k))}\n" for i, k in rels)
+        for n, rels in ((7, ((0, 3), (3, 4))),
+                        (60, ((0, 2), (5, 3), (12, 4), (29, 3), (30, 2), (47, 4))),
+                        (700, tuple((i + d, k) for i in range(0, 693, 7)
+                                    for d, k in ((0, 3), (3, 4)))))]
+    ctxs = [Context(lambda_n(k)) for k in range(2, 9)] + [gam, long_rels, *corpus]
+    ctxs += corpus_algebras(30, seed=CORPUS_SEED + 2)
+    ctxs += [Context(parse_presentation(text)) for text in paths]
+    for ctx in ctxs:
+        ref = reference_build_mia(ctx)
+        m = build_mia(ctx)
+        assert m == ref, ctx.presentation
+        assert (list(m.trans), list(m.e)) == (list(ref.trans), list(ref.e))
+        phi, md = parity_mia(ctx)
+        assert md == relabel(ref, phi) == reference_relabel(ref, phi), ctx.presentation
+        assert list(md.trans) == list(reference_relabel(ref, phi).trans)
+    assert max(ctx.maxrel for ctx in ctxs) == 4
 
 
 def test_word_to_string_rejects(l3):

@@ -374,6 +374,15 @@ def test_local_bijection_matches_reference_on_random_mias():
     assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
 
+def test_relabel_refuses_letters_outside_the_alphabet():
+    b, c = Letter("b", False), Letter("c", False)
+    m = Mia(("p", "p'"), ("p", "p'"), {"p": "p'", "p'": "p"}, {"p": "p", "p'": "p'"},
+            ("b",), {("p", b): "p'", ("p'", c): "p"})
+    assert check_local_bijection(m, {"b": "0"})
+    with pytest.raises(MiaError, match="^a transition letter lies outside the alphabet$"):
+        relabel(m, {"b": "0"})
+
+
 def test_relabel_gamma_fig4(gam):
     m = build_mia(gam)
     _, md = parity_mia(gam)

@@ -18,7 +18,8 @@ from stringbricks.mia import (Mia, MiaError, PointedWord, UnsupportedRepresentat
                               _FiniteHost, _PeriodicHost, _WindowHost,
                               _check_inversion, _host, _report, check_word,
                               equivalent, finite_word, is_brick_word,
-                              shift_basepoint, transport, underlying, validate_mia)
+                              is_weak_brick_word, shift_basepoint, transport,
+                              underlying, validate_mia)
 from stringbricks.presets import lambda_n
 from stringbricks.scan import BrickReport, pair_scan, witness
 from stringbricks.strings import Context
@@ -885,7 +886,7 @@ def test_reversible_mias_have_one_state_classes_that_invert():
                         hosts = (h, _host(m, w.inverse(m)))
                     except MiaError:
                         if rev and not all(h.G):
-                            with pytest.raises(MiaError):
+                            with pytest.raises(MiaError, match=INVALID_INVERSE):
                                 is_brick_word(m, w)
                             empty += 1
                         continue
@@ -910,4 +911,31 @@ def test_reversible_mias_have_one_state_classes_that_invert():
                 except MiaError:
                     continue
                 assert keyed == ref, (m, w)
-    assert reversible > 50 and words > 1000 and empty > 0 and periodic > 100
+    assert reversible > 50 and words > 1000 and empty == 481 and periodic > 100
+
+
+INVALID_INVERSE = "^the inverse word is not valid: not a valid pointed word$"
+
+
+def test_brick_word_names_an_invalid_inverse_word():
+    """Over a reversible MIA with initial p, q, r and their partners, a
+    non-initial y with e(y) = p, and q -b-> y, p -b-> r, p' -b'-> q',
+    r' -b'-> p', the word b.b pointed at p at gap 1 is valid, but nothing
+    valid sits at its gap 0 (q shifts onto p, and y reads no b), so its
+    inverse b'.b' at p' is not valid, and the brick-word checks say so."""
+    b = Letter("b", False)
+    bi = b.inverse()
+    initial = ("p", "q", "r", "p'", "q'", "r'")
+    m = Mia(states=initial + ("y",), initial=initial,
+            inv={x: x + "'" for x in "pqr"} | {x + "'": x for x in "pqr"},
+            e={x: x for x in initial} | {"y": "p"}, alphabet=("b",),
+            trans={("q", b): "y", ("p", b): "r", ("p'", bi): "q'", ("r'", bi): "p'"})
+    assert validate_mia(m) == [] and m.reversible
+    w = finite_word((b,), "p", (b,))
+    check_word(m, w)
+    assert [bool(c) for c in _host(m, w).G] == [False, True, True]
+    with pytest.raises(MiaError, match="^not a valid pointed word$"):
+        check_word(m, w.inverse(m))
+    for check in (is_brick_word, is_weak_brick_word):
+        with pytest.raises(MiaError, match=INVALID_INVERSE):
+            check(m, w)

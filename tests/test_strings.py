@@ -4,12 +4,13 @@ from functools import partial
 
 import pytest
 
-from conftest import concat
-from stringbricks.algebra import SignError, SignMaps, solve_sign_maps
+from conftest import concat, tilde_a_text
+from stringbricks.algebra import (SignError, SignMaps, parse_presentation,
+                                  solve_sign_maps)
 from stringbricks.bricks import string_brick_direct
 from stringbricks.presets import gamma
 from stringbricks.strings import Band, CapExceeded, Context, Str, StringError
-from stringbricks.words import Letter, primitive_root
+from stringbricks.words import Letter, Word, primitive_root
 
 
 def L(tok: str) -> Letter:
@@ -147,9 +148,9 @@ def outcome(make, seq):
         return str(err), err.position
 
 
-def test_make_string_matches_per_index_reference(l3, gam, corpus):
+def test_make_string_matches_per_index_reference(l3, gam, long_rels, corpus):
     rng = random.Random(29)
-    ctxs = (l3, gam, *corpus[:5])
+    ctxs = (l3, gam, long_rels, *corpus[:5])
     kinds = set()
     for ctx in ctxs:
         syl = ctx.syllables()
@@ -163,12 +164,12 @@ def test_make_string_matches_per_index_reference(l3, gam, corpus):
     assert kinds == {"ok", "composition", "backtrack", "relation", "inverse"}
 
 
-def test_continuations_match_per_index_reference(l3, gam, l6, corpus):
+def test_continuations_match_per_index_reference(l3, gam, l6, long_rels, corpus):
     """The gap-state table with the relation test gives what the brute rule
     (composition, no backtrack, no relation window, over every syllable)
     gives, in the same order."""
     extended = 0
-    for ctx in (l3, gam, l6, *corpus):
+    for ctx in (l3, gam, l6, long_rels, *corpus):
         for x in ctx.enumerate_strings(6):
             if x.letters:
                 got = ctx.continuations(x.letters)
@@ -363,6 +364,30 @@ def test_band_cube_consistency(l3, gam, corpus):
         for b in ctx.enumerate_bands(6):
             letters = b.string.letters
             assert ctx.try_string(letters * 3) is not None
+
+
+def test_accepted_bands_are_valid_periodic_words(l3, gam, corpus):
+    """Every string of <= 8 syllables that is_band accepts, and the
+    100-syllable tilde-A band, is a valid periodic word, so the automaton
+    route builds a band's word without validating it again: a relation
+    window is all one direction, and at the join a direct letter meets an
+    inverse one."""
+    bands = 0
+    for ctx in (l3, gam, *corpus):
+        for x in ctx.enumerate_strings(8):
+            band, _ = ctx.is_band(x)
+            if band is not None:
+                q = band.string.letters
+                ctx.validate_inf_str(Word(q, (), q))
+                bands += 1
+    assert bands > 50
+    n = 50
+    ctx = Context(parse_presentation(tilde_a_text(n)))
+    band, reasons = ctx.is_band(ctx.parse_literal(" ".join(
+        [f"b{i}'" for i in range(n, 0, -1)] + [f"a{i}" for i in range(1, n + 1)])))
+    assert reasons == []
+    q = band.string.letters
+    ctx.validate_inf_str(Word(q, (), q))
 
 
 def test_enumerate_counts(l3):
