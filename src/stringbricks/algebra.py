@@ -328,10 +328,12 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
     """Return sign maps satisfying conditions (a)-(c).
 
     Declared signs are verified and returned verbatim.  Otherwise the parity
-    constraint system over the 2|Q1| unknowns is solved by union-find with
-    parity, anchoring the smallest unknown of each component to +1; output is
-    deterministic.  Raises SignError on declared violations or an infeasible
-    system (reporting a conflicting constraint cycle).
+    constraint system over the 2|Q1| unknowns is 2-coloured breadth first,
+    each component from its smallest unknown, anchored to +1; output is
+    deterministic.  Every constraint links two unknowns at one vertex, so
+    the components are small.  Raises SignError on declared violations or an
+    infeasible system, naming an odd cycle of constraints: the one that
+    clashes and the BFS-tree paths from its two ends up to where they meet.
     """
     cons = _sign_constraints(p)
     if p.declared_signs is not None:
@@ -340,48 +342,34 @@ def solve_sign_maps(p: Presentation) -> SignMaps:
             raise SignError("declared signs violate " + "; ".join(bad))
         return SignMaps(dict(p.declared_signs))
 
-    parent: dict[tuple[int, str], tuple[int, str]] = {}
-    parity: dict[tuple[int, str], int] = {}  # sign relative to root, +1/-1
-    why: dict[tuple[int, str], tuple] = {}
-
-    def find(x):
-        if parent.setdefault(x, x) == x:
-            parity.setdefault(x, 1)
-            return x, 1
-        root, par = find(parent[x])
-        parent[x] = root
-        parity[x] *= par
-        return root, parity[x]
-
-    def trail(x) -> list[str]:
-        out = []
-        while x in why:
-            x, label = why[x]
-            out.append(label)
-        return out
-
-    for x, y, label, _ in cons:
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            if px * py != -1:
-                cycle = [label] + trail(x) + trail(y)
-                raise SignError("infeasible sign system; conflicting constraints: "
-                                + "; ".join(cycle))
-            continue
-        parent[ry] = rx
-        parity[ry] = -px * py
-        why[ry] = (rx, label)
-
     unknowns = sorted({(k, a) for k in (0, 1) for a, _, _ in p.arrows})
+    linked: dict[tuple[int, str], list] = {u: [] for u in unknowns}
+    for x, y, label, _ in cons:
+        linked[x].append((y, label))
+        linked[y].append((x, label))
     values: dict[tuple[int, str], int] = {}
-    anchored: dict[tuple[int, str], int] = {}
-    for u in unknowns:
-        root, par = find(u)
-        if root not in anchored:
-            # u is the smallest unknown of its component: anchor it to +1
-            anchored[root] = par
-        values[u] = par * anchored[root]
+    tree: dict[tuple[int, str], tuple] = {}  # unknown: (its BFS parent, label)
+    for root in unknowns:
+        if root in values:
+            continue
+        values[root] = 1
+        queue = [root]
+        for x in queue:  # the queue grows while it is read
+            for y, label in linked[x]:
+                if y not in values:
+                    values[y] = -values[x]
+                    tree[y] = (x, label)
+                    queue.append(y)
+                elif values[y] == values[x]:
+                    # x and y have one sign, so one BFS depth: walk both up
+                    # in step to where their tree paths meet
+                    u, v, xs, ys = x, y, [], []
+                    while u != v:
+                        (u, lu), (v, lv) = tree[u], tree[v]
+                        xs.append(lu)
+                        ys.append(lv)
+                    raise SignError("infeasible sign system; conflicting constraints: "
+                                    + "; ".join([label, *xs, *ys]))
 
     table = {a: (values[(0, a)], values[(1, a)]) for a, _, _ in p.arrows}
     bad = _violated(cons, table)

@@ -24,22 +24,32 @@ from .words import Window, Word, classify_periodicity, inv_seq
 from .words import APERIODIC, FINITE
 
 
-def _direct_witness(ctx: Context, x: Track, xinv: Track,
-                    shift: int = 0) -> Optional[BrickWitness]:
+def _direct_witness(ctx: Context, x: Track, xinv: Track) -> Optional[BrickWitness]:
     """The direct route on the pair scan: the start key is the zero-length
     string at the gap, which decides the zero-length contents and is implied
     by the first letter of the others.  It is keyed by its (vertex, side),
-    read once per track; the string itself is built only to label a witness.
-    `shift` maps track indices back to word gaps."""
+    read once per track; the string itself is built only to label a witness."""
     def keyed(t: Track) -> Track:
         after = {l: ctx.gap_key((l,), 1) for l in set(t.letters)}
         keys = [ctx.gap_key(t.letters, 0), *map(after.__getitem__, t.letters)]
-        return t._replace(key=keys.__getitem__)
+        return t._replace(keys=keys)
 
     x, xinv = keyed(x), keyed(xinv)
     hit = next(pair_scan(x, (x, xinv)), None)
     return None if hit is None else witness(
-        x, (x, xinv), hit, Context.format_literal(ctx.gap_zero(x.letters, hit.of)), shift)
+        x, (x, xinv), hit, Context.format_literal(ctx.gap_zero(x.letters, hit.of)))
+
+
+def _band_rule(l: int, lam: int, method: str) -> Optional[BrickReport]:
+    """The one rule on a band's parameters: ValueError when lambda is 0 in
+    F_p, then when l < 1, and the report "not a brick" when l > 1."""
+    if lam % endo.DEFAULT_PRIME == 0:
+        raise ValueError("lambda must be nonzero")
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if l > 1:
+        return BrickReport(False, method, None, "periodic", "exact", reason="l must be 1")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +78,11 @@ def band_brick_direct(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickRepor
     """Band criterion: brick iff l = 1 and the doubly infinite band word has
     no finite common factor/image substring (lambda never matters, but is
     refused as endo refuses it: when it is 0 in F_p)."""
-    if lam % endo.DEFAULT_PRIME == 0:
-        raise ValueError("lambda must be nonzero")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if l > 1:
-        return BrickReport(False, "direct", None, "periodic", "exact",
-                           reason="l must be 1")
+    if refused := _band_rule(l, lam, "direct"):
+        return refused
     q = b.string.letters
     n = len(q)  # every witness is shorter than |q| (see `unroll`)
-    w = _direct_witness(ctx, unroll(q, n, n), unroll(inv_seq(q), n, n), 1)
+    w = _direct_witness(ctx, unroll(q, n, n), unroll(inv_seq(q), n, n))
     return BrickReport(w is None, "direct", w, "periodic", "exact")
 
 
@@ -90,13 +95,8 @@ def string_brick_automaton(ctx: Context, x) -> BrickReport:
 def band_brick_automaton(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
     """l = 1 plus the weak brick word property of the transported doubly
     infinite band word (lambda is refused as `band_brick_direct` does)."""
-    if lam % endo.DEFAULT_PRIME == 0:
-        raise ValueError("lambda must be nonzero")
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if l > 1:
-        return BrickReport(False, "automaton", None, "periodic", "exact",
-                           reason="l must be 1")
+    if refused := _band_rule(l, lam, "automaton"):
+        return refused
     # is_band validated the word: q is a string that continues with its own
     # first letter, and no relation window, all one direction, spans a join
     q = b.string.letters
@@ -112,8 +112,9 @@ def string_brick_endo(ctx: Context, x: Str) -> BrickReport:
 
 
 def band_brick_endo(ctx: Context, b: Band, l: int, lam: int = 1) -> BrickReport:
-    if lam % endo.DEFAULT_PRIME == 0:  # refused before endo's cap, which a large l trips
-        raise ValueError("lambda must be nonzero")
+    # refused before endo's cap, which a large l trips; endo solves every
+    # l itself, so the l > 1 report goes unused
+    _band_rule(l, lam, "endo")
     dim = endo.end_dim_band(ctx, b, l, lam)
     return BrickReport(dim == 1, "endo", None, "periodic", "exact",
                        reason=f"end_dim={dim}")

@@ -31,11 +31,10 @@ the walk is about linear in the word there.
 `_host` maps a pointed word's shape to its host once: a finite word, a
 purely periodic word, or a window word (a window with the basepoint at its
 left edge, whose inverse `PointedWord.inverse` points at the left edge
-again).  Each host carries the track its scan reads, its gap classes and
-the shift from track indices to word gaps.  So the (weak) brick-word
-witness is the first hit of one pair scan of `scan`, over the hosts of a
-word and its inverse, whose right ends share a state, and one report path
-serves every shape.
+again).  Each host carries the track its scan reads and its gap classes.
+So the (weak) brick-word witness is the first hit of one pair scan of
+`scan`, over the hosts of a word and its inverse, whose right ends share a
+state, and one report path serves every shape.
 """
 from __future__ import annotations
 
@@ -224,8 +223,8 @@ def underlying(w: PointedWord) -> WordRep:
 
 
 # ---------------------------------------------------------------------------
-# hosts: one per pointed-word shape, each with the track its scan reads, its
-# gap classes state_at(g) and the shift from track indices to word gaps
+# hosts: one per pointed-word shape, each with the track its scan reads and
+# its gap classes state_at(g)
 
 
 def _runs(steps: list, d: int, stop: Optional[int] = None) -> Callable[[int, str], bool]:
@@ -285,15 +284,15 @@ def _walk_back(h: int, seed: str, fwd: list, into: list, inv: Mapping[str, str],
     return G
 
 
-def _keyed(m: Mia, G: list, track: Track, pad: int) -> Track:
-    """The track keyed at index i by the one state of class G[i - pad] when m
+def _keyed(m: Mia, G: list, track: Track) -> Track:
+    """The track keyed at word gap g by the one state of class G[g] when m
     is reversible (an empty class, key None, means an invalid inverse word,
     which `_brick_word` refuses before any scan), else one key for all.
     Equal keys pair exactly the starts whose right ends share a state: shifts
     are deterministic, and a common end state walks back to one start state."""
     if not m.reversible:
         return track
-    return track._replace(key=([None] * pad + [next(iter(c), None) for c in G]).__getitem__)
+    return track._replace(keys=[None] * track.offset + [next(iter(c), None) for c in G])
 
 
 class _FiniteHost:
@@ -310,8 +309,6 @@ class _FiniteHost:
     once, so the cost is O(n) plus those runs: never more than n x |states|,
     and about 2n on a binary MIA, where runs merge after a step.
     """
-
-    shift = 0
 
     def __init__(self, m: Mia, u: tuple[Letter, ...], bpos: int, base: str):
         self.u = u
@@ -333,7 +330,7 @@ class _FiniteHost:
                             _runs(fwd, 1, n))
         if base not in self.G[bpos]:
             raise MiaError("not a valid pointed word")
-        self.track = _keyed(m, self.G, Track(u), self.shift)
+        self.track = _keyed(m, self.G, Track(u))
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g]
@@ -356,8 +353,6 @@ class _PeriodicHost:
     with runs read mod T that must be defined forever, as the finite host
     finds its class from its end state.  The base is valid iff it joins.
     """
-
-    shift = 1  # gap g sits at track index g + 1 (see `unroll`)
 
     def __init__(self, m: Mia, q: tuple[Letter, ...], base: str):
         self.q = q
@@ -386,7 +381,7 @@ class _PeriodicHost:
             raise MiaError("not a valid pointed word")
         # anchors range over the gap period, which may be a proper multiple of
         # the letter period; every witness is shorter than the letter period
-        self.track = _keyed(m, self.G, unroll(q, T, P), self.shift)
+        self.track = _keyed(m, self.G, unroll(q, T, P))
 
     def state_at(self, g: int) -> frozenset:
         return self.G[g % self.T]
@@ -403,8 +398,6 @@ class _WindowHost:
     its letter, which a reversible MIA gives and any other must show.
     """
 
-    shift = 0
-
     def __init__(self, m: Mia, window: Window, base: str):
         table, e = m.by_letter, m.e
         run = base
@@ -416,7 +409,7 @@ class _WindowHost:
             chain.append(e[run])
         self.chain = chain
         self.track = Track(window.letters, window.left_closed, window.right_closed,
-                           key=chain.__getitem__)
+                           keys=chain)
         if not m.reversible and any(len(m.pre[l].get(chain[g + 1], ())) != 1
                                     for g, l in enumerate(window.letters)):
             raise UnsupportedRepresentation(
@@ -502,14 +495,14 @@ def _report(hosts: tuple, cls: str, weak: bool) -> BrickReport:
     iff the scan finds no witness; a brick word must also be aperiodic,
     which a finite word is, and a window if it is certified."""
     tracks = tuple(h.track for h in hosts)
-    x, shift = tracks[0], hosts[0].shift
+    x = tracks[0]
 
     def common(hit):
-        return (hosts[0].state_at(hit.of + hit.L - shift)
-                & hosts[hit.host].state_at(hit.oi + hit.L - shift))
+        return (hosts[0].state_at(hit.of + hit.L - x.offset)
+                & hosts[hit.host].state_at(hit.oi + hit.L - tracks[hit.host].offset))
 
     hit = next((hit for hit in pair_scan(x, tracks) if common(hit)), None)
-    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>", shift)
+    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>")
     scope = f"window {len(x.letters)}" if isinstance(hosts[0], _WindowHost) else "exact"
     return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
                        found, cls, scope)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .words import Letter, inv_seq
 
@@ -52,15 +52,17 @@ from .words import Letter, inv_seq
 class Track(NamedTuple):
     """A scanned letter sequence.
 
-    starts limits the gaps an occurrence may start at (default: all of
-    0..n); key(g) is the start key of gap g (default: one key for all).
+    starts limits the indices an occurrence may start at (default: all of
+    0..n); keys[i] is the start key of index i (default: one key for all);
+    word gap 0 sits at index `offset`.
     """
 
     letters: tuple
     left_closed: bool = True
     right_closed: bool = True
     starts: Optional[range] = None
-    key: Optional[Callable[[int], Hashable]] = None
+    keys: Optional[Sequence] = None
+    offset: int = 0
 
     def boundary(self, i: int):
         """The letter at index i, None past either edge: an admissible
@@ -74,15 +76,15 @@ class Track(NamedTuple):
 
 def unroll(q: Sequence[Letter], starts: int, span: int) -> Track:
     """The purely periodic word ^infinity(q)^infinity as a track with open
-    edges.  Gap g (0 <= g < starts) sits at index g + 1, after its
-    before-letter and followed by at least `span` letters and an
+    edges.  Gap g (0 <= g < starts) sits at index g + 1 (offset 1), after
+    its before-letter and followed by at least `span` letters and an
     after-letter, so the scan sees every witness of length up to `span`.
     With span >= |q| that is every witness: x and x^{-1} are |q|-periodic,
     so two starts that agree on |q| letters agree forever (the equal-period
     case of Fine and Wilf, 1965); every witness is shorter than |q|."""
     P = len(q)
     letters = tuple(q[(k - 1) % P] for k in range(starts + span + 1))
-    return Track(letters, False, False, range(1, starts + 1))
+    return Track(letters, False, False, range(1, starts + 1), offset=1)
 
 
 class Hit(NamedTuple):
@@ -118,15 +120,13 @@ class BrickReport:
     reason: str = ""
 
 
-def witness(track: Track, images: Sequence[Track], hit: Hit, zero: str,
-            shift: int = 0) -> BrickWitness:
+def witness(track: Track, images: Sequence[Track], hit: Hit, zero: str) -> BrickWitness:
     """The witness of a hit of pair_scan(track, images): its letters (or,
     when L = 0, the route's label `zero` of the zero-length word) and both
-    occurrences with their boundary letters as text.  `shift` maps track
-    indices back to word gaps."""
+    occurrences, at word gaps, with their boundary letters as text."""
     def occ(t: Track, o: int) -> SpanOcc:
         b, a = t.boundary(o - 1), t.boundary(o + hit.L)
-        return SpanOcc(o - shift, o + hit.L - shift,
+        return SpanOcc(o - t.offset, o + hit.L - t.offset,
                        None if b is None else str(b), None if a is None else str(a))
 
     content = " ".join(map(str, track.letters[hit.of:hit.of + hit.L])) if hit.L else zero
@@ -249,15 +249,16 @@ def pair_scan(track: Track, images: Sequence[Track]) -> Iterator[Hit]:
     fend, iend = codes.fend, codes.iend
     F = su + (fend if track.right_closed else codes.top)
     fstarts = codes.starts(track, su, 0)
-    fkeys = list(map(track.key, fstarts)) if track.key else [None] * len(fstarts)
+    keys = track.keys
+    fkeys = [None] * len(fstarts) if keys is None else list(map(keys.__getitem__, fstarts))
     for h, t in enumerate(images):
         I = strs[h] + (iend if t.right_closed else codes.bottom)
         istarts = codes.starts(t, strs[h], 1)
-        if t.key is None:
+        if t.keys is None:
             buckets = {None: istarts} if istarts else {}
         else:
             buckets = defaultdict(list)
-            for oi, key in zip(istarts, map(t.key, istarts)):
+            for oi, key in zip(istarts, map(t.keys.__getitem__, istarts)):
                 buckets[key].append(oi)
         best = {}  # per key: the greatest image suffix, once a walk is done
         ident = t is track

@@ -55,7 +55,7 @@ def direct_band_witness_3q(ctx: Context, q):
     """The direct route's witness for the band word of q, scanned 3|q|
     letters past each start instead of the route's |q|."""
     n = len(q)
-    return _direct_witness(ctx, unroll(q, n, 3 * n), unroll(inv_seq(q), n, 3 * n), 1)
+    return _direct_witness(ctx, unroll(q, n, 3 * n), unroll(inv_seq(q), n, 3 * n))
 
 
 def periodic_witness_3q(m, w):

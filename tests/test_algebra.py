@@ -1,16 +1,18 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import path_quiver_text, random_presentation
 from stringbricks.algebra import (Presentation, PresentationError, SignError,
-                                  ValidationReport, _admissibility_bound,
+                                  SignMaps, ValidationReport, _admissibility_bound,
                                   _normalize_relations, _sign_constraints,
-                                  format_presentation,
+                                  _violated, format_presentation,
                                   parse_presentation, solve_sign_maps,
                                   validate_string_algebra,
                                   verify_sign_conditions)
-from stringbricks.presets import gamma, lambda3, lambda_n_text
+from stringbricks.presets import gamma, lambda3, lambda_n, lambda_n_text
 from stringbricks.words import Letter
 
 
@@ -279,6 +281,133 @@ def test_indexed_validation_and_constraints_match_scans(corpus):
         assert _sign_constraints(p) == sign_constraints_by_scan(p)
         codes |= rep.codes()
     assert {"I", "II", "III", "IIa", "IIb", "REL"} <= codes
+
+
+def reference_solve_sign_maps(p):
+    """solve_sign_maps by union-find with parity, anchoring the smallest
+    unknown of each component to +1 (the reference for the BFS 2-colouring;
+    its conflict message need not be a cycle)."""
+    cons = _sign_constraints(p)
+    if p.declared_signs is not None:
+        bad = _violated(cons, p.declared_signs)
+        if bad:
+            raise SignError("declared signs violate " + "; ".join(bad))
+        return SignMaps(dict(p.declared_signs))
+
+    parent = {}
+    parity = {}  # sign relative to root, +1/-1
+    why = {}
+
+    def find(x):
+        if parent.setdefault(x, x) == x:
+            parity.setdefault(x, 1)
+            return x, 1
+        root, par = find(parent[x])
+        parent[x] = root
+        parity[x] *= par
+        return root, parity[x]
+
+    def trail(x):
+        out = []
+        while x in why:
+            x, label = why[x]
+            out.append(label)
+        return out
+
+    for x, y, label, _ in cons:
+        rx, px = find(x)
+        ry, py = find(y)
+        if rx == ry:
+            if px * py != -1:
+                cycle = [label] + trail(x) + trail(y)
+                raise SignError("infeasible sign system; conflicting constraints: "
+                                + "; ".join(cycle))
+            continue
+        parent[ry] = rx
+        parity[ry] = -px * py
+        why[ry] = (rx, label)
+
+    unknowns = sorted({(k, a) for k in (0, 1) for a, _, _ in p.arrows})
+    values = {}
+    anchored = {}
+    for u in unknowns:
+        root, par = find(u)
+        if root not in anchored:
+            anchored[root] = par
+        values[u] = par * anchored[root]
+
+    table = {a: (values[(0, a)], values[(1, a)]) for a, _, _ in p.arrows}
+    bad = _violated(cons, table)
+    if bad:
+        raise SignError("solver produced invalid signs: " + "; ".join(bad))
+    return SignMaps(table)
+
+
+# two loops at one vertex and the relation a0 a0: the sign system has two
+# odd 3-cycles, through (a) and through (b)
+TWO_LOOPS_TEXT = "vertex v\narrow a0 v v\narrow a1 v v\nrelation a0 a0\n"
+
+
+def sign_presentations(corpus):
+    """Lambda_2..Lambda_8, Gamma with and without its declared signs, the
+    corpus, 2000 seeded random presentations (more than half infeasible),
+    the 20000-arrow path quiver and the two loops."""
+    rng = random.Random(30)
+    return [*(lambda_n(k) for k in range(2, 9)), gamma(), replace(gamma(), declared_signs=None),
+            *(ctx.presentation for ctx in corpus),
+            *(random_presentation(rng) for _ in range(2000)),
+            parse_presentation(path_quiver_text(20000)), parse_presentation(TWO_LOOPS_TEXT)]
+
+
+def sign_outcome(solve, p):
+    try:
+        return solve(p).table
+    except SignError:
+        return None
+
+
+def test_sign_maps_match_union_find_reference(corpus):
+    infeasible = 0
+    for p in sign_presentations(corpus):
+        want = sign_outcome(reference_solve_sign_maps, p)
+        assert sign_outcome(solve_sign_maps, p) == want, p
+        infeasible += want is None
+    assert infeasible > 1000
+
+
+def test_sign_conflicts_name_an_odd_cycle(corpus):
+    """Every infeasible system's message lists distinct constraints that
+    form one cycle of odd length: each unknown on it has degree 2, and a
+    walk along the constraints from one of them uses them all."""
+    prefix = "infeasible sign system; conflicting constraints: "
+    cycles = 0
+    for p in sign_presentations(corpus):
+        try:
+            solve_sign_maps(p)
+            continue
+        except SignError as err:
+            message = str(err)
+        assert message.startswith(prefix), message
+        labels = message[len(prefix):].split("; ")
+        ends = {label: (x, y) for x, y, label, _ in _sign_constraints(p)}
+        assert len(set(labels)) == len(labels) and len(labels) % 2 == 1, message
+        degree = Counter(u for label in labels for u in ends[label])
+        assert set(degree.values()) == {2}, message
+        u, left = ends[labels[0]][0], set(labels)
+        while left:
+            label = next((label for label in left if u in ends[label]), None)
+            assert label is not None, message
+            left.remove(label)
+            x, y = ends[label]
+            u = y if u == x else x
+        cycles += 1
+    assert cycles > 1000
+    # the BFS from sigma(a0) colours sigma(a1) and eps(a1) from it, so the
+    # cycle through (a), not the one through (b), is named
+    with pytest.raises(SignError) as err:
+        solve_sign_maps(parse_presentation(TWO_LOOPS_TEXT))
+    assert set(str(err.value)[len(prefix):].split("; ")) == {
+        "(c) a1a1 not in rho", "(a) s(a0)=s(a1)", "(c) a1a0 not in rho"}
 
 
 def normalize_by_pairs(relations):

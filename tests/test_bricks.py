@@ -12,6 +12,7 @@ from stringbricks.construct import (binary_word, build_mia, parity_mia,
                                    string_to_word)
 from stringbricks.endo import end_dim_band, end_dim_string
 from stringbricks.mia import is_brick_word, is_weak_brick_word, transport
+from stringbricks.scan import unroll
 from stringbricks.strings import Context
 from stringbricks.words import Letter, Window, Word
 
@@ -160,6 +161,34 @@ def test_witness_bound_soundness(l3, gam, corpus):
             w1 = band_brick_direct(ctx, b, 1, 1).witness
             w3 = direct_band_witness_3q(ctx, b.string.letters)
             assert w1 == w3
+
+
+def test_band_witness_spans_are_at_word_gaps(l3, gam):
+    """An unrolled band word puts word gap 0 at track index 1, and both band
+    routes report their witness spans at word gaps: every band of <= 8
+    syllables over Lambda_3 and Gamma, pinned, with the direct route's
+    factor letters read off the band word from its start gap."""
+    spans, bands = {}, 0
+    for ctx in (l3, gam):
+        for b in ctx.enumerate_bands(8):
+            q = b.string.letters
+            assert unroll(q, len(q), len(q)).offset == 1
+            bands += 1
+            for rep in (band_brick_direct(ctx, b, 1), band_brick_automaton(ctx, b, 1)):
+                w = rep.witness
+                if w is not None:
+                    spans[" ".join(map(str, q)), rep.method] = (
+                        w.factor.start, w.factor.end, w.image.start, w.image.end, w.image_host)
+                if w is not None and rep.method == "direct" and w.factor.end > w.factor.start:
+                    assert w.content == " ".join(
+                        str(q[k % len(q)]) for k in range(w.factor.start, w.factor.end))
+    assert bands == 9
+    assert spans == {
+        ("a1' a2' b2 a2' b2 b1 a1' b1", "direct"): (7, 7, 3, 3, "x"),
+        ("a1' a2' b2 a2' b2 b1 a1' b1", "automaton"): (7, 7, 3, 3, "x"),
+        ("a1' b c1 c2' c3 b' a3' a2", "direct"): (1, 2, 2, 3, "x-inverse"),
+        ("a1' b c1 c2' c3 b' a3' a2", "automaton"): (1, 2, 2, 3, "x-inverse"),
+    }
 
 
 def _is_inverse_token(tok):

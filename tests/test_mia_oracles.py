@@ -634,15 +634,15 @@ def keyless_report(hosts, cls, weak):
     """The reference automaton report, as it was before start keys: every
     track scanned with one key for all starts, and every yielded hit
     filtered by whether the classes at its right ends share a state."""
-    tracks = tuple(h.track._replace(key=None) for h in hosts)
-    x, shift = tracks[0], hosts[0].shift
+    tracks = tuple(h.track._replace(keys=None) for h in hosts)
+    x = tracks[0]
 
     def common(hit):
-        return (hosts[0].state_at(hit.of + hit.L - shift)
-                & hosts[hit.host].state_at(hit.oi + hit.L - shift))
+        return (hosts[0].state_at(hit.of + hit.L - x.offset)
+                & hosts[hit.host].state_at(hit.oi + hit.L - tracks[hit.host].offset))
 
     hit = next((hit for hit in pair_scan(x, tracks) if common(hit)), None)
-    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>", shift)
+    found = None if hit is None else witness(x, tracks, hit, f"<{min(common(hit))}>")
     scope = f"window {len(x.letters)}" if isinstance(hosts[0], _WindowHost) else "exact"
     return BrickReport(found is None and (weak or cls != UNKNOWN), "automaton",
                        found, cls, scope)
@@ -728,7 +728,7 @@ def test_string_algebra_mias_have_single_preimages(gam, corpus):
         for m, w in words + list(band_words(ctx, 8)):
             for h in (_host(m, w), _host(m, w.inverse(m))):
                 assert isinstance(h, (_FiniteHost, _PeriodicHost))
-                assert h.track.key is not None and all(len(c) == 1 for c in h.G)
+                assert h.track.keys is not None and all(len(c) == 1 for c in h.G)
                 hosts += 1
     assert hosts > 3000
 
@@ -798,9 +798,9 @@ def test_keys_need_a_reversible_mia():
                 keyed.witness.image.start) == ("b", factor, image)
         # a scan keyed by each gap's class never pairs the witness's starts
         hosts = (_host(m, w), _host(m, w.inverse(m)))
-        tracks = tuple(h.track._replace(key=h.G.__getitem__) for h in hosts)
+        tracks = tuple(h.track._replace(keys=h.G) for h in hosts)
         assert all(hit[:3] != (0, factor, image) for hit in pair_scan(tracks[0], tracks))
-        assert all(h.track.key is None for h in hosts)
+        assert all(h.track.keys is None for h in hosts)
         assert not m.reversible
 
 
@@ -812,7 +812,7 @@ def test_report_keys_a_word_and_its_inverse_together():
     assert validate_mia(m) == [] and not m.reversible
     w = finite_word((Letter("b", True),), "p'", ())
     hosts = (_host(m, w), _host(m, w.inverse(m)))
-    assert [h.track.key is not None for h in hosts] == [False, False]
+    assert [h.track.keys is not None for h in hosts] == [False, False]
     assert [all(h.G) for h in hosts] == [False, True]
     keyed, ref = keyed_and_keyless(m, w)
     assert keyed == ref

@@ -445,7 +445,7 @@ def brute_scan(track, images):
         return [o for o in gaps if at(t, o - 1) != OPEN and ok(at(t, o - 1), None)]
 
     def key(t, o):
-        return t.key(o) if t.key else None
+        return t.keys[o] if t.keys is not None else None
 
     candidates, hits = [], []
     for h, t in enumerate(images):
@@ -482,7 +482,7 @@ def scan_cases(draw):
     keyed = draw(st.booleans())
 
     def keys(n):
-        return tuple(draw(st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1)))
+        return draw(st.lists(st.integers(0, 1), min_size=n + 1, max_size=n + 1))
 
     def track():
         letters = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=10)))
@@ -492,7 +492,7 @@ def scan_cases(draw):
             lo = draw(st.integers(0, n + 1))
             starts = range(lo, draw(st.integers(lo, n + 1)), draw(st.integers(1, 2)))
         return Track(letters, draw(st.booleans()), draw(st.booleans()), starts,
-                     keys(n).__getitem__ if keyed else None)
+                     keys(n) if keyed else None)
 
     x = track()
     images = []
@@ -502,7 +502,7 @@ def scan_cases(draw):
             images.append(x)
         elif kind == "inverse":
             inverse = x.inverse()
-            images.append(inverse._replace(key=keys(len(x.letters)).__getitem__)
+            images.append(inverse._replace(keys=keys(len(x.letters)))
                           if keyed else inverse)
         else:
             images.append(track())
